@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .morphism import Morphism, apply
+from .morphism import Morphism, _essential_sweep
 from .transfer import DepthError, required_input_depth
 from .words import Alphabet, Word, factors, iter_words, primitive_root
 
@@ -96,7 +96,10 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     """Depth-n language of the image subshift.
 
     Every image word of length <= n occurs essentially over an input no
-    longer than the required input depth, so only those inputs are imaged.
+    longer than the required input depth, so only those inputs are imaged,
+    each once, and only their essential occurrences are kept.  The language
+    is factor-closed, so any factor of an image is an essential occurrence
+    over some factor of the input and nothing is lost.
     """
     if language.alphabet != sigma.domain:
         raise ValueError("language alphabet must be the domain of the morphism")
@@ -105,11 +108,12 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     required = required_input_depth(sigma, n)
     if language.maxlen < required:
         raise DepthError(required, language.maxlen)
-    out: set[Word] = set()
-    for u in language.words:
-        if len(u) <= required:
-            out |= factors(apply(sigma, u), n)
-    return FactorLanguage(sigma.codomain, n, frozenset(out))
+    swept = _essential_sweep(
+        sigma, ((u.letters, 1) for u in language.words if len(u) <= required), 1, n
+    )
+    return FactorLanguage(
+        sigma.codomain, n, frozenset(Word(sigma.codomain, letters) for letters in swept)
+    )
 
 
 def complexity(language: FactorLanguage, k: int) -> int:

@@ -4,13 +4,15 @@ A morphism is fixed by one non-empty image word per domain letter.  Besides
 application and composition this module provides the incidence matrix, the
 canonical decomposition into a subdivision morphism followed by a
 letter-to-letter morphism, and the essential-occurrence count that drives
-cylinder evaluation of transferred measures.
+cylinder evaluation of transferred measures, together with the one-pass sweep
+that sums it over many input words and targets at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 from .words import Alphabet, Word
 
@@ -235,6 +237,38 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
         if s + m > prefix_end and image.letters[s : s + m] == pattern:
             count += 1
     return count
+
+
+def _essential_sweep(
+    sigma: Morphism,
+    inputs: Iterable[tuple[tuple[int, ...], Fraction | int]],
+    lo: int,
+    hi: int,
+) -> dict[tuple[int, ...], Fraction | int]:
+    """Weighted essential occurrences of lengths lo..hi, summed per factor.
+
+    inputs are (letters of a non-empty domain word u, weight) pairs.  Each
+    image sigma(u) is built once as a letter tuple, and the weight is added
+    to the entry of every slice image[s:e] that starts in the first letter
+    block (s < |sigma(u_1)|), ends in the last (e > |sigma(u)| - |sigma(u_n)|)
+    and has lo <= e - s <= hi.  The entry of a letter tuple t is therefore
+    the sum of essential_occurrences(sigma, u, t) * weight over the inputs.
+    Letters are not checked against the domain.
+    """
+    images = [img.letters for img in sigma.images]
+    sums: dict[tuple[int, ...], Fraction | int] = {}
+    get = sums.get
+    for letters, weight in inputs:
+        image: tuple[int, ...] = ()
+        for i in letters:
+            image += images[i]
+        end = len(image)
+        last_start = end - len(images[letters[-1]])
+        for s in range(len(images[letters[0]])):
+            for e in range(max(last_start + 1, s + lo), min(end, s + hi) + 1):
+                factor = image[s:e]
+                sums[factor] = get(factor, 0) + weight
+    return sums
 
 
 def candidate_lengths(sigma: Morphism, target_len: int) -> tuple[int, int]:

@@ -41,6 +41,20 @@ def _parse_header_tokens(line_number: int, line: str, name: str) -> list[str]:
     return fields[1:]
 
 
+def _parse_header_count(line_number: int, line: str, name: str) -> int:
+    """The one positive integer, in ASCII digits, of a ``!depth`` or
+    ``!maxlen`` header."""
+    fields = line.split()
+    if len(fields) == 2 and fields[1].isascii() and fields[1].isdigit():
+        try:
+            value = int(fields[1])
+        except ValueError:  # more digits than int() converts
+            value = 0
+        if value >= 1:
+            return value
+    raise ParseError(line_number, f"{name} needs one positive integer")
+
+
 def parse_morphism(text: str) -> Morphism:
     """Read the one-rule-per-line format ``a -> c d c``.
 
@@ -146,12 +160,10 @@ def parse_measure(text: str) -> MeasureTable:
                 except ValueError as exc:
                     raise ParseError(number, str(exc)) from None
             elif name == "!depth":
-                fields = line.split()
-                if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                    raise ParseError(number, "!depth needs one positive integer")
+                value = _parse_header_count(number, line, "!depth")
                 if depth is not None:
                     raise ParseError(number, "duplicate !depth header")
-                depth = int(fields[1])
+                depth = value
             elif name == "!mass":
                 fields = line.split()
                 if len(fields) != 2:
@@ -224,12 +236,10 @@ def parse_language(text: str) -> FactorLanguage:
                 except ValueError as exc:
                     raise ParseError(number, str(exc)) from None
             elif name == "!maxlen":
-                fields = line.split()
-                if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                    raise ParseError(number, "!maxlen needs one positive integer")
+                value = _parse_header_count(number, line, "!maxlen")
                 if maxlen is not None:
                     raise ParseError(number, "duplicate !maxlen header")
-                maxlen = int(fields[1])
+                maxlen = value
             else:
                 raise ParseError(number, f"unknown header {name!r}")
             continue

@@ -1,11 +1,13 @@
 """Measure transfer along a non-erasing morphism, by two independent routes.
 
 The direct route evaluates the transferred weight of a target word as an
-essential-occurrence sum against the stored support of the input table.  The
-decomposition route reweights the table along the subdivision part of the
-canonical decomposition and pushes the result through the letter-to-letter
-part.  The two routes produce identical tables and are kept separate as a
-structural cross-check.
+essential-occurrence sum against the stored support of the input table.  It
+images each support word once and credits every essential occurrence to its
+target in the same pass, so a whole table costs one sweep of the support
+rather than one per target.  The decomposition route reweights the table
+along the subdivision part of the canonical decomposition and pushes the
+result through the letter-to-letter part.  The two routes produce identical
+tables and are kept separate as a structural cross-check.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from typing import Mapping
 from .measure import MeasureTable
 from .morphism import (
     Morphism,
+    _essential_sweep,
     apply,
-    candidate_lengths,
     canonical_decomposition,
-    essential_occurrences,
     norms,
     subdivision_morphism,
 )
@@ -48,13 +49,25 @@ def required_input_depth(sigma: Morphism, out_len: int) -> int:
     return (out_len - 2) // min_len + 2
 
 
+def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
+    """Total transferred mass: each letter block contributes its length."""
+    return sum(
+        (
+            Fraction(len(sigma.images[i])) * m.value(Word(m.alphabet, (i,)))
+            for i in range(len(m.alphabet))
+        ),
+        Fraction(0),
+    )
+
+
 def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word.
 
-    Sums essential occurrences against the support of m, restricted to the
-    candidate-length interval; words outside the interval cannot carry an
-    essential occurrence.  The empty target yields the total transferred
-    mass, where each letter block contributes its length.
+    Sweeps the support of m for essential occurrences of exactly the
+    target's length and reads the target's sum.  Support words longer than
+    the required input depth of the target cannot carry one and are
+    skipped.  The empty target yields the total transferred mass, where each
+    letter block contributes its length.
     """
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
@@ -64,48 +77,32 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     if m.depth < required:
         raise DepthError(required, m.depth)
     if len(target) == 0:
-        return sum(
-            (
-                Fraction(len(sigma.images[i])) * m.value(Word(m.alphabet, (i,)))
-                for i in range(len(m.alphabet))
-            ),
-            Fraction(0),
-        )
-    if len(target) == 1:
-        lo, hi = 1, 1
-    else:
-        lo, hi = candidate_lengths(sigma, len(target))
-    total = Fraction(0)
-    for u, weight in m.values.items():
-        if lo <= len(u) <= hi:
-            count = essential_occurrences(sigma, u, target)
-            if count:
-                total += count * weight
-    return total
+        return _transferred_mass(sigma, m)
+    support = ((u.letters, mu) for u, mu in m.values.items() if len(u) <= required)
+    swept = _essential_sweep(sigma, support, len(target), len(target))
+    return Fraction(swept.get(target.letters, 0))
 
 
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:
     """Transferred table on all codomain words up to out_depth.
 
-    Only factors of images of stored support words can carry weight, so the
-    evaluation runs over exactly those candidates; every other word is zero.
+    One sweep images each support word of length at most the required input
+    depth once and credits every essential occurrence of length <= out_depth
+    to its factor, so all targets are evaluated together.  Longer support
+    words only have essential occurrences longer than out_depth.  Words the
+    sweep never reaches are zero.
     """
     if out_depth < 1:
         raise ValueError("output depth must be >= 1")
+    if m.alphabet != sigma.domain:
+        raise ValueError("table alphabet must be the domain of the morphism")
     required = required_input_depth(sigma, out_depth)
     if m.depth < required:
         raise DepthError(required, m.depth)
-    candidates: set[Word] = set()
-    for u in m.values:
-        if len(u) <= required:
-            candidates |= factors(apply(sigma, u), out_depth)
-    values: dict[Word, Fraction] = {}
-    for target in candidates:
-        weight = transfer_eval(sigma, m, target)
-        if weight:
-            values[target] = weight
-    mass = transfer_eval(sigma, m, Word(sigma.codomain, ()))
-    return MeasureTable(sigma.codomain, out_depth, values, mass)
+    support = ((u.letters, mu) for u, mu in m.values.items() if len(u) <= required)
+    swept = _essential_sweep(sigma, support, 1, out_depth)
+    values = {Word(sigma.codomain, letters): weight for letters, weight in swept.items()}
+    return MeasureTable(sigma.codomain, out_depth, values, _transferred_mass(sigma, m))
 
 
 def subdivision_measure(

@@ -2,11 +2,24 @@
 channel.  All invocations go through main(argv) with captured streams; one
 subprocess test covers the installed entry point."""
 
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gen
+import shiftmeasure
+from shiftmeasure import (
+    FactorLanguage,
+    render_language,
+    render_measure,
+    render_morphism,
+    required_input_depth,
+    support_words,
+)
 from shiftmeasure.cli import main
 
 MORPHISM_SIGMA4 = "a -> c d c\nb -> d c c\n"
@@ -19,6 +32,14 @@ MEASURE_THIRDS = (
     "a a a\t1/3\nb b b\t1/3\nc c c\t1/3\n"
 )
 TRANSFER_GOLDEN = "!alphabet c d\n!depth 2\n!mass 6\nc\t4\nd\t2\nc c\t2\nc d\t2\nd c\t2\n"
+
+
+def _subprocess_env(**extra):
+    """Environment for a CLI subprocess that imports the package under test."""
+    src = str(Path(shiftmeasure.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    path = src + os.pathsep + inherited if inherited else src
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 @pytest.fixture
@@ -153,6 +174,24 @@ def test_parse_errors_exit_two_with_file_and_line(files, capsys):
     assert f"{bad}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("kirchhoff", "super.measure", "!alphabet a b\n!depth \u00b2\n!mass 1\n"),
+        ("image-language", "super.language", "!alphabet a b\n!maxlen \u00b2\na b\n"),
+    ],
+    ids=["measure", "language"],
+)
+def test_non_ascii_header_digits_exit_two_with_file_and_line(files, capsys, command, name, text):
+    """A superscript two passes str.isdigit() but is not a header integer."""
+    path = files(name, text)
+    argv = [command, path]
+    if command == "image-language":
+        argv = [command, files("sigma.morphism", MORPHISM_SIGMA4), path, "--maxlen", "1"]
+    assert main(argv) == 2
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(files, capsys):
     measure = files("orbit.measure", MEASURE_AB)
     assert main(["transfer", "/nonexistent/sigma.morphism", measure, "--depth", "1"]) == 2
@@ -187,6 +226,36 @@ def test_module_entry_point_smoke(files):
         [sys.executable, "-m", "shiftmeasure", "transfer", sigma, measure, "--depth", "2"],
         capture_output=True,
         text=True,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == TRANSFER_GOLDEN
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(files):
+    """Word hashes follow string hashing, so set and dict order change with
+    PYTHONHASHSEED; the rendered output must not."""
+    rng = random.Random(62)
+    sigma = gen.random_morphism(rng, gen.alphabet(3), gen.alphabet(3, 3))
+    out_depth = 5
+    table = gen.random_orbit_table(rng, sigma.domain, required_input_depth(sigma, out_depth), terms=4)
+    language = FactorLanguage(sigma.domain, table.depth, frozenset(support_words(table)))
+    sigma_file = files("sigma.morphism", render_morphism(sigma))
+    table_file = files("orbits.measure", render_measure(table))
+    language_file = files("orbits.language", render_language(language))
+    commands = [
+        ["transfer", sigma_file, table_file, "--depth", str(out_depth)],
+        ["image-language", sigma_file, language_file, "--maxlen", str(out_depth)],
+    ]
+    for command in commands:
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "shiftmeasure", *command],
+                capture_output=True,
+                env=_subprocess_env(PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, command[0]
+        assert len(outputs.pop().splitlines()) > 10

@@ -2,6 +2,7 @@
 numbers reported for each class of malformed input."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,26 @@ def test_measure_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError) as err:
             parse_measure(text)
         assert err.value.line == line, text
+
+
+def test_header_integers_are_ascii_digits():
+    for header in ("\u00b2", "\u0663", "+2", "2.0"):
+        with pytest.raises(ParseError) as err:
+            parse_measure(f"!alphabet a\n!depth {header}\n!mass 1\n")
+        assert err.value.line == 2, header
+        with pytest.raises(ParseError) as err:
+            parse_language(f"!alphabet a\n!maxlen {header}\na\n")
+        assert err.value.line == 2, header
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_header_integer_beyond_the_int_digit_limit_is_a_parse_error():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError) as err:
+        parse_measure(f"!alphabet a\n!depth {digits}\n!mass 1\n")
+    assert err.value.line == 2
 
 
 def test_measure_parse_keeps_consistency_to_the_validator():

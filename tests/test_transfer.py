@@ -18,9 +18,12 @@ from shiftmeasure import (
     Morphism,
     Word,
     apply,
+    candidate_lengths,
     characteristic_measure,
     compose,
     count_occurrences,
+    essential_occurrences,
+    factors,
     frequency_vector,
     image_language,
     incidence_matrix,
@@ -36,6 +39,7 @@ from shiftmeasure import (
     transfer_via_decomposition,
     validate,
 )
+from shiftmeasure.morphism import _essential_sweep
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -190,6 +194,113 @@ def test_transfer_commutes_with_characteristic_measures():
         out_depth = rng.randint(1, 4)
         m = characteristic_measure(w, required_input_depth(sigma, out_depth))
         assert transfer_table(sigma, m, out_depth) == characteristic_measure(apply(sigma, w), out_depth)
+
+
+# ---------------------------------------------------------------- one-pass sweep
+
+def _sweep_cases(seed, count):
+    """Seeded (sigma, table, out_depth) cases over 3 or 4 letters on each side
+    with images of length 1-3 and output depth up to 8.  Every third table
+    is two levels deeper than the required input depth."""
+    rng = random.Random(seed)
+    for index in range(count):
+        sigma = gen.random_morphism(
+            rng, gen.alphabet(rng.randint(3, 4)), gen.alphabet(rng.randint(3, 4), 2)
+        )
+        out_depth = rng.randint(1, 8)
+        depth = required_input_depth(sigma, out_depth) + (2 if index % 3 == 0 else 0)
+        yield sigma, gen.random_orbit_table(rng, sigma.domain, depth, terms=3), out_depth
+
+
+def _essential_sum_table(sigma, m, out_depth):
+    """Oracle: every factor of every support image, weighed by the
+    essential-occurrence sum over the whole support."""
+    targets = set()
+    for u in m.values:
+        targets |= factors(apply(sigma, u), out_depth)
+    values = {}
+    for target in targets:
+        weight = sum(
+            (essential_occurrences(sigma, u, target) * mu for u, mu in m.values.items()),
+            Fraction(0),
+        )
+        if weight:
+            values[target] = weight
+    mass = sum(
+        (
+            len(image) * m.value(Word(sigma.domain, (i,)))
+            for i, image in enumerate(sigma.images)
+        ),
+        Fraction(0),
+    )
+    return MeasureTable(sigma.codomain, out_depth, values, mass)
+
+
+def test_transfer_table_equals_the_essential_occurrence_sum():
+    cases = list(_sweep_cases(56, 30))
+    assert any(m.depth > required_input_depth(sigma, d) for sigma, m, d in cases)
+    assert max(m.depth for _, m, _ in cases) >= 8
+    for sigma, m, out_depth in cases:
+        assert transfer_table(sigma, m, out_depth) == _essential_sum_table(sigma, m, out_depth)
+
+
+def test_transfer_eval_reads_the_table_entry():
+    rng = random.Random(57)
+    zeros_checked = 0
+    for sigma, m, out_depth in _sweep_cases(58, 30):
+        out = transfer_table(sigma, m, out_depth)
+        for target, weight in out.values.items():
+            assert transfer_eval(sigma, m, target) == weight
+        for _ in range(20):
+            target = gen.random_nonempty_word(rng, sigma.codomain, out_depth)
+            if target not in out.values:
+                assert transfer_eval(sigma, m, target) == 0
+                zeros_checked += 1
+        assert transfer_eval(sigma, m, sigma.codomain.epsilon()) == out.total_mass
+    assert zeros_checked > 0
+
+
+def test_sweep_counts_essential_occurrences_within_candidate_lengths():
+    """Swept one word at a time, each key is an essential occurrence of the
+    counted multiplicity, and the word's length lies in the key's
+    candidate-length interval."""
+    for sigma, m, out_depth in _sweep_cases(59, 30):
+        lo = min(2, out_depth)
+        for u in m.values:
+            swept = _essential_sweep(sigma, [(u.letters, 1)], lo, out_depth)
+            for letters, count in swept.items():
+                target = Word(sigma.codomain, letters)
+                assert lo <= len(target) <= out_depth
+                assert count == essential_occurrences(sigma, u, target)
+                if len(target) >= 2:
+                    shortest, longest = candidate_lengths(sigma, len(target))
+                    assert shortest <= len(u) <= longest
+            image = apply(sigma, u)
+            for target in factors(image, out_depth):
+                if len(target) >= lo and essential_occurrences(sigma, u, target):
+                    assert target.letters in swept
+
+
+def test_image_language_equals_the_factors_of_images():
+    for sigma, m, out_depth in _sweep_cases(61, 30):
+        language = FactorLanguage(sigma.domain, m.depth, frozenset(support_words(m)))
+        required = required_input_depth(sigma, out_depth)
+        expected = set()
+        for u in language.words:
+            if len(u) <= required:
+                expected |= factors(apply(sigma, u), out_depth)
+        assert image_language(sigma, language, out_depth).words == expected
+
+
+def test_wrong_table_alphabet_raises_even_with_empty_support():
+    sigma = Morphism.from_images(ABC, CD, {"a": "c", "b": "dc", "c": "ccd"})
+    stocked = characteristic_measure(AB.word("ab"), 3)
+    empty = MeasureTable(AB, 3, {}, 0)
+    for m in (stocked, empty):
+        with pytest.raises(ValueError, match="table alphabet"):
+            transfer_table(sigma, m, 2)
+        with pytest.raises(ValueError, match="table alphabet"):
+            transfer_eval(sigma, m, CD.word("cd"))
 
 
 # ---------------------------------------------------------------- subdivision route
