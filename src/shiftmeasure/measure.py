@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .words import Alphabet, Word, iter_words, primitive_root
+from .words import Alphabet, Word, primitive_root
 
 Rational = Union[Fraction, int]
 
@@ -89,25 +89,39 @@ class Violation:
 def validate(m: MeasureTable) -> list[Violation]:
     """Every Kirchhoff and level-sum violation; an empty list means consistent.
 
-    Both extension equalities are checked at every word of length < depth
-    (zero-valued ones included), and each level sum is checked against the
-    total mass.
+    The equalities mu(w) = sum_a mu(aw) = sum_a mu(wa) must hold at every
+    word w of length 1..depth-1, and every level must sum to the total mass.
+    A word can break an extension equality only if it or one of its
+    extensions is in the support: it is a support word shorter than the
+    depth, or a support word with its first or last letter dropped.  Every
+    other word has value 0 and both extension sums 0, so only those words
+    are checked.  One pass over the support collects them with their
+    extension sums, so the work is O(|support| * depth), not O(|A|^depth).
+    Violations come in canonical word order (length, then letters; left
+    before right at each word), then the level sums by length.
     """
+    zero = Fraction(0)
+    values = {w.letters: v for w, v in m.values.items()}
+    left_sums: dict[tuple[int, ...], Fraction] = {}
+    right_sums: dict[tuple[int, ...], Fraction] = {}
+    level = [zero] * (m.depth + 1)
+    for u, v in values.items():
+        level[len(u)] += v
+        if len(u) >= 2:
+            left_sums[u[1:]] = left_sums.get(u[1:], zero) + v
+            right_sums[u[:-1]] = right_sums.get(u[:-1], zero) + v
+    candidates = {u for u in values if len(u) < m.depth}
+    candidates.update(left_sums, right_sums)
     out: list[Violation] = []
-    letters = [Word(m.alphabet, (i,)) for i in range(len(m.alphabet))]
-    for length in range(1, m.depth):
-        for w in iter_words(m.alphabet, length):
-            expected = m.value(w)
-            left = sum((m.value(a + w) for a in letters), Fraction(0))
-            if left != expected:
-                out.append(Violation("left-extension", w, None, expected, left))
-            right = sum((m.value(w + a) for a in letters), Fraction(0))
-            if right != expected:
-                out.append(Violation("right-extension", w, None, expected, right))
+    for u in sorted(candidates, key=lambda u: (len(u), u)):
+        expected = values.get(u, zero)
+        for kind, actual in (("left-extension", left_sums.get(u, zero)),
+                             ("right-extension", right_sums.get(u, zero))):
+            if actual != expected:
+                out.append(Violation(kind, Word(m.alphabet, u), None, expected, actual))
     for length in range(1, m.depth + 1):
-        total = sum((v for w, v in m.values.items() if len(w) == length), Fraction(0))
-        if total != m.total_mass:
-            out.append(Violation("level-sum", None, length, m.total_mass, total))
+        if level[length] != m.total_mass:
+            out.append(Violation("level-sum", None, length, m.total_mass, level[length]))
     return out
 
 

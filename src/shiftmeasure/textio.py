@@ -8,6 +8,7 @@ so equal values produce identical bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -200,14 +201,26 @@ def parse_measure(text: str) -> MeasureTable:
     return MeasureTable(alphabet, depth, values, mass)
 
 
+# ASCII digits only: p, p/q with q > 0, or the decimal p.q.  Fraction()
+# alone would also take signs, exponents, underscores and non-ASCII digits.
+_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
 def _parse_rational(line_number: int, text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(line_number, f"not a rational value: {text!r}") from None
-    if value < 0:
+    match = _RATIONAL.fullmatch(text)
+    if match is not None:
+        whole, denominator, decimals = match.groups()
+        try:
+            if denominator is not None:
+                return Fraction(int(whole), int(denominator))
+            if decimals is not None:
+                return Fraction(int(whole + decimals), 10 ** len(decimals))
+            return Fraction(int(whole))
+        except (ValueError, ZeroDivisionError):  # q = 0, or more digits than int() converts
+            pass
+    elif text.startswith("-") and _RATIONAL.fullmatch(text[1:]):
         raise ParseError(line_number, f"negative value: {text!r}")
-    return value
+    raise ParseError(line_number, f"not a rational value: {text!r}")
 
 
 def render_measure(m: MeasureTable) -> str:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from shiftmeasure import (
     Alphabet,
+    MeasureTable,
     Morphism,
     Word,
     characteristic_measure,
@@ -49,3 +50,28 @@ def random_orbit_table(rng, alph: Alphabet, depth: int, max_period: int = 4,
         total = sum(c for c, _ in pairs)
         pairs = [(c / total, table) for c, table in pairs]
     return linear_combination(pairs)
+
+
+def perturbed_table(rng, alph: Alphabet, depth: int) -> MeasureTable:
+    """An orbit table with zero to three random breaks: a weight raised on a
+    word outside the support, a support weight lowered to 0, a weight raised
+    inside the support, or a shifted total mass.  One table in ten has an
+    empty support instead, with mass 0 or a positive mass."""
+    if rng.random() < 0.1:
+        return MeasureTable(alph, depth, {}, rng.choice([Fraction(0), Fraction(rng.randint(1, 3))]))
+    m = random_orbit_table(rng, alph, depth, max_period=5, terms=rng.randint(1, 3))
+    values, mass = dict(m.values), m.total_mass
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            outside = random_nonempty_word(rng, alph, depth)
+            if outside not in values:
+                values[outside] = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        elif kind == 1 and values:
+            del values[rng.choice(list(values))]
+        elif kind == 2 and values:
+            word = rng.choice(list(values))
+            values[word] += Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        elif kind == 3:
+            mass = max(Fraction(0), mass + Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    return MeasureTable(alph, depth, values, mass)

@@ -14,6 +14,8 @@ import gen
 import shiftmeasure
 from shiftmeasure import (
     FactorLanguage,
+    MeasureTable,
+    Word,
     render_language,
     render_measure,
     render_morphism,
@@ -192,6 +194,23 @@ def test_non_ascii_header_digits_exit_two_with_file_and_line(files, capsys, comm
     assert f"{path}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1e3", "1e99999", "1_000", "+3", "٣"])
+@pytest.mark.parametrize(
+    "template, line",
+    [
+        ("!alphabet a b\n!depth 1\n!mass 1\na\t{}\n", 4),
+        ("!alphabet a b\n!depth 1\n!mass {}\na\t1\n", 3),
+    ],
+    ids=["entry", "mass"],
+)
+def test_undocumented_rational_forms_exit_two_with_file_and_line(files, capsys, value, template, line):
+    """Fraction() takes exponents, underscores, signs and non-ASCII digits;
+    the format takes only ASCII p, p/q and p.q."""
+    path = files("odd.measure", template.format(value))
+    assert main(["kirchhoff", path]) == 2
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(files, capsys):
     measure = files("orbit.measure", MEASURE_AB)
     assert main(["transfer", "/nonexistent/sigma.morphism", measure, "--depth", "1"]) == 2
@@ -240,14 +259,25 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(files):
     out_depth = 5
     table = gen.random_orbit_table(rng, sigma.domain, required_input_depth(sigma, out_depth), terms=4)
     language = FactorLanguage(sigma.domain, table.depth, frozenset(support_words(table)))
+    # A raised length-2 weight breaks both equalities at the word itself and
+    # at its first letter and its last letter, and the level-2 sum.
+    raised = dict(table.values)
+    raised[min((w for w in raised if len(w) == 2), key=Word.sort_key)] += 1
     sigma_file = files("sigma.morphism", render_morphism(sigma))
     table_file = files("orbits.measure", render_measure(table))
     language_file = files("orbits.language", render_language(language))
+    raised_file = files("raised.measure", render_measure(
+        MeasureTable(table.alphabet, table.depth, raised, table.total_mass)
+    ))
+    # Collapses b c onto a: many period and orbit certificates.
+    collapse_file = files("collapse.morphism", "a -> c d\nb -> c\nc -> d\n")
     commands = [
-        ["transfer", sigma_file, table_file, "--depth", str(out_depth)],
-        ["image-language", sigma_file, language_file, "--maxlen", str(out_depth)],
+        (["transfer", sigma_file, table_file, "--depth", str(out_depth)], 0),
+        (["image-language", sigma_file, language_file, "--maxlen", str(out_depth)], 0),
+        (["kirchhoff", raised_file], 1),
+        (["check", collapse_file, "--bound", "4"], 1),
     ]
-    for command in commands:
+    for command, code in commands:
         outputs = set()
         for seed in ("0", "1", "2"):
             proc = subprocess.run(
@@ -255,7 +285,11 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(files):
                 capture_output=True,
                 env=_subprocess_env(PYTHONHASHSEED=seed),
             )
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == code, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1, command[0]
-        assert len(outputs.pop().splitlines()) > 10
+        lines = outputs.pop().splitlines()
+        if code == 0:
+            assert len(lines) > 10, command[0]
+        else:
+            assert sum(line.startswith(b"VIOLATION ") for line in lines) >= 5, command[0]

@@ -12,6 +12,7 @@ import gen
 from shiftmeasure import (
     Alphabet,
     MeasureTable,
+    Violation,
     Word,
     characteristic_measure,
     frequency_vector,
@@ -106,6 +107,47 @@ def test_any_single_entry_mutation_is_caught():
         values = dict(m.values)
         values[target] = values.get(target, Fraction(0)) + Fraction(rng.randint(1, 3), rng.randint(1, 4))
         assert validate(MeasureTable(alph, depth, values, m.total_mass)) != []
+
+
+def _validate_exhaustive(m):
+    """The definition: both extension equalities at every word of length
+    1..depth-1, zero-valued words included, then each level sum."""
+    out = []
+    letters = [Word(m.alphabet, (i,)) for i in range(len(m.alphabet))]
+    for length in range(1, m.depth):
+        for w in iter_words(m.alphabet, length):
+            expected = m.value(w)
+            left = sum((m.value(a + w) for a in letters), Fraction(0))
+            if left != expected:
+                out.append(Violation("left-extension", w, None, expected, left))
+            right = sum((m.value(w + a) for a in letters), Fraction(0))
+            if right != expected:
+                out.append(Violation("right-extension", w, None, expected, right))
+    for length in range(1, m.depth + 1):
+        total = sum((v for w, v in m.values.items() if len(w) == length), Fraction(0))
+        if total != m.total_mass:
+            out.append(Violation("level-sum", None, length, m.total_mass, total))
+    return out
+
+
+def test_validate_matches_the_exhaustive_walk():
+    """Same violations, same order and same values as checking every word,
+    on consistent, perturbed and empty tables."""
+    rng = random.Random(23)
+    broken = violations = 0
+    empty_masses = set()
+    for _ in range(320):
+        alph = gen.alphabet(rng.randint(1, 3))
+        m = gen.perturbed_table(rng, alph, rng.randint(1, 5))
+        expected = _validate_exhaustive(m)
+        got = validate(m)
+        assert got == expected
+        assert all(type(v.expected) is type(v.actual) is Fraction for v in got)
+        broken += bool(got)
+        violations += len(got)
+        if not m.values:
+            empty_masses.add(m.total_mass > 0)
+    assert broken >= 100 and violations >= 500 and empty_masses == {False, True}
 
 
 # ---------------------------------------------------------------- characteristic

@@ -157,6 +157,53 @@ def test_measure_parse_keeps_consistency_to_the_validator():
     assert validate(m) != []
 
 
+def test_rational_grammar_is_ascii_p_p_over_q_and_decimals():
+    head = "!alphabet a\n!depth 1\n"
+    accepted = {"0": 0, "3": 3, "007": 7, "2/4": Fraction(1, 2), "0.25": Fraction(1, 4),
+                "1.50": Fraction(3, 2)}
+    for text, value in accepted.items():
+        m = parse_measure(f"{head}!mass {text}\na\t{text}\n")
+        assert m.total_mass == value and m.value(Alphabet(("a",)).word("a")) == value, text
+    rejected = ["1e3", "1E-2", "1e99999", "1_000", "+3", "-0", ".5", "1.", "1/0", "1/-2",
+                "٣", "²", "0x10", "inf", "nan", "1/2/3", "1.5/2"]
+    for text in rejected:
+        for body, line in ((f"!mass {text}\n", 3), (f"!mass 1\na\t{text}\n", 4)):
+            with pytest.raises(ParseError) as err:
+                parse_measure(head + body)
+            assert err.value.line == line, (text, body)
+
+
+_MEASURE_FRAGMENTS = st.sampled_from([
+    "!alphabet", "!depth", "!mass", "!maxlen", "!", "a", "b", "a.1", "0", "1", "2",
+    "1/3", "0.5", "1/0", "-1", "1e3", "1_000", "+3", ".5", "٣", "²",
+    "9" * 5000, "#", "\t", " ", "\n", "\r", "\x0b", " ", " ", "/", ".",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.one_of(_MEASURE_FRAGMENTS, st.text(max_size=3)), max_size=40).map("".join),
+    st.lists(st.one_of(_MEASURE_FRAGMENTS, st.text(max_size=3)), max_size=20).map(
+        lambda parts: "!alphabet a b\n!depth 2\n!mass 1\n" + "".join(parts)
+    ),
+))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        m = parse_measure(text)
+    except ParseError:
+        return
+    assert parse_measure(render_measure(m)) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_measure_round_trip_on_perturbed_tables(seed):
+    rng = random.Random(seed)
+    m = gen.perturbed_table(rng, gen.alphabet(rng.randint(1, 3)), rng.randint(1, 4))
+    assert parse_measure(render_measure(m)) == m
+
+
 # ---------------------------------------------------------------- languages
 
 def test_language_golden_render():
