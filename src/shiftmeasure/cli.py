@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .diagnostics import check_period_preservation, check_periodic_orbit_injectivity
-from .language import FactorLanguage, full_shift_language, image_language
-from .measure import MeasureTable, characteristic_measure, validate
-from .morphism import Morphism, canonical_decomposition, compose, incidence_matrix
+from .language import full_shift_language, image_language
+from .measure import characteristic_measure, validate
+from .morphism import canonical_decomposition, compose, incidence_matrix
 from .textio import (
     ParseError,
     parse_language,
@@ -27,6 +27,8 @@ from .textio import (
 )
 from .transfer import DepthError, transfer_eval, transfer_table
 from .words import Alphabet
+
+_T = TypeVar("_T")
 
 
 class _Failure(Exception):
@@ -52,23 +54,9 @@ def _write(path: str, text: str) -> None:
         raise _Failure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load_morphism(path: str) -> Morphism:
+def _load(parse: Callable[[str], _T], path: str) -> _T:
     try:
-        return parse_morphism(_read(path))
-    except ParseError as exc:
-        raise _Failure(2, f"{path}:{exc.line}: {exc.message}") from exc
-
-
-def _load_measure(path: str) -> MeasureTable:
-    try:
-        return parse_measure(_read(path))
-    except ParseError as exc:
-        raise _Failure(2, f"{path}:{exc.line}: {exc.message}") from exc
-
-
-def _load_language(path: str) -> FactorLanguage:
-    try:
-        return parse_language(_read(path))
+        return parse(_read(path))
     except ParseError as exc:
         raise _Failure(2, f"{path}:{exc.line}: {exc.message}") from exc
 
@@ -81,36 +69,36 @@ def _parse_cli_word(alphabet: Alphabet, text: str, compact: bool):
 
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
-    sigma = _load_morphism(args.morphism)
-    table = _load_measure(args.measure)
+    sigma = _load(parse_morphism, args.morphism)
+    table = _load(parse_measure, args.measure)
     sys.stdout.write(render_measure(transfer_table(sigma, table, args.depth)))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    sigma = _load_morphism(args.morphism)
-    table = _load_measure(args.measure)
+    sigma = _load(parse_morphism, args.morphism)
+    table = _load(parse_measure, args.measure)
     target = _parse_cli_word(sigma.codomain, args.word, args.compact)
     print(transfer_eval(sigma, table, target))
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    decomposition = canonical_decomposition(_load_morphism(args.morphism))
+    decomposition = canonical_decomposition(_load(parse_morphism, args.morphism))
     _write(args.pi_out, render_morphism(decomposition.pi))
     _write(args.alpha_out, render_morphism(decomposition.alpha))
     return 0
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    outer = _load_morphism(args.outer)
-    inner = _load_morphism(args.inner)
+    outer = _load(parse_morphism, args.outer)
+    inner = _load(parse_morphism, args.inner)
     sys.stdout.write(render_morphism(compose(outer, inner)))
     return 0
 
 
 def _cmd_incidence(args: argparse.Namespace) -> int:
-    matrix = incidence_matrix(_load_morphism(args.morphism))
+    matrix = incidence_matrix(_load(parse_morphism, args.morphism))
     for token, row in zip(matrix.row_alphabet.symbols, matrix.entries):
         print(token, *row)
     return 0
@@ -137,16 +125,16 @@ def _cmd_characteristic(args: argparse.Namespace) -> int:
 
 
 def _cmd_image_language(args: argparse.Namespace) -> int:
-    sigma = _load_morphism(args.morphism)
-    language = _load_language(args.language)
+    sigma = _load(parse_morphism, args.morphism)
+    language = _load(parse_language, args.language)
     sys.stdout.write(render_language(image_language(sigma, language, args.maxlen)))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    sigma = _load_morphism(args.morphism)
+    sigma = _load(parse_morphism, args.morphism)
     if args.language is not None:
-        language = _load_language(args.language)
+        language = _load(parse_language, args.language)
     else:
         language = full_shift_language(sigma.domain, args.bound)
     period = check_period_preservation(sigma, language, args.bound)
@@ -158,7 +146,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_kirchhoff(args: argparse.Namespace) -> int:
-    violations = validate(_load_measure(args.measure))
+    violations = validate(_load(parse_measure, args.measure))
     for violation in violations:
         print(f"VIOLATION {violation}")
     return 1 if violations else 0

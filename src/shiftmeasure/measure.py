@@ -22,6 +22,8 @@ Rational = Union[Fraction, int]
 
 
 def _as_fraction(value, what: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact, got a float")
     return Fraction(value)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator
+from typing import Any, Callable
 
 from .language import FactorLanguage, factorial_closure
 from .measure import MeasureTable
@@ -27,33 +27,73 @@ class ParseError(Exception):
         self.message = message
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+_HeaderReader = Callable[[str, list[str]], Any]
+_BodyHandler = Callable[[int, str, dict[str, Any]], None]
+
+
+def _read_format(
+    text: str, readers: dict[str, _HeaderReader], body: _BodyHandler, required: bool = False
+) -> tuple[dict[str, Any], dict[str, int], int]:
+    """Walk the content lines (not blank, not ``#`` comments) of one format.
+
+    Each ``!name`` line is read once, by ``readers[name]``; an unknown or
+    duplicate name is an error before any value is read.  Every other line
+    goes to ``body`` in file order, with the headers read so far.  A
+    ``ValueError`` from a reader or from ``body`` is reported at its line;
+    with ``required``, a missing header at the last content line.  Returns
+    the headers and their lines by name, and the last content line.
+    """
+    headers: dict[str, Any] = {}
+    lines: dict[str, int] = {}
+    last_line = 1
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield number, line
+        last_line = number
+        try:
+            if not line.startswith("!"):
+                body(number, line, headers)
+                continue
+            name, *fields = line.split()
+            if name not in readers:
+                raise ParseError(number, f"unknown header {name!r}")
+            if name in headers:
+                raise ParseError(number, f"duplicate {name} header")
+            headers[name] = readers[name](name, fields)
+            lines[name] = number
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from None
+    if required:
+        for name in readers:
+            if name not in headers:
+                raise ParseError(last_line, f"missing {name} header")
+    return headers, lines, last_line
 
 
-def _parse_header_tokens(line_number: int, line: str, name: str) -> list[str]:
-    fields = line.split()
-    if len(fields) < 2:
-        raise ParseError(line_number, f"{name} header needs at least one token")
-    return fields[1:]
+def _alphabet_header(name: str, fields: list[str]) -> Alphabet:
+    if not fields:
+        raise ValueError(f"{name} header needs at least one token")
+    return Alphabet(tuple(fields))
 
 
-def _parse_header_count(line_number: int, line: str, name: str) -> int:
+def _count_header(name: str, fields: list[str]) -> int:
     """The one positive integer, in ASCII digits, of a ``!depth`` or
     ``!maxlen`` header."""
-    fields = line.split()
-    if len(fields) == 2 and fields[1].isascii() and fields[1].isdigit():
+    if len(fields) == 1 and fields[0].isascii() and fields[0].isdigit():
         try:
-            value = int(fields[1])
+            value = int(fields[0])
         except ValueError:  # more digits than int() converts
             value = 0
         if value >= 1:
             return value
-    raise ParseError(line_number, f"{name} needs one positive integer")
+    raise ValueError(f"{name} needs one positive integer")
+
+
+def _mass_header(name: str, fields: list[str]) -> Fraction:
+    if len(fields) != 1:
+        raise ValueError(f"{name} needs one rational value")
+    return _parse_rational(fields[0])
 
 
 def parse_morphism(text: str) -> Morphism:
@@ -63,35 +103,21 @@ def parse_morphism(text: str) -> Morphism:
     order; otherwise the domain follows rule order and the codomain the
     first appearance of image letters.
     """
-    domain_decl: list[str] | None = None
-    codomain_decl: list[str] | None = None
-    domain_line = 1
     rules: list[tuple[int, str, list[str]]] = []
-    last_line = 1
-    for number, line in _content_lines(text):
-        last_line = number
-        if line.startswith("!"):
-            name = line.split()[0]
-            if name == "!domain":
-                if domain_decl is not None:
-                    raise ParseError(number, "duplicate !domain header")
-                domain_decl = _parse_header_tokens(number, line, "!domain")
-                domain_line = number
-            elif name == "!codomain":
-                if codomain_decl is not None:
-                    raise ParseError(number, "duplicate !codomain header")
-                codomain_decl = _parse_header_tokens(number, line, "!codomain")
-            else:
-                raise ParseError(number, f"unknown header {name!r}")
-            continue
+
+    def rule(number: int, line: str, headers: dict[str, Any]) -> None:
         fields = line.split()
         if len(fields) < 2 or fields[1] != "->":
-            raise ParseError(number, "expected a rule of the form '<letter> -> <letter> ...'")
+            raise ValueError("expected a rule of the form '<letter> -> <letter> ...'")
         if len(fields) < 3:
-            raise ParseError(number, f"empty image for {fields[0]!r}")
+            raise ValueError(f"empty image for {fields[0]!r}")
         if "->" in fields[2:]:
-            raise ParseError(number, "'->' cannot be an image token")
+            raise ValueError("'->' cannot be an image token")
         rules.append((number, fields[0], fields[2:]))
+
+    headers, lines, last_line = _read_format(
+        text, {"!domain": _alphabet_header, "!codomain": _alphabet_header}, rule
+    )
     if not rules:
         raise ParseError(last_line, "no morphism rules found")
 
@@ -100,27 +126,16 @@ def parse_morphism(text: str) -> Morphism:
         if lhs in seen:
             raise ParseError(number, f"duplicate rule for {lhs!r}")
         seen[lhs] = number
-    domain_tokens = domain_decl if domain_decl is not None else [lhs for _, lhs, _ in rules]
+    domain = headers.get("!domain") or Alphabet(tuple(seen))
     for number, lhs, _ in rules:
-        if lhs not in domain_tokens:
+        if lhs not in domain:
             raise ParseError(number, f"rule for {lhs!r} outside the declared domain")
-    for token in domain_tokens:
+    for token in domain:
         if token not in seen:
-            raise ParseError(domain_line, f"no image given for domain letter {token!r}")
-
-    if codomain_decl is not None:
-        codomain_tokens = codomain_decl
-    else:
-        codomain_tokens = []
-        for _, _, rhs in rules:
-            for token in rhs:
-                if token not in codomain_tokens:
-                    codomain_tokens.append(token)
-    try:
-        domain = Alphabet(tuple(domain_tokens))
-        codomain = Alphabet(tuple(codomain_tokens))
-    except ValueError as exc:
-        raise ParseError(domain_line, str(exc)) from None
+            raise ParseError(lines["!domain"], f"no image given for domain letter {token!r}")
+    codomain = headers.get("!codomain") or Alphabet(
+        tuple(dict.fromkeys(token for _, _, rhs in rules for token in rhs))
+    )
 
     images: dict[str, Word] = {}
     for number, lhs, rhs in rules:
@@ -141,64 +156,36 @@ def render_morphism(sigma: Morphism) -> str:
 def parse_measure(text: str) -> MeasureTable:
     """Read the header-plus-entries format; unlisted words are zero.
 
-    Headers ``!alphabet``, ``!depth`` and ``!mass`` must precede the entry
-    lines; an entry is the word's tokens, a tab, and a rational value.
+    Headers ``!alphabet`` and ``!depth`` must precede the entry lines, and
+    ``!mass`` must appear somewhere; an entry is the word's tokens, a tab,
+    and a rational value.
     """
-    alphabet: Alphabet | None = None
-    depth: int | None = None
-    mass: Fraction | None = None
     values: dict[Word, Fraction] = {}
-    last_line = 1
-    for number, line in _content_lines(text):
-        last_line = number
-        if line.startswith("!"):
-            name = line.split()[0]
-            if name == "!alphabet":
-                if alphabet is not None:
-                    raise ParseError(number, "duplicate !alphabet header")
-                try:
-                    alphabet = Alphabet(tuple(_parse_header_tokens(number, line, "!alphabet")))
-                except ValueError as exc:
-                    raise ParseError(number, str(exc)) from None
-            elif name == "!depth":
-                value = _parse_header_count(number, line, "!depth")
-                if depth is not None:
-                    raise ParseError(number, "duplicate !depth header")
-                depth = value
-            elif name == "!mass":
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ParseError(number, "!mass needs one rational value")
-                if mass is not None:
-                    raise ParseError(number, "duplicate !mass header")
-                mass = _parse_rational(number, fields[1])
-            else:
-                raise ParseError(number, f"unknown header {name!r}")
-            continue
+
+    def entry(number: int, line: str, headers: dict[str, Any]) -> None:
+        alphabet, depth = headers.get("!alphabet"), headers.get("!depth")
         if alphabet is None or depth is None:
-            raise ParseError(number, "!alphabet and !depth headers must precede entries")
+            raise ValueError("!alphabet and !depth headers must precede entries")
         left, tab, right = line.partition("\t")
         if not tab:
-            raise ParseError(number, "entry needs a tab between the word and its value")
+            raise ValueError("entry needs a tab between the word and its value")
         tokens = left.split()
         if not tokens:
-            raise ParseError(number, "entry for the empty word is not allowed")
-        try:
-            word = alphabet.word(tokens)
-        except ValueError as exc:
-            raise ParseError(number, str(exc)) from None
+            raise ValueError("entry for the empty word is not allowed")
+        word = alphabet.word(tokens)
         if len(word) > depth:
-            raise ParseError(number, f"word '{word}' is longer than the declared depth {depth}")
+            raise ValueError(f"word '{word}' is longer than the declared depth {depth}")
         if word in values:
-            raise ParseError(number, f"duplicate entry for '{word}'")
-        values[word] = _parse_rational(number, right.strip())
-    if alphabet is None:
-        raise ParseError(last_line, "missing !alphabet header")
-    if depth is None:
-        raise ParseError(last_line, "missing !depth header")
-    if mass is None:
-        raise ParseError(last_line, "missing !mass header")
-    return MeasureTable(alphabet, depth, values, mass)
+            raise ValueError(f"duplicate entry for '{word}'")
+        values[word] = _parse_rational(right.strip())
+
+    headers, _, _ = _read_format(
+        text,
+        {"!alphabet": _alphabet_header, "!depth": _count_header, "!mass": _mass_header},
+        entry,
+        required=True,
+    )
+    return MeasureTable(headers["!alphabet"], headers["!depth"], values, headers["!mass"])
 
 
 # ASCII digits only: p, p/q with q > 0, or the decimal p.q.  Fraction()
@@ -206,7 +193,7 @@ def parse_measure(text: str) -> MeasureTable:
 _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def _parse_rational(line_number: int, text: str) -> Fraction:
+def _parse_rational(text: str) -> Fraction:
     match = _RATIONAL.fullmatch(text)
     if match is not None:
         whole, denominator, decimals = match.groups()
@@ -219,8 +206,8 @@ def _parse_rational(line_number: int, text: str) -> Fraction:
         except (ValueError, ZeroDivisionError):  # q = 0, or more digits than int() converts
             pass
     elif text.startswith("-") and _RATIONAL.fullmatch(text[1:]):
-        raise ParseError(line_number, f"negative value: {text!r}")
-    raise ParseError(line_number, f"not a rational value: {text!r}")
+        raise ValueError(f"negative value: {text!r}")
+    raise ValueError(f"not a rational value: {text!r}")
 
 
 def render_measure(m: MeasureTable) -> str:
@@ -233,40 +220,17 @@ def render_measure(m: MeasureTable) -> str:
 def parse_language(text: str) -> FactorLanguage:
     """Read the one-word-per-line format; factor closure is applied on load,
     so words longer than the cap contribute their factors."""
-    alphabet: Alphabet | None = None
-    maxlen: int | None = None
     words: list[Word] = []
-    last_line = 1
-    for number, line in _content_lines(text):
-        last_line = number
-        if line.startswith("!"):
-            name = line.split()[0]
-            if name == "!alphabet":
-                if alphabet is not None:
-                    raise ParseError(number, "duplicate !alphabet header")
-                try:
-                    alphabet = Alphabet(tuple(_parse_header_tokens(number, line, "!alphabet")))
-                except ValueError as exc:
-                    raise ParseError(number, str(exc)) from None
-            elif name == "!maxlen":
-                value = _parse_header_count(number, line, "!maxlen")
-                if maxlen is not None:
-                    raise ParseError(number, "duplicate !maxlen header")
-                maxlen = value
-            else:
-                raise ParseError(number, f"unknown header {name!r}")
-            continue
-        if alphabet is None:
-            raise ParseError(number, "!alphabet header must precede words")
-        try:
-            words.append(alphabet.word(line.split()))
-        except ValueError as exc:
-            raise ParseError(number, str(exc)) from None
-    if alphabet is None:
-        raise ParseError(last_line, "missing !alphabet header")
-    if maxlen is None:
-        raise ParseError(last_line, "missing !maxlen header")
-    return factorial_closure(alphabet, words, maxlen)
+
+    def word(number: int, line: str, headers: dict[str, Any]) -> None:
+        if "!alphabet" not in headers:
+            raise ValueError("!alphabet header must precede words")
+        words.append(headers["!alphabet"].word(line.split()))
+
+    headers, _, _ = _read_format(
+        text, {"!alphabet": _alphabet_header, "!maxlen": _count_header}, word, required=True
+    )
+    return factorial_closure(headers["!alphabet"], words, headers["!maxlen"])
 
 
 def render_language(language: FactorLanguage) -> str:

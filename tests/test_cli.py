@@ -271,13 +271,23 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(files):
     ))
     # Collapses b c onto a: many period and orbit certificates.
     collapse_file = files("collapse.morphism", "a -> c d\nb -> c\nc -> d\n")
+    tau = gen.random_morphism(rng, sigma.codomain, gen.alphabet(2))
+    tau_file = files("tau.morphism", render_morphism(tau))
+    pi_file, alpha_file = files("pi.morphism", ""), files("alpha.morphism", "")
+    # (argv, exit code, files the command writes, least number of output lines)
     commands = [
-        (["transfer", sigma_file, table_file, "--depth", str(out_depth)], 0),
-        (["image-language", sigma_file, language_file, "--maxlen", str(out_depth)], 0),
-        (["kirchhoff", raised_file], 1),
-        (["check", collapse_file, "--bound", "4"], 1),
+        (["transfer", sigma_file, table_file, "--depth", str(out_depth)], 0, (), 11),
+        (["image-language", sigma_file, language_file, "--maxlen", str(out_depth)], 0, (), 11),
+        (["kirchhoff", raised_file], 1, (), 0),
+        (["check", collapse_file, "--bound", "4"], 1, (), 0),
+        (["eval", sigma_file, table_file, "--word", str(sigma.images[0])], 0, (), 1),
+        (["characteristic", "--word", "c b a c a b b", "--depth", "4"], 0, (), 11),
+        (["incidence", sigma_file], 0, (), 3),
+        (["compose", tau_file, sigma_file], 0, (), 5),
+        (["decompose", sigma_file, "--pi-out", pi_file, "--alpha-out", alpha_file], 0,
+         (pi_file, alpha_file), 11),
     ]
-    for command, code in commands:
+    for command, code, written, least in commands:
         outputs = set()
         for seed in ("0", "1", "2"):
             proc = subprocess.run(
@@ -286,10 +296,9 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(files):
                 env=_subprocess_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == code, proc.stderr
-            outputs.add(proc.stdout)
+            outputs.add(proc.stdout + b"".join(Path(path).read_bytes() for path in written))
         assert len(outputs) == 1, command[0]
         lines = outputs.pop().splitlines()
-        if code == 0:
-            assert len(lines) > 10, command[0]
-        else:
+        assert len(lines) >= least, command[0]
+        if code == 1:
             assert sum(line.startswith(b"VIOLATION ") for line in lines) >= 5, command[0]

@@ -73,12 +73,24 @@ def test_morphism_parse_errors_carry_line_numbers():
         ("# nothing\n", 1),
         ("!domain a\nb -> c\n", 2),
         ("a -> b -> c\n", 1),
+        # A malformed alphabet header is reported at its own line.
+        ("!domain a\n!codomain c c\na -> c\n", 2, "duplicate symbol token: 'c'"),
+        ("a -> c\n!codomain c c\n", 2, "duplicate symbol token: 'c'"),
+        ("!domain a a\na -> c\na -> d\n", 1, "duplicate symbol token: 'a'"),
+        ("!domain a b\n# b only\nb -> c\n", 1, "no image given for domain letter 'a'"),
+        ("!alphabet a\na -> c\n", 1, "unknown header '!alphabet'"),
+        ("!codomain c\na -> c\n!codomain c\n", 3, "duplicate !codomain header"),
+        ("!domain a\n!domain\na -> c\n", 2, "duplicate !domain header"),
     ]
-    for text, line in cases:
+    for text, line, *message in cases:
         with pytest.raises(ParseError) as err:
             parse_morphism(text)
         assert err.value.line == line, text
         assert str(err.value).startswith(f"line {line}:")
+        if message:
+            assert err.value.message == message[0], text
+    # Headers may follow the rules.
+    assert parse_morphism("a -> c\n!codomain d c\n").codomain.symbols == ("d", "c")
 
 
 # ---------------------------------------------------------------- measures
@@ -122,11 +134,26 @@ def test_measure_parse_errors_carry_line_numbers():
         ("!alphabet a b\n!depth 0\n", 2),  # bad depth
         ("!alphabet a b\n!mass 1\n!mass 2\n", 3),  # duplicate mass
         ("!alphabet a a\n", 1),  # duplicate letter
+        (head + "a 1\n\n!what\n", 4, "entry needs a tab between the word and its value"),
+        # Missing headers, in the order !alphabet, !depth, !mass, at the last content line.
+        ("", 1, "missing !alphabet header"),
+        ("!mass 1\n!depth 2\n", 2, "missing !alphabet header"),
+        ("!mass 1\n!alphabet a\n# end\n", 2, "missing !depth header"),
+        ("!depth 1\n!alphabet a\n", 2, "missing !mass header"),
+        (head + "!maxlen 2\n", 4, "unknown header '!maxlen'"),
+        ("!alphabet a\n!alphabet\n", 2, "duplicate !alphabet header"),
+        # The duplicate check comes before the value check.
+        ("!alphabet a\n!depth 1\n!depth x\n", 3, "duplicate !depth header"),
+        ("!alphabet a\n!mass 1\n!mass\n", 3, "duplicate !mass header"),
     ]
-    for text, line in cases:
+    for text, line, *message in cases:
         with pytest.raises(ParseError) as err:
             parse_measure(text)
         assert err.value.line == line, text
+        if message:
+            assert err.value.message == message[0], text
+    # !mass may follow the entries.
+    assert parse_measure("!alphabet a\n!depth 1\na\t1\n!mass 1\n").total_mass == 1
 
 
 def test_header_integers_are_ascii_digits():
@@ -237,11 +264,21 @@ def test_language_parse_errors_carry_line_numbers():
         ("!maxlen 2\n", 1),  # missing alphabet
         ("!alphabet a\n!maxlen x\n", 2),  # bad maxlen
         ("!alphabet a\n!maxlen 2\n!what 3\n", 3),  # unknown header
+        ("!alphabet a\n# end\n", 1, "missing !maxlen header"),
+        ("!maxlen 1\n", 1, "missing !alphabet header"),
+        ("!alphabet a\n!maxlen 1\n!mass 1\n", 3, "unknown header '!mass'"),
+        ("!maxlen 1\n!alphabet a\n!alphabet b\n", 3, "duplicate !alphabet header"),
+        # The duplicate check comes before the value check.
+        ("!alphabet a\n!maxlen 1\n!maxlen x\n", 3, "duplicate !maxlen header"),
     ]
-    for text, line in cases:
+    for text, line, *message in cases:
         with pytest.raises(ParseError) as err:
             parse_language(text)
         assert err.value.line == line, text
+        if message:
+            assert err.value.message == message[0], text
+    # !maxlen may follow the words.
+    assert {str(w) for w in parse_language("!alphabet a b\na b\n!maxlen 1\n").words} == {"a", "b"}
 
 
 # ---------------------------------------------------------------- words
