@@ -12,7 +12,7 @@ import sys
 from typing import Callable, Sequence, TypeVar
 
 from .diagnostics import check_period_preservation, check_periodic_orbit_injectivity
-from .language import full_shift_language, image_language
+from .language import image_language
 from .measure import characteristic_measure, validate
 from .morphism import canonical_decomposition, compose, incidence_matrix
 from .textio import (
@@ -133,10 +133,7 @@ def _cmd_image_language(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
-    if args.language is not None:
-        language = _load(parse_language, args.language)
-    else:
-        language = full_shift_language(sigma.domain, args.bound)
+    language = None if args.language is None else _load(parse_language, args.language)
     period = check_period_preservation(sigma, language, args.bound)
     orbit = check_periodic_orbit_injectivity(sigma, language, args.bound)
     print(f"BOUND {args.bound}")

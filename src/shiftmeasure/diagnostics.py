@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import Morphism, apply
 from .transfer import DepthError
-from .words import Word, is_proper_power, min_rotation, primitive_root
+from .words import Word, _least_rotation, _lyndon_count, _lyndon_words, _root_letters
 
 
 @dataclass(frozen=True)
@@ -44,60 +45,114 @@ class ViolationReport:
         return "\n".join([f"BOUND {self.bound}"] + self.lines())
 
 
-def _primitive_representatives(language: FactorLanguage, bound: int) -> list[Word]:
+# Most Lyndon words a check on the default full shift may generate.  An
+# explicit language needs no budget: its cost follows the file.
+FULL_SHIFT_BUDGET = 10**6
+
+
+def _primitive_representatives(
+    sigma: Morphism, language: FactorLanguage | None, bound: int
+) -> list[tuple[int, ...]]:
     """One canonical representative (least rotation) per rotation class of
-    the primitive language words up to the bound."""
+    the primitive words up to the bound, as letter tuples in canonical order.
+
+    With language None the words are those of the full shift over the domain
+    of sigma, whose representatives are the Lyndon words; they are counted
+    before they are generated, and more than FULL_SHIFT_BUDGET of them is an
+    error.  Otherwise the words are those of the language, and a
+    representative need not itself lie in the language.
+    """
+    if language is None:
+        if bound < 1:
+            raise ValueError(f"bound {bound} must be >= 1")
+        size = len(sigma.domain)
+        count = 0
+        # Over one letter no Lyndon word is longer than 1, whatever the bound.
+        for k in range(1, bound + 1 if size > 1 else 2):
+            count += _lyndon_count(size, k)
+            if count > FULL_SHIFT_BUDGET:
+                raise ValueError(
+                    f"bound {bound} is over the work budget: the full shift over {size} "
+                    f"letters has {count} primitive orbits of period <= {k}, "
+                    f"more than {FULL_SHIFT_BUDGET}"
+                )
+        return _lyndon_words(size, bound)
+    if language.alphabet != sigma.domain:
+        raise ValueError("language alphabet must be the domain of the morphism")
     if not 1 <= bound <= language.maxlen:
         raise ValueError(f"bound {bound} outside 1..{language.maxlen}")
     representatives = {
-        min_rotation(w)
+        _least_rotation(w.letters)
         for w in language.words
-        if len(w) <= bound and not is_proper_power(w)
+        if len(w) <= bound and _root_letters(w.letters)[1] == 1
     }
-    return sorted(representatives, key=Word.sort_key)
+    return sorted(representatives, key=_letters_key)
+
+
+def _letters_key(letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Word.sort_key on a letter tuple."""
+    return len(letters), letters
+
+
+def _images(
+    sigma: Morphism, reps: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(rep, letters of sigma(rep)) for each representative, in order.
+
+    Each image is built by concatenation, which allocates every tuple at its
+    final size; tuple() over an iterator resizes, and the resized tuples
+    pile up in CPython's per-size free lists (about 2 MiB in a long run).
+    """
+    images = [img.letters for img in sigma.images]
+    for rep in reps:
+        image: tuple[int, ...] = ()
+        for i in rep:
+            image += images[i]
+        yield rep, image
 
 
 def check_period_preservation(
-    sigma: Morphism, language: FactorLanguage, bound: int
+    sigma: Morphism, language: FactorLanguage | None, bound: int
 ) -> ViolationReport:
     """Witness primitive words whose image is a proper power.
 
     Image primitivity is a rotation invariant, so one representative per
-    class is checked and reported.
+    class is checked and reported.  language None means the full shift over
+    the domain up to the bound, which is never built as a language.
     """
-    if language.alphabet != sigma.domain:
-        raise ValueError("language alphabet must be the domain of the morphism")
     certificates = tuple(
-        rep
-        for rep in _primitive_representatives(language, bound)
-        if is_proper_power(apply(sigma, rep))
+        Word(sigma.domain, rep)
+        for rep, image in _images(sigma, _primitive_representatives(sigma, language, bound))
+        if _root_letters(image)[1] >= 2
     )
     return ViolationReport("period-preservation", bound, certificates)
 
 
 def check_periodic_orbit_injectivity(
-    sigma: Morphism, language: FactorLanguage, bound: int
+    sigma: Morphism, language: FactorLanguage | None, bound: int
 ) -> ViolationReport:
     """Witness pairs of distinct periodic orbits that share an image orbit.
 
     Two primitive words generate the same image orbit exactly when the
     primitive roots of their images are rotations of each other, so classes
-    are grouped by the canonical rotation of that root.
+    are grouped by the canonical rotation of that root.  language None means
+    the full shift over the domain up to the bound, as for
+    check_period_preservation.
     """
-    if language.alphabet != sigma.domain:
-        raise ValueError("language alphabet must be the domain of the morphism")
-    groups: dict[tuple[int, ...], list[Word]] = {}
-    for rep in _primitive_representatives(language, bound):
-        root, _ = primitive_root(apply(sigma, rep))
-        groups.setdefault(min_rotation(root).letters, []).append(rep)
-    pairs = []
-    for members in groups.values():
-        members.sort(key=Word.sort_key)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    return ViolationReport("orbit-injectivity", bound, tuple(pairs))
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for rep, image in _images(sigma, _primitive_representatives(sigma, language, bound)):
+        groups.setdefault(_least_rotation(_root_letters(image)[0]), []).append(rep)
+    pairs = [
+        (members[i], members[j])
+        for members in groups.values()
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    ]
+    pairs.sort(key=lambda p: (_letters_key(p[0]), _letters_key(p[1])))
+    certificates = tuple(
+        (Word(sigma.domain, left), Word(sigma.domain, right)) for left, right in pairs
+    )
+    return ViolationReport("orbit-injectivity", bound, certificates)
 
 
 def prolongation_split(

@@ -28,19 +28,18 @@ class FactorLanguage:
         object.__setattr__(self, "words", frozenset(self.words))
         if self.maxlen < 1:
             raise ValueError("maxlen must be >= 1")
+        letters = set()
         for w in self.words:
             if w.alphabet != self.alphabet:
                 raise ValueError(f"word '{w}' is not over the language alphabet")
             if not 1 <= len(w) <= self.maxlen:
                 raise ValueError(f"word '{w}' has length outside 1..{self.maxlen}")
+            letters.add(w.letters)
         # Factor closure is equivalent to closure under dropping one outer letter.
         for w in self.words:
-            if len(w) >= 2:
-                if (
-                    Word(self.alphabet, w.letters[1:]) not in self.words
-                    or Word(self.alphabet, w.letters[:-1]) not in self.words
-                ):
-                    raise ValueError(f"language is not factor-closed at '{w}'")
+            x = w.letters
+            if len(x) >= 2 and (x[1:] not in letters or x[:-1] not in letters):
+                raise ValueError(f"language is not factor-closed at '{w}'")
 
     def of_length(self, k: int) -> set[Word]:
         return {w for w in self.words if len(w) == k}

@@ -15,7 +15,7 @@ from typing import Any, Callable
 from .language import FactorLanguage, factorial_closure
 from .measure import MeasureTable
 from .morphism import Morphism
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _check_token
 
 
 class ParseError(Exception):
@@ -111,8 +111,8 @@ def parse_morphism(text: str) -> Morphism:
             raise ValueError("expected a rule of the form '<letter> -> <letter> ...'")
         if len(fields) < 3:
             raise ValueError(f"empty image for {fields[0]!r}")
-        if "->" in fields[2:]:
-            raise ValueError("'->' cannot be an image token")
+        for token in (fields[0], *fields[2:]):
+            _check_token(token)
         rules.append((number, fields[0], fields[2:]))
 
     headers, lines, last_line = _read_format(

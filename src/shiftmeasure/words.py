@@ -1,10 +1,11 @@
 """Alphabets and finite words over token symbols.
 
-Symbols are arbitrary whitespace-free string tokens rather than single
-characters, so composite letters such as ``a.2`` coming out of subdivision
-alphabets need no special casing.  Words store symbol indices into a fixed
-alphabet and are immutable; the empty word is a valid value except where an
-operation is mathematically undefined on it.
+Symbols are whitespace-free string tokens rather than single characters, so
+composite letters such as ``a.2`` coming out of subdivision alphabets need no
+special casing; the text formats reserve a leading ``#`` or ``!`` and the
+token ``->``.  Words store symbol indices into a fixed alphabet and are
+immutable; the empty word is a valid value except where an operation is
+mathematically undefined on it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ class Alphabet:
             raise ValueError("alphabet must not be empty")
         seen: set[str] = set()
         for token in self.symbols:
-            if not token or any(ch.isspace() for ch in token):
-                raise ValueError(f"invalid symbol token: {token!r}")
+            _check_token(token)
             if token in seen:
                 raise ValueError(f"duplicate symbol token: {token!r}")
             seen.add(token)
@@ -65,6 +65,21 @@ class Alphabet:
 
     def __str__(self) -> str:
         return " ".join(self.symbols)
+
+
+def _check_token(token: str) -> None:
+    """Reject a token that the text formats could not read back.
+
+    Tokens are whitespace-separated, a line starting with ``#`` is a comment
+    and one starting with ``!`` a header, and ``->`` separates a morphism
+    rule's letter from its image.
+    """
+    if not token or any(ch.isspace() for ch in token):
+        raise ValueError(f"invalid symbol token: {token!r}")
+    if token.startswith(("#", "!")) or token == "->":
+        raise ValueError(
+            f"invalid symbol token: {token!r} (a token may not start with '#' or '!', or be '->')"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,12 +133,18 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     The root is primitive and unique; a word is primitive exactly when its
     exponent is 1.
     """
-    n = len(w)
-    if n == 0:
+    if len(w) == 0:
         raise ValueError("the empty word has no primitive root")
+    root, exponent = _root_letters(w.letters)
+    return Word(w.alphabet, root), exponent
+
+
+def _root_letters(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """primitive_root on a non-empty letter tuple."""
+    n = len(letters)
     for p in range(1, n + 1):
-        if n % p == 0 and w.letters[:p] * (n // p) == w.letters:
-            return Word(w.alphabet, w.letters[:p]), n // p
+        if n % p == 0 and letters[:p] * (n // p) == letters:
+            return letters[:p], n // p
     raise AssertionError("unreachable: every word is a power of itself")
 
 
@@ -144,7 +165,12 @@ def rotations(w: Word) -> Iterator[Word]:
 
 def min_rotation(w: Word) -> Word:
     """Lexicographically least rotation, by letter index order."""
-    return min(rotations(w), key=lambda v: v.letters)
+    return Word(w.alphabet, _least_rotation(w.letters))
+
+
+def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """min_rotation on a letter tuple."""
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
 
 
 def is_rotation(w1: Word, w2: Word) -> bool:
@@ -175,3 +201,45 @@ def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
         raise ValueError("length must be >= 0")
     for combo in itertools.product(range(len(alphabet)), repeat=length):
         yield Word(alphabet, combo)
+
+
+def _lyndon_words(size: int, n: int) -> list[tuple[int, ...]]:
+    """The Lyndon words of length 1..n over letters 0..size-1, ordered by
+    length, then letters.
+
+    These are exactly the least rotations of the primitive words.  Duval's
+    generation yields them in lexicographic order, which is kept within each
+    length.
+    """
+    if size == 1:
+        n = min(n, 1)  # the letter is the only one; the loop below would grow w to length n
+    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    w = [-1]
+    while w:
+        w[-1] += 1
+        by_length[len(w)].append(tuple(w))
+        m = len(w)
+        while len(w) < n:
+            w.append(w[len(w) - m])
+        while w and w[-1] == size - 1:
+            w.pop()
+    return [x for group in by_length for x in group]
+
+
+def _lyndon_count(size: int, n: int) -> int:
+    """Number of Lyndon words of length exactly n >= 1 over size letters, by
+    Moreau's formula (1/n) * sum over d | n of mobius(d) * size**(n/d)."""
+    return sum(_mobius(d) * size ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign

@@ -123,6 +123,14 @@ def test_characteristic_golden(capsys):
     assert capsys.readouterr().out == MEASURE_AB
 
 
+def test_characteristic_rejects_reserved_tokens(capsys):
+    # "#\t1" would read back as a comment line.
+    assert main(["characteristic", "--word", "# a", "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid symbol token: '#'" in captured.err
+
+
 def test_characteristic_explicit_alphabet(capsys):
     assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", "b a"]) == 0
     assert capsys.readouterr().out == "!alphabet b a\n!depth 1\n!mass 1\na\t1\n"
@@ -145,6 +153,29 @@ def test_check_clean_morphism_exits_zero(files, capsys):
     sigma = files("id.morphism", "a -> a\nb -> b\n")
     assert main(["check", sigma, "--bound", "4"]) == 0
     assert capsys.readouterr().out == "BOUND 4\n"
+
+
+def test_check_never_materialises_the_full_shift(files, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full shift was materialised")
+
+    for name, module in list(sys.modules.items()):
+        if name == "shiftmeasure" or name.startswith("shiftmeasure."):
+            for attr in ("full_shift_language", "iter_words"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    sigma = files("tm.morphism", "a -> c d\nb -> d c\n")
+    assert main(["check", sigma, "--bound", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["BOUND 8", "VIOLATION orbit-injectivity a b"]
+
+
+def test_check_refuses_a_bound_over_the_budget(files, capsys):
+    sigma = files("tm.morphism", "a -> c d\nb -> d c\n")
+    assert main(["check", sigma, "--bound", "1000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has 1465020 primitive orbits of period <= 24, more than 1000000" in captured.err
 
 
 def test_check_with_explicit_language(files, capsys):

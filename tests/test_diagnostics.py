@@ -7,6 +7,7 @@ import random
 import pytest
 
 import gen
+from shiftmeasure import diagnostics
 from shiftmeasure import (
     Alphabet,
     DepthError,
@@ -93,10 +94,52 @@ def test_subdivision_morphisms_are_clean():
         assert not check_periodic_orbit_injectivity(pi, language, 5)
 
 
+def test_representatives_need_not_lie_in_the_language():
+    """The factors of b a hold b a but not its least rotation a b, which
+    still represents the orbit of ...abab..."""
+    language = factorial_closure(AB, [AB.word("ba")], 2)
+    period = check_period_preservation(COLLAPSE, language, 2)
+    assert period.certificates == (AB.word("ab"),)
+    orbit = check_periodic_orbit_injectivity(COLLAPSE, language, 2)
+    assert orbit.render() == (
+        "BOUND 2\n"
+        "VIOLATION orbit-injectivity a b\n"
+        "VIOLATION orbit-injectivity a a b\n"
+        "VIOLATION orbit-injectivity b a b"
+    )
+
+
+def test_default_full_shift_matches_the_materialised_one():
+    rng = random.Random(67)
+    for case in range(36):
+        domain = AB if case % 2 else ABC
+        sigma = gen.random_morphism(rng, domain, CD if case % 3 else ABC)
+        bound = rng.randint(1, 6)
+        language = full_shift_language(domain, bound)
+        for check in (check_period_preservation, check_periodic_orbit_injectivity):
+            assert check(sigma, None, bound) == check(sigma, language, bound)
+
+
+def test_full_shift_budget(monkeypatch):
+    # Lyndon words up to length 1..7 over two letters: 2, 3, 5, 8, 14, 23, 41.
+    monkeypatch.setattr(diagnostics, "FULL_SHIFT_BUDGET", 23)
+    assert check_periodic_orbit_injectivity(THUE_MORSE, None, 6).bound == 6
+    with pytest.raises(ValueError, match="41 primitive orbits of period <= 7"):
+        check_period_preservation(THUE_MORSE, None, 7)
+    with pytest.raises(ValueError, match="41 primitive orbits of period <= 7"):
+        check_period_preservation(THUE_MORSE, None, 10**9)
+    # One letter has a single primitive orbit whatever the bound.
+    assert check_period_preservation(SQUARING, None, 10**9).certificates == (
+        Alphabet(("a",)).word("a"),
+    )
+
+
 def test_bound_validation():
     language = full_shift_language(AB, 3)
     with pytest.raises(ValueError):
         check_period_preservation(THUE_MORSE, language, 0)
+    with pytest.raises(ValueError):
+        check_periodic_orbit_injectivity(THUE_MORSE, None, 0)
     with pytest.raises(ValueError):
         check_periodic_orbit_injectivity(THUE_MORSE, language, 4)
     with pytest.raises(ValueError):

@@ -41,6 +41,10 @@ def names(language):
 def test_closure_is_validated():
     with pytest.raises(ValueError):
         FactorLanguage(AB, 2, frozenset({AB.word("ab")}))
+    # Only the prefix, or only the suffix, of a b is missing.
+    for kept in ("a", "b"):
+        with pytest.raises(ValueError, match="not factor-closed at 'a b'"):
+            FactorLanguage(AB, 2, frozenset({AB.word("ab"), AB.word(kept)}))
     ok = FactorLanguage(AB, 2, frozenset({AB.word("ab"), AB.word("a"), AB.word("b")}))
     assert AB.word("ab") in ok and AB.word("ba") not in ok
 

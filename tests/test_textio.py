@@ -15,6 +15,7 @@ from shiftmeasure import (
     MeasureTable,
     Morphism,
     ParseError,
+    Word,
     characteristic_measure,
     full_shift_language,
     parse_language,
@@ -229,6 +230,32 @@ def test_measure_round_trip_on_perturbed_tables(seed):
     rng = random.Random(seed)
     m = gen.perturbed_table(rng, gen.alphabet(rng.randint(1, 3)), rng.randint(1, 4))
     assert parse_measure(render_measure(m)) == m
+
+
+_TOKEN_FRAGMENTS = st.sampled_from(
+    ["a", "b", ".1", "#", "!", "-", ">", "->", "/", "\t", " ", "\u2028", "\x1c", "\x85"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.text(max_size=3), st.lists(_TOKEN_FRAGMENTS, max_size=3).map("".join)),
+    min_size=1,
+    max_size=4,
+))
+def test_every_accepted_alphabet_round_trips(tokens):
+    """Any alphabet Alphabet accepts survives render then parse in all three
+    formats: no token can read back as a comment, a header or a rule arrow."""
+    try:
+        alph = Alphabet(tuple(tokens))
+    except ValueError:
+        return
+    m = characteristic_measure(Word(alph, tuple(range(len(alph)))), 2)
+    assert parse_measure(render_measure(m)) == m
+    language = full_shift_language(alph, 2)
+    assert parse_language(render_language(language)) == language
+    reverse = Morphism(alph, alph, tuple(Word(alph, (i, 0)) for i in reversed(range(len(alph)))))
+    assert parse_morphism(render_morphism(reverse)) == reverse
 
 
 # ---------------------------------------------------------------- languages

@@ -20,6 +20,7 @@ from shiftmeasure import (
     primitive_root,
     rotations,
 )
+from shiftmeasure.words import _lyndon_count, _lyndon_words
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -64,6 +65,11 @@ def test_alphabet_rejects_bad_input():
         Alphabet(("a", ""))
     with pytest.raises(ValueError):
         Alphabet(("a", "b c"))
+    # The text formats read these as a comment, a header and a rule arrow.
+    for token in ("#", "# a", "#a", "!", "!depth", "->"):
+        with pytest.raises(ValueError):
+            Alphabet(("a", token))
+    assert Alphabet(("a#", "a!", "-", ">", "-->", "->a")).symbols[-1] == "->a"
 
 
 def test_alphabet_order_is_significant():
@@ -215,3 +221,30 @@ def test_iter_words_order_and_count():
 def test_sort_key_orders_by_length_then_alphabet():
     ws = [AB.word("b"), AB.word("ab"), AB.word("a"), AB.word("aa")]
     assert [str(w) for w in sorted(ws, key=Word.sort_key)] == ["a", "b", "a a", "a b"]
+
+
+# ---------------------------------------------------------------- Lyndon words
+
+@pytest.mark.parametrize("size, n", [(1, 6), (2, 10), (3, 7)])
+def test_lyndon_words_are_the_least_rotations_of_primitive_words(size, n):
+    alph = Alphabet(tuple("abc"[:size]))
+    expected = sorted(
+        {min_rotation(w) for w in words_up_to(alph, n) if not is_proper_power(w)},
+        key=Word.sort_key,
+    )
+    assert _lyndon_words(size, n) == [w.letters for w in expected]
+
+
+def test_lyndon_counts_follow_moreau():
+    # OEIS A001037 and A027376: Lyndon words of length 1, 2, ... over 2 and 3 letters.
+    known = {
+        2: [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182, 4080],
+        3: [3, 3, 8, 18, 48, 116, 312, 810, 2184, 5880],
+    }
+    for size, counts in known.items():
+        n = len(counts)
+        lengths = [len(x) for x in _lyndon_words(size, n)]
+        assert [lengths.count(k) for k in range(1, n + 1)] == counts
+        assert [_lyndon_count(size, k) for k in range(1, n + 1)] == counts
+    assert [_lyndon_count(1, k) for k in range(1, 7)] == [1, 0, 0, 0, 0, 0]
+    assert _lyndon_words(1, 10**9) == [(0,)]
