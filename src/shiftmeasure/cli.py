@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Callable, Sequence, TypeVar
 
-from .diagnostics import check_period_preservation, check_periodic_orbit_injectivity
+from .diagnostics import _reports
 from .language import image_language
 from .measure import characteristic_measure, validate
 from .morphism import canonical_decomposition, compose, incidence_matrix
@@ -134,11 +134,8 @@ def _cmd_image_language(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     language = None if args.language is None else _load(parse_language, args.language)
-    period = check_period_preservation(sigma, language, args.bound)
-    orbit = check_periodic_orbit_injectivity(sigma, language, args.bound)
-    print(f"BOUND {args.bound}")
-    for line in period.lines() + orbit.lines():
-        print(line)
+    period, orbit = _reports(sigma, language, args.bound)
+    print("\n".join([period.render()] + orbit.lines()))
     return 1 if period or orbit else 0
 
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .language import FactorLanguage
-from .morphism import Morphism, apply
+from .morphism import Morphism, _image_letters, apply
 from .transfer import DepthError
 from .words import Word, _least_rotation, _lyndon_count, _lyndon_words, _root_letters
 
@@ -35,19 +34,21 @@ class ViolationReport:
         return bool(self.certificates)
 
     def lines(self) -> list[str]:
-        out = []
-        for certificate in self.certificates:
-            witnesses = (certificate,) if isinstance(certificate, Word) else certificate
-            out.append(f"VIOLATION {self.kind} " + " ".join(str(w) for w in witnesses))
-        return out
+        return [
+            f"VIOLATION {self.kind} " + " ".join(map(str, (c,) if isinstance(c, Word) else c))
+            for c in self.certificates
+        ]
 
     def render(self) -> str:
         return "\n".join([f"BOUND {self.bound}"] + self.lines())
 
 
-# Most Lyndon words a check on the default full shift may generate.  An
-# explicit language needs no budget: its cost follows the file.
+# Work budgets.  A check on the default full shift generates at most
+# FULL_SHIFT_BUDGET Lyndon words (with a language, cost follows the file).
+# With or without one, the two checks report at most CERTIFICATE_BUDGET
+# certificates together: a collision group of k orbits owes k(k-1)/2 pairs.
 FULL_SHIFT_BUDGET = 10**6
+CERTIFICATE_BUDGET = 10**6
 
 
 def _primitive_representatives(
@@ -86,29 +87,41 @@ def _primitive_representatives(
         for w in language.words
         if len(w) <= bound and _root_letters(w.letters)[1] == 1
     }
-    return sorted(representatives, key=_letters_key)
+    return sorted(representatives, key=lambda letters: (len(letters), letters))
 
 
-def _letters_key(letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Word.sort_key on a letter tuple."""
-    return len(letters), letters
+def _reports(
+    sigma: Morphism, language: FactorLanguage | None, bound: int
+) -> tuple[ViolationReport, ViolationReport]:
+    """The period-preservation and orbit-injectivity reports from one pass.
 
-
-def _images(
-    sigma: Morphism, reps: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(rep, letters of sigma(rep)) for each representative, in order.
-
-    Each image is built by concatenation, which allocates every tuple at its
-    final size; tuple() over an iterator resizes, and the resized tuples
-    pile up in CPython's per-size free lists (about 2 MiB in a long run).
-    """
+    Representatives come in canonical order and join their groups (keyed by
+    the least rotation of the image root) in that order, so pairing each with
+    the later members of its group yields the pairs already sorted.  More than
+    CERTIFICATE_BUDGET certificates is an error raised before any is built."""
     images = [img.letters for img in sigma.images]
-    for rep in reps:
-        image: tuple[int, ...] = ()
-        for i in rep:
-            image += images[i]
-        yield rep, image
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    powers, placed, count = [], [], 0
+    for rep in _primitive_representatives(sigma, language, bound):
+        root, exponent = _root_letters(_image_letters(images, rep))
+        if exponent >= 2:
+            powers.append(rep)
+            count += 1
+        group = groups.setdefault(_least_rotation(root), [])
+        count += len(group)
+        if count > CERTIFICATE_BUDGET:
+            raise ValueError(
+                f"bound {bound} is over the certificate budget: the primitive orbits of period"
+                f" <= {len(rep)} give at least {count} certificates, more than {CERTIFICATE_BUDGET}"
+            )
+        placed.append((group, len(group)))
+        group.append(rep)
+    domain = sigma.domain
+    pairs = ((Word(domain, g[i]), Word(domain, right)) for g, i in placed for right in g[i + 1 :])
+    return (
+        ViolationReport("period-preservation", bound, tuple(Word(domain, r) for r in powers)),
+        ViolationReport("orbit-injectivity", bound, tuple(pairs)),
+    )
 
 
 def check_period_preservation(
@@ -118,14 +131,10 @@ def check_period_preservation(
 
     Image primitivity is a rotation invariant, so one representative per
     class is checked and reported.  language None means the full shift over
-    the domain up to the bound, which is never built as a language.
+    the domain up to the bound, which is never built as a language.  More than
+    CERTIFICATE_BUDGET certificates from the two checks together is an error.
     """
-    certificates = tuple(
-        Word(sigma.domain, rep)
-        for rep, image in _images(sigma, _primitive_representatives(sigma, language, bound))
-        if _root_letters(image)[1] >= 2
-    )
-    return ViolationReport("period-preservation", bound, certificates)
+    return _reports(sigma, language, bound)[0]
 
 
 def check_periodic_orbit_injectivity(
@@ -137,22 +146,9 @@ def check_periodic_orbit_injectivity(
     primitive roots of their images are rotations of each other, so classes
     are grouped by the canonical rotation of that root.  language None means
     the full shift over the domain up to the bound, as for
-    check_period_preservation.
+    check_period_preservation, and the certificate budget is the same.
     """
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for rep, image in _images(sigma, _primitive_representatives(sigma, language, bound)):
-        groups.setdefault(_least_rotation(_root_letters(image)[0]), []).append(rep)
-    pairs = [
-        (members[i], members[j])
-        for members in groups.values()
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    ]
-    pairs.sort(key=lambda p: (_letters_key(p[0]), _letters_key(p[1])))
-    certificates = tuple(
-        (Word(sigma.domain, left), Word(sigma.domain, right)) for left, right in pairs
-    )
-    return ViolationReport("orbit-injectivity", bound, certificates)
+    return _reports(sigma, language, bound)[1]
 
 
 def prolongation_split(

@@ -80,10 +80,19 @@ def apply(sigma: Morphism, w: Word) -> Word:
     """The image word sigma(x_1)...sigma(x_n); the empty word maps to itself."""
     if w.alphabet != sigma.domain:
         raise ValueError("word is not over the domain of the morphism")
-    letters: list[int] = []
-    for i in w.letters:
-        letters.extend(sigma.images[i].letters)
-    return Word(sigma.codomain, tuple(letters))
+    return Word(sigma.codomain, _image_letters([img.letters for img in sigma.images], w.letters))
+
+
+def _image_letters(images: Sequence[tuple[int, ...]], letters: Iterable[int]) -> tuple[int, ...]:
+    """The letters of sigma(letters), where images[i] holds those of sigma(i).
+
+    tuple() of a list allocates at the final size, as concatenation would in
+    quadratic time; tuple() over an iterator resizes, and the resized tuples
+    pile up in CPython's per-size free lists (about 2 MiB in a long run)."""
+    out: list[int] = []
+    for i in letters:
+        out.extend(images[i])
+    return tuple(out)
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
@@ -259,9 +268,7 @@ def _essential_sweep(
     sums: dict[tuple[int, ...], Fraction | int] = {}
     get = sums.get
     for letters, weight in inputs:
-        image: tuple[int, ...] = ()
-        for i in letters:
-            image += images[i]
+        image = _image_letters(images, letters)
         end = len(image)
         last_start = end - len(images[letters[-1]])
         for s in range(len(images[letters[0]])):

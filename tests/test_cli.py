@@ -15,6 +15,7 @@ import shiftmeasure
 from shiftmeasure import (
     FactorLanguage,
     MeasureTable,
+    Morphism,
     Word,
     render_language,
     render_measure,
@@ -22,6 +23,7 @@ from shiftmeasure import (
     required_input_depth,
     support_words,
 )
+from shiftmeasure import diagnostics
 from shiftmeasure.cli import main
 
 MORPHISM_SIGMA4 = "a -> c d c\nb -> d c c\n"
@@ -176,6 +178,41 @@ def test_check_refuses_a_bound_over_the_budget(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "has 1465020 primitive orbits of period <= 24, more than 1000000" in captured.err
+
+
+def test_check_images_each_representative_once(files, capsys, monkeypatch):
+    """Both checks come from one pass: one image and one primitive root per
+    representative (the 71 Lyndon words over two letters up to length 8)."""
+    calls = {"_image_letters": 0, "_root_letters": 0}
+
+    def counting(name):
+        real = getattr(diagnostics, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(diagnostics, name, counting(name))
+    sigma = files("tm.morphism", "a -> c d\nb -> d c\n")
+    assert main(["check", sigma, "--bound", "8"]) == 1
+    tm = Morphism.from_images(("a", "b"), ("c", "d"), {"a": "cd", "b": "dc"})
+    representatives = len(diagnostics._primitive_representatives(tm, None, 8))
+    assert representatives == 71
+    assert calls == {"_image_letters": 71, "_root_letters": 71}
+
+
+@pytest.mark.parametrize("bound", ["14", "20"])
+def test_check_refuses_a_report_over_the_certificate_budget(files, capsys, bound):
+    """The collapse owes 3.2M pairs at bound 14; it is refused before any
+    certificate is built or printed."""
+    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
+    assert main(["check", sigma, "--bound", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give at least 1000403 certificates, more than 1000000" in captured.err
 
 
 def test_check_with_explicit_language(files, capsys):

@@ -134,6 +134,26 @@ def test_full_shift_budget(monkeypatch):
     )
 
 
+def test_certificate_budget(monkeypatch):
+    """The budget counts period certificates and pairs together, with and
+    without a language: a report of exactly the budget passes."""
+    thin = factorial_closure(AB, [AB.word("aabb"), AB.word("abab")], 4)
+    for language in (None, full_shift_language(AB, 4), thin):
+        period = check_period_preservation(COLLAPSE, language, 4)
+        orbit = check_periodic_orbit_injectivity(COLLAPSE, language, 4)
+        total = len(period.certificates) + len(orbit.certificates)
+        assert total == (34 if language is not thin else 19)
+        monkeypatch.setattr(diagnostics, "CERTIFICATE_BUDGET", total)
+        assert check_period_preservation(COLLAPSE, language, 4) == period
+        assert check_periodic_orbit_injectivity(COLLAPSE, language, 4) == orbit
+        monkeypatch.setattr(diagnostics, "CERTIFICATE_BUDGET", total - 1)
+        message = f"period <= 4 give at least {total} certificates, more than {total - 1}"
+        for check in (check_period_preservation, check_periodic_orbit_injectivity):
+            with pytest.raises(ValueError, match=message):
+                check(COLLAPSE, language, 4)
+        monkeypatch.undo()
+
+
 def test_bound_validation():
     language = full_shift_language(AB, 3)
     with pytest.raises(ValueError):
@@ -168,18 +188,18 @@ def test_certificates_satisfy_the_defining_conditions():
             )
 
 
-def _orbit_pairs_oracle(sigma, bound):
-    """Quadratic scan over rotation-class representatives of primitive words."""
+def _orbit_pairs_oracle(sigma, words):
+    """Quadratic scan over rotation-class representatives of the primitive
+    words given; the pairs are sorted by (left, right) in canonical order."""
     seen = set()
     reps = []
-    for k in range(1, bound + 1):
-        for w in iter_words(sigma.domain, k):
-            if is_proper_power(w):
-                continue
-            canon = min_rotation(w)
-            if canon not in seen:
-                seen.add(canon)
-                reps.append(canon)
+    for w in words:
+        if is_proper_power(w):
+            continue
+        canon = min_rotation(w)
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(canon)
     pairs = set()
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
@@ -187,15 +207,31 @@ def _orbit_pairs_oracle(sigma, bound):
             right_root = primitive_root(apply(sigma, reps[j]))[0]
             if len(left_root) == len(right_root) and is_rotation(left_root, right_root):
                 pairs.add(tuple(sorted((reps[i], reps[j]), key=lambda w: w.sort_key())))
-    return pairs
+    return sorted(pairs, key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
 
 
 def test_orbit_report_matches_quadratic_oracle():
+    """Whole certificate tuples, so the order too, on the full shift (given
+    and default) and on thin languages; many draws have collision groups of
+    three or more orbits, where the order of the pairs is not forced."""
     rng = random.Random(62)
-    for _ in range(20):
-        sigma = gen.random_morphism(rng, AB, CD)
-        report = check_periodic_orbit_injectivity(sigma, full_shift_language(AB, 4), 4)
-        assert set(report.certificates) == _orbit_pairs_oracle(sigma, 4)
+    large_groups = {"full": 0, "thin": 0}
+    for case in range(36):
+        domain, bound = (AB, 4) if case % 3 else (ABC, 3)
+        sigma = gen.random_morphism(rng, domain, CD)
+        full = full_shift_language(domain, bound)
+        thin = factorial_closure(
+            domain, [gen.random_nonempty_word(rng, domain, bound) for _ in range(3)], bound
+        )
+        for name, language in (("full", full), ("thin", thin)):
+            expected = tuple(_orbit_pairs_oracle(sigma, language.words))
+            report = check_periodic_orbit_injectivity(sigma, language, bound)
+            assert report.certificates == expected
+            if name == "full":
+                assert check_periodic_orbit_injectivity(sigma, None, bound).certificates == expected
+            lefts = [left for left, _ in expected]
+            large_groups[name] += any(lefts.count(left) >= 2 for left in lefts)
+    assert large_groups["full"] >= 10 and large_groups["thin"] >= 5, large_groups
 
 
 # ---------------------------------------------------------------- invariance laws
