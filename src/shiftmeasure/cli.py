@@ -25,7 +25,7 @@ from .textio import (
     render_measure,
     render_morphism,
 )
-from .transfer import DepthError, transfer_eval, transfer_table
+from .transfer import transfer_eval, transfer_table
 from .words import Alphabet
 
 _T = TypeVar("_T")
@@ -35,15 +35,6 @@ class _Failure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _Failure(2, f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -56,7 +47,12 @@ def _write(path: str, text: str) -> None:
 
 def _load(parse: Callable[[str], _T], path: str) -> _T:
     try:
-        return parse(_read(path))
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise _Failure(2, f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        return parse(text)
     except ParseError as exc:
         raise _Failure(2, f"{path}:{exc.line}: {exc.message}") from exc
 
@@ -146,78 +142,68 @@ def _cmd_kirchhoff(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_MORPHISM = ("morphism", {"help": "morphism file"})
+_MEASURE = ("measure", {"help": "measure table file"})
+_COMPACT = ("--compact", {"action": "store_true", "help": "one character = one token"})
+
+# name -> (help, handler, (argument, add_argument keywords) in declaration order)
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple]] = {
+    "transfer": ("transfer a measure table along a morphism", _cmd_transfer, (
+        _MORPHISM, _MEASURE,
+        ("--depth", {"type": int, "required": True, "help": "output table depth"}))),
+    "eval": ("transferred weight of a single word", _cmd_eval, (
+        _MORPHISM, _MEASURE,
+        ("--word", {"required": True, "help": "target word (codomain tokens)"}), _COMPACT)),
+    "decompose": ("write the canonical decomposition", _cmd_decompose, (
+        _MORPHISM,
+        ("--pi-out", {"required": True, "help": "output file for the subdivision part"}),
+        ("--alpha-out", {"required": True, "help": "output file for the letter-to-letter part"}))),
+    "compose": ("compose two morphisms (inner applied first)", _cmd_compose, (
+        ("outer", {"help": "outer morphism file"}), ("inner", {"help": "inner morphism file"}))),
+    "incidence": ("print the incidence matrix, one labeled row per codomain letter",
+                  _cmd_incidence, (_MORPHISM,)),
+    "characteristic": ("characteristic measure table of a periodic orbit", _cmd_characteristic, (
+        ("--word", {"required": True, "help": "period word"}),
+        ("--depth", {"type": int, "required": True, "help": "table depth"}),
+        ("--alphabet", {"help": "alphabet tokens (default: letters of the word)"}), _COMPACT)),
+    "image-language": ("depth-limited language of the image subshift", _cmd_image_language, (
+        _MORPHISM, ("language", {"help": "language file"}),
+        ("--maxlen", {"type": int, "required": True, "help": "output language cap"}))),
+    "check": ("bounded injectivity checks on periodic orbits", _cmd_check, (
+        _MORPHISM, ("--bound", {"type": int, "required": True, "help": "period bound"}),
+        ("--language", {"help": "language file (default: full shift at the bound)"}))),
+    "kirchhoff": ("validate a measure table's consistency", _cmd_kirchhoff, (_MEASURE,)),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a command, with only that command's
+    subparser.  Its metavar keeps the top-level usage, which an unrecognized
+    argument prints, listing every command."""
     parser = argparse.ArgumentParser(
         prog="shiftmeasure",
         description="Exact measure transfer for subshifts under non-erasing morphisms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transfer", help="transfer a measure table along a morphism")
-    p.add_argument("morphism", help="morphism file")
-    p.add_argument("measure", help="measure table file")
-    p.add_argument("--depth", type=int, required=True, help="output table depth")
-    p.set_defaults(handler=_cmd_transfer)
-
-    p = sub.add_parser("eval", help="transferred weight of a single word")
-    p.add_argument("morphism", help="morphism file")
-    p.add_argument("measure", help="measure table file")
-    p.add_argument("--word", required=True, help="target word (codomain tokens)")
-    p.add_argument("--compact", action="store_true", help="one character = one token")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("decompose", help="write the canonical decomposition")
-    p.add_argument("morphism", help="morphism file")
-    p.add_argument("--pi-out", required=True, help="output file for the subdivision part")
-    p.add_argument("--alpha-out", required=True, help="output file for the letter-to-letter part")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("compose", help="compose two morphisms (inner applied first)")
-    p.add_argument("outer", help="outer morphism file")
-    p.add_argument("inner", help="inner morphism file")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("incidence", help="print the incidence matrix, one labeled row per codomain letter")
-    p.add_argument("morphism", help="morphism file")
-    p.set_defaults(handler=_cmd_incidence)
-
-    p = sub.add_parser("characteristic", help="characteristic measure table of a periodic orbit")
-    p.add_argument("--word", required=True, help="period word")
-    p.add_argument("--depth", type=int, required=True, help="table depth")
-    p.add_argument("--alphabet", help="alphabet tokens (default: letters of the word)")
-    p.add_argument("--compact", action="store_true", help="one character = one token")
-    p.set_defaults(handler=_cmd_characteristic)
-
-    p = sub.add_parser("image-language", help="depth-limited language of the image subshift")
-    p.add_argument("morphism", help="morphism file")
-    p.add_argument("language", help="language file")
-    p.add_argument("--maxlen", type=int, required=True, help="output language cap")
-    p.set_defaults(handler=_cmd_image_language)
-
-    p = sub.add_parser("check", help="bounded injectivity checks on periodic orbits")
-    p.add_argument("morphism", help="morphism file")
-    p.add_argument("--bound", type=int, required=True, help="period bound")
-    p.add_argument("--language", help="language file (default: full shift at the bound)")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("kirchhoff", help="validate a measure table's consistency")
-    p.add_argument("measure", help="measure table file")
-    p.set_defaults(handler=_cmd_kirchhoff)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.handler(args)
     except _Failure as failure:
-        print(f"error: {failure.message}", file=sys.stderr)
+        print(f"error: {failure}", file=sys.stderr)
         return failure.code
-    except DepthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # DepthError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, Mapping, Union
 
 from .words import Alphabet, Word, primitive_root
 
@@ -22,41 +23,53 @@ Rational = Union[Fraction, int]
 
 
 def _as_fraction(value, what: str) -> Fraction:
-    if type(value) is Fraction:
-        return value
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact, got a float")
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasureTable:
-    """Exact weights for all words of length 1..depth over one alphabet."""
+    """Exact weights for all words of length 1..depth over one alphabet, keyed
+    by letter tuple; values is the same table keyed by Word, built on demand."""
 
     alphabet: Alphabet
     depth: int
-    values: dict[Word, Fraction]
+    _weights: dict[tuple[int, ...], Fraction]
     total_mass: Fraction
 
-    def __post_init__(self) -> None:
-        if self.depth < 1:
+    def __init__(self, alphabet: Alphabet, depth: int, values: Mapping[Word, Rational],
+                 total_mass: Rational) -> None:
+        if depth < 1:
             raise ValueError("depth must be >= 1")
-        mass = _as_fraction(self.total_mass, "total mass")
+        mass = _as_fraction(total_mass, "total mass")
         if mass < 0:
             raise ValueError("total mass must be nonnegative")
-        object.__setattr__(self, "total_mass", mass)
-        normalized: dict[Word, Fraction] = {}
-        for word, raw in self.values.items():
-            if word.alphabet != self.alphabet:
+        weights: dict[tuple[int, ...], Fraction] = {}
+        for word, raw in values.items():
+            if word.alphabet != alphabet:
                 raise ValueError(f"word '{word}' is not over the table alphabet")
-            if not 1 <= len(word) <= self.depth:
-                raise ValueError(f"word '{word}' has length outside 1..{self.depth}")
-            value = _as_fraction(raw, f"value of '{word}'")
+            if not 1 <= len(word) <= depth:
+                raise ValueError(f"word '{word}' has length outside 1..{depth}")
+            value = raw if type(raw) is Fraction else _as_fraction(raw, f"value of '{word}'")
             if value < 0:
                 raise ValueError(f"negative value for '{word}'")
             if value:
-                normalized[word] = value
-        object.__setattr__(self, "values", normalized)
+                weights[word.letters] = value
+        # Frozen: the fields are set through __dict__, here and in _trusted.
+        self.__dict__.update(alphabet=alphabet, depth=depth, _weights=weights, total_mass=mass)
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, depth: int, weights: dict[tuple[int, ...], Fraction],
+                 mass: Fraction) -> "MeasureTable":
+        """Checked data in: Fraction weights > 0 on tuples of length 1..depth, a Fraction mass."""
+        table = object.__new__(cls)
+        table.__dict__.update(alphabet=alphabet, depth=depth, _weights=weights, total_mass=mass)
+        return table
+
+    @cached_property
+    def values(self) -> dict[Word, Fraction]:
+        return {Word(self.alphabet, u): v for u, v in self._weights.items()}
 
     def value(self, w: Word) -> Fraction:
         """Weight of the cylinder of w; the empty word gives the total mass."""
@@ -66,7 +79,7 @@ class MeasureTable:
             return self.total_mass
         if len(w) > self.depth:
             raise ValueError(f"word length {len(w)} exceeds table depth {self.depth}")
-        return self.values.get(w, Fraction(0))
+        return self._weights.get(w.letters, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -103,20 +116,19 @@ def validate(m: MeasureTable) -> list[Violation]:
     before right at each word), then the level sums by length.
     """
     zero = Fraction(0)
-    values = {w.letters: v for w, v in m.values.items()}
     left_sums: dict[tuple[int, ...], Fraction] = {}
     right_sums: dict[tuple[int, ...], Fraction] = {}
     level = [zero] * (m.depth + 1)
-    for u, v in values.items():
+    for u, v in m._weights.items():
         level[len(u)] += v
         if len(u) >= 2:
             left_sums[u[1:]] = left_sums.get(u[1:], zero) + v
             right_sums[u[:-1]] = right_sums.get(u[:-1], zero) + v
-    candidates = {u for u in values if len(u) < m.depth}
+    candidates = {u for u in m._weights if len(u) < m.depth}
     candidates.update(left_sums, right_sums)
     out: list[Violation] = []
     for u in sorted(candidates, key=lambda u: (len(u), u)):
-        expected = values.get(u, zero)
+        expected = m._weights.get(u, zero)
         for kind, actual in (("left-extension", left_sums.get(u, zero)),
                              ("right-extension", right_sums.get(u, zero))):
             if actual != expected:
@@ -141,12 +153,12 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
     root, exponent = primitive_root(w)
     period = len(root)
     stream = root.letters * (-(-depth // period) + 1)
-    values: dict[Word, Fraction] = {}
+    weights: dict[tuple[int, ...], Fraction] = {}
     for offset in range(period):
         for length in range(1, depth + 1):
-            v = Word(w.alphabet, stream[offset : offset + length])
-            values[v] = values.get(v, Fraction(0)) + exponent
-    return MeasureTable(w.alphabet, depth, values, Fraction(len(w)))
+            v = stream[offset : offset + length]
+            weights[v] = weights.get(v, Fraction(0)) + exponent
+    return MeasureTable._trusted(w.alphabet, depth, weights, Fraction(len(w)))
 
 
 def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> MeasureTable:
@@ -160,7 +172,7 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
         raise ValueError("at least one term is required")
     alphabet = term_list[0][1].alphabet
     depth = min(table.depth for _, table in term_list)
-    values: dict[Word, Fraction] = {}
+    weights: dict[tuple[int, ...], Fraction] = {}
     mass = Fraction(0)
     for coefficient, table in term_list:
         if table.alphabet != alphabet:
@@ -169,10 +181,10 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
         if lam < 0:
             raise ValueError("coefficients must be nonnegative")
         mass += lam * table.total_mass
-        for word, value in table.values.items():
-            if len(word) <= depth:
-                values[word] = values.get(word, Fraction(0)) + lam * value
-    return MeasureTable(alphabet, depth, values, mass)
+        for u, value in table._weights.items():
+            if lam and len(u) <= depth:
+                weights[u] = weights.get(u, Fraction(0)) + lam * value
+    return MeasureTable._trusted(alphabet, depth, weights, mass)
 
 
 @dataclass(frozen=True)
@@ -184,10 +196,8 @@ class FrequencyVector:
 
 
 def frequency_vector(m: MeasureTable) -> FrequencyVector:
-    return FrequencyVector(
-        m.alphabet,
-        tuple(m.value(Word(m.alphabet, (i,))) for i in range(len(m.alphabet))),
-    )
+    letters = range(len(m.alphabet))
+    return FrequencyVector(m.alphabet, tuple(m._weights.get((i,), Fraction(0)) for i in letters))
 
 
 def support_words(m: MeasureTable) -> set[Word]:

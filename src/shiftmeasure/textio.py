@@ -160,7 +160,8 @@ def parse_measure(text: str) -> MeasureTable:
     ``!mass`` must appear somewhere; an entry is the word's tokens, a tab,
     and a rational value.
     """
-    values: dict[Word, Fraction] = {}
+    weights: dict[tuple[int, ...], Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # by value text: a table repeats few distinct values
 
     def entry(number: int, line: str, headers: dict[str, Any]) -> None:
         alphabet, depth = headers.get("!alphabet"), headers.get("!depth")
@@ -172,12 +173,18 @@ def parse_measure(text: str) -> MeasureTable:
         tokens = left.split()
         if not tokens:
             raise ValueError("entry for the empty word is not allowed")
-        word = alphabet.word(tokens)
-        if len(word) > depth:
-            raise ValueError(f"word '{word}' is longer than the declared depth {depth}")
-        if word in values:
-            raise ValueError(f"duplicate entry for '{word}'")
-        values[word] = _parse_rational(right.strip())
+        try:
+            letters = tuple([alphabet._indices[t] for t in tokens])
+        except KeyError:
+            alphabet.word(tokens)  # raises the error for the first unknown token
+        if len(letters) > depth:
+            raise ValueError(f"word '{' '.join(tokens)}' is longer than the declared depth {depth}")
+        if letters in weights:
+            raise ValueError(f"duplicate entry for '{' '.join(tokens)}'")
+        value_text = right.strip()
+        if value_text not in parsed:
+            parsed[value_text] = _parse_rational(value_text)
+        weights[letters] = parsed[value_text]
 
     headers, _, _ = _read_format(
         text,
@@ -185,7 +192,9 @@ def parse_measure(text: str) -> MeasureTable:
         entry,
         required=True,
     )
-    return MeasureTable(headers["!alphabet"], headers["!depth"], values, headers["!mass"])
+    if not all(parsed.values()):  # zero entries were kept to catch their duplicates
+        weights = {u: v for u, v in weights.items() if v}
+    return MeasureTable._trusted(headers["!alphabet"], headers["!depth"], weights, headers["!mass"])
 
 
 # ASCII digits only: p, p/q with q > 0, or the decimal p.q.  Fraction()
@@ -212,8 +221,9 @@ def _parse_rational(text: str) -> Fraction:
 
 def render_measure(m: MeasureTable) -> str:
     lines = [f"!alphabet {m.alphabet}", f"!depth {m.depth}", f"!mass {m.total_mass}"]
-    for word in sorted(m.values, key=Word.sort_key):
-        lines.append(f"{word}\t{m.values[word]}")
+    symbols, weights = m.alphabet.symbols, m._weights
+    for u in sorted(weights, key=lambda u: (len(u), u)):
+        lines.append(f"{' '.join([symbols[i] for i in u])}\t{weights[u]}")
     return "\n".join(lines) + "\n"
 
 

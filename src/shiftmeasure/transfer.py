@@ -19,12 +19,12 @@ from .measure import MeasureTable
 from .morphism import (
     Morphism,
     _essential_sweep,
-    apply,
+    _image_letters,
     canonical_decomposition,
     norms,
     subdivision_morphism,
 )
-from .words import Word, factors
+from .words import Word
 
 
 class DepthError(ValueError):
@@ -51,13 +51,8 @@ def required_input_depth(sigma: Morphism, out_len: int) -> int:
 
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
     """Total transferred mass: each letter block contributes its length."""
-    return sum(
-        (
-            Fraction(len(sigma.images[i])) * m.value(Word(m.alphabet, (i,)))
-            for i in range(len(m.alphabet))
-        ),
-        Fraction(0),
-    )
+    weights = m._weights
+    return sum((len(img) * weights.get((i,), 0) for i, img in enumerate(sigma.images)), Fraction(0))
 
 
 def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
@@ -78,7 +73,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
         raise DepthError(required, m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    support = ((u.letters, mu) for u, mu in m.values.items() if len(u) <= required)
+    support = ((u, mu) for u, mu in m._weights.items() if len(u) <= required)
     swept = _essential_sweep(sigma, support, len(target), len(target))
     return Fraction(swept.get(target.letters, 0))
 
@@ -99,10 +94,9 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     required = required_input_depth(sigma, out_depth)
     if m.depth < required:
         raise DepthError(required, m.depth)
-    support = ((u.letters, mu) for u, mu in m.values.items() if len(u) <= required)
+    support = ((u, mu) for u, mu in m._weights.items() if len(u) <= required)
     swept = _essential_sweep(sigma, support, 1, out_depth)
-    values = {Word(sigma.codomain, letters): weight for letters, weight in swept.items()}
-    return MeasureTable(sigma.codomain, out_depth, values, _transferred_mass(sigma, m))
+    return MeasureTable._trusted(sigma.codomain, out_depth, swept, _transferred_mass(sigma, m))
 
 
 def subdivision_measure(
@@ -125,26 +119,15 @@ def subdivision_measure(
     for i, img in enumerate(pi.images):
         for k, letter in enumerate(img.letters):
             info[letter] = (i, k + 1, len(img))
-    candidates: set[Word] = set()
-    for u in m.values:
+    images = [img.letters for img in pi.images]
+    candidates: set[tuple[int, ...]] = set()
+    for u in m._weights:
         if len(u) <= required:
-            candidates |= factors(apply(pi, u), out_depth)
-    values: dict[Word, Fraction] = {}
-    for u in candidates:
-        cover = _shortest_cover(info, u.letters)
-        if cover is None:
-            continue
-        weight = m.value(Word(m.alphabet, cover))
-        if weight:
-            values[u] = weight
-    mass = sum(
-        (
-            Fraction(len(img)) * m.value(Word(m.alphabet, (i,)))
-            for i, img in enumerate(pi.images)
-        ),
-        Fraction(0),
-    )
-    return MeasureTable(pi.codomain, out_depth, values, mass)
+            image = _image_letters(images, u)
+            for length in range(1, min(out_depth, len(image)) + 1):
+                candidates.update(image[i : i + length] for i in range(len(image) - length + 1))
+    weights = {u: m._weights[c] for u in candidates if (c := _shortest_cover(info, u)) in m._weights}
+    return MeasureTable._trusted(pi.codomain, out_depth, weights, _transferred_mass(pi, m))
 
 
 def _shortest_cover(
@@ -178,11 +161,12 @@ def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTab
         raise ValueError("push-forward requires a letter-to-letter morphism")
     if m.alphabet != alpha.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
-    values: dict[Word, Fraction] = {}
-    for u, weight in m.values.items():
-        image = apply(alpha, u)
-        values[image] = values.get(image, Fraction(0)) + weight
-    return MeasureTable(alpha.codomain, m.depth, values, m.total_mass)
+    letter = [img.letters[0] for img in alpha.images]
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for u, weight in m._weights.items():
+        image = tuple([letter[i] for i in u])
+        weights[image] = weights.get(image, Fraction(0)) + weight
+    return MeasureTable._trusted(alpha.codomain, m.depth, weights, m.total_mass)
 
 
 def transfer_via_decomposition(

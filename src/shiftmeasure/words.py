@@ -169,8 +169,18 @@ def min_rotation(w: Word) -> Word:
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """min_rotation on a letter tuple."""
-    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
+    """min_rotation on a letter tuple in O(n): of two live starts i < j with k letters in
+    common, the one with the larger next letter loses with the k starts after it."""
+    n, doubled = len(letters), letters + letters
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        if doubled[i + k] == doubled[j + k]:
+            k += 1
+        elif doubled[i + k] > doubled[j + k]:
+            i, j, k = j, max(j + 1, i + k + 1), 0
+        else:
+            j, k = j + k + 1, 0
+    return doubled[i : i + n]
 
 
 def is_rotation(w1: Word, w2: Word) -> bool:

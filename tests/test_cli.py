@@ -2,6 +2,8 @@
 channel.  All invocations go through main(argv) with captured streams; one
 subprocess test covers the installed entry point."""
 
+import argparse
+import json
 import os
 import random
 import subprocess
@@ -23,7 +25,7 @@ from shiftmeasure import (
     required_input_depth,
     support_words,
 )
-from shiftmeasure import diagnostics
+from shiftmeasure import cli, diagnostics
 from shiftmeasure.cli import main
 
 MORPHISM_SIGMA4 = "a -> c d c\nb -> d c c\n"
@@ -234,6 +236,50 @@ def test_kirchhoff_lists_violations_with_exit_one(files, capsys):
     out = capsys.readouterr().out
     assert out.startswith("VIOLATION ")
     assert all(line.startswith("VIOLATION ") for line in out.splitlines())
+
+
+# stdout, stderr and exit code of argparse's own output (help, usage and
+# argument errors), recorded with COLUMNS=80 from the parser that built all
+# nine subcommands on every call.  The last case is the one error the
+# top-level parser reports after a command has matched.
+ARGPARSE_GOLDENS = json.loads(
+    (Path(__file__).with_name("argparse_goldens.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", ARGPARSE_GOLDENS, ids=lambda case: " ".join(case["argv"]) or "no-arguments"
+)
+def test_argparse_output_is_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_a_command_builds_only_its_own_subparser(files, capsys, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
+    measure = files("orbit.measure", MEASURE_AB)
+    assert main(["eval", sigma, measure, "--word", "c c"]) == 0
+    assert names == ["eval"]
+    # No parser is kept between calls.
+    assert main(["eval", sigma, measure, "--word", "c c"]) == 0
+    assert names == ["eval", "eval"]
+    assert capsys.readouterr().out == "2\n2\n"
+    names.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert names == list(cli._COMMANDS)
+    assert capsys.readouterr().out.startswith("usage: shiftmeasure [-h]\n")
 
 
 def test_parse_errors_exit_two_with_file_and_line(files, capsys):

@@ -57,6 +57,31 @@ def test_floats_are_rejected():
         MeasureTable(AB, 1, {}, 0.5)
 
 
+@pytest.mark.parametrize(
+    "depth, values, mass, error, message",
+    [
+        (1, {AB.word("a"): 0.5}, 1, TypeError, "value of 'a' must be exact, got a float"),
+        (1, {AB.word("a"): -1}, 1, ValueError, "negative value for 'a'"),
+        (1, {ABC.word("a"): 1}, 1, ValueError, "word 'a' is not over the table alphabet"),
+        (1, {AB.word("ab"): 1}, 1, ValueError, "word 'a b' has length outside 1..1"),
+        (0, {}, 0, ValueError, "depth must be >= 1"),
+    ],
+    ids=["float", "negative", "foreign-word", "over-long-word", "depth-0"],
+)
+def test_public_constructor_keeps_its_checks_and_messages(depth, values, mass, error, message):
+    with pytest.raises(error) as err:
+        MeasureTable(AB, depth, values, mass)
+    assert str(err.value) == message
+
+
+def test_values_is_the_word_keyed_view_of_the_table():
+    m = table(AB, 2, {"a": 1, "b": Fraction(1, 2), "ab": 0, "ba": 2}, 1)
+    assert m.values == {AB.word("a"): 1, AB.word("b"): Fraction(1, 2), AB.word("ba"): 2}
+    assert m.values is m.values  # built once
+    assert m == MeasureTable(AB, 2, dict(m.values), 1)
+    assert m != MeasureTable(AB, 2, {AB.word("a"): 1}, 1)
+
+
 def test_value_lookup():
     m = table(AB, 2, {"a": Fraction(1, 3), "ab": Fraction(1, 3)}, Fraction(1, 3))
     assert m.value(AB.word("ab")) == Fraction(1, 3)
@@ -235,6 +260,14 @@ def test_linear_combination_truncates_to_min_depth():
     )
     assert m.depth == 2
     assert m.total_mass == 4
+
+
+def test_linear_combination_with_a_zero_coefficient_keeps_only_positive_weights():
+    a_orbit, b_orbit = characteristic_measure(AB.word("a"), 2), characteristic_measure(AB.word("b"), 2)
+    m = linear_combination([(0, a_orbit), (Fraction(1, 2), b_orbit)])
+    assert {str(w): v for w, v in m.values.items()} == {"b": Fraction(1, 2), "b b": Fraction(1, 2)}
+    assert m == MeasureTable(AB, 2, {AB.word(w): Fraction(1, 2) for w in ("b", "bb")}, Fraction(1, 2))
+    assert support_words(linear_combination([(0, a_orbit)])) == set()
 
 
 def test_linear_combination_errors():

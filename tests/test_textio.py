@@ -1,6 +1,7 @@
 """Text formats: golden renderings, parse/render round trips, and the line
 numbers reported for each class of malformed input."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -175,6 +176,44 @@ def test_header_integer_beyond_the_int_digit_limit_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_measure(f"!alphabet a\n!depth {digits}\n!mass 1\n")
     assert err.value.line == 2
+
+
+def test_measure_entry_errors_keep_their_messages():
+    head = "!alphabet a b\n!depth 2\n!mass 1\n"
+    cases = [
+        (head + "a  c b\t1\n", 4, "symbol 'c' not in alphabet [a b]"),
+        (head + "a   b a\t1\n", 4, "word 'a b a' is longer than the declared depth 2"),
+        (head + "a b\t1\na  b\t2\n", 5, "duplicate entry for 'a b'"),
+        # A zero entry is dropped from the table, but a second entry for its word is still caught.
+        (head + "a\t0\na\t1\n", 5, "duplicate entry for 'a'"),
+        # A value text seen before is reported again where it recurs.
+        (head + "a\t1/2\nb\tx\na b\tx\n", 5, "not a rational value: 'x'"),
+        (head + "a\t1/2\nb\t1/2\nb a\t1/0\n", 6, "not a rational value: '1/0'"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_measure(text)
+        assert (err.value.line, err.value.message) == (line, message), text
+    m = parse_measure(head + "a\t0\nb\t0.0\na b\t00\nb b\t1\nb a\t1\n")
+    assert {str(w): v for w, v in m.values.items()} == {"b b": 1, "b a": 1}
+
+
+def test_parse_measure_checks_each_entry_once_without_words(monkeypatch):
+    """Entries are checked on letter tuples: no Word is built and no word is
+    formatted for an error message that is not raised."""
+    alph = Alphabet(("a", "b", "c"))
+    words = [w for n in range(1, 6) for w in itertools.product(alph.symbols, repeat=n)]
+    entries = "".join(f"{' '.join(w)}\t{i % 9 + 1}/{i % 4 + 1}\n" for i, w in enumerate(words))
+    text = f"!alphabet a b c\n!depth 5\n!mass 7\n{entries}"
+    built, formatted = [], []
+    post_init, to_str = Word.__post_init__, Word.__str__
+    monkeypatch.setattr(Word, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(Word, "__str__", lambda self: formatted.append(1) or to_str(self))
+    m = parse_measure(text)
+    rendered = render_measure(m)
+    assert (len(built), len(formatted)) == (0, 0)
+    assert len(words) == 363 and len(m.values) == 363
+    assert parse_measure(rendered) == m
 
 
 def test_measure_parse_keeps_consistency_to_the_validator():

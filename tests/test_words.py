@@ -20,7 +20,7 @@ from shiftmeasure import (
     primitive_root,
     rotations,
 )
-from shiftmeasure.words import _lyndon_count, _lyndon_words
+from shiftmeasure.words import _least_rotation, _lyndon_count, _lyndon_words
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -185,6 +185,27 @@ def test_is_rotation_matches_string_oracle_exhaustive():
                 expected = rotation_oracle(w1, w2)
                 assert is_rotation(w1, w2) == expected
                 assert (min_rotation(w1) == min_rotation(w2)) == expected
+
+
+def _least_rotation_oracle(letters):
+    """The quadratic scan that the linear one replaced: the least of all n rotations."""
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
+
+
+def test_least_rotation_matches_the_quadratic_oracle():
+    for n in range(10):
+        for letters in itertools.product(range(3), repeat=n):
+            assert _least_rotation(letters) == _least_rotation_oracle(letters), letters
+    rng = random.Random(97)
+    for _ in range(2000):
+        size, n = rng.randint(1, 4), rng.randint(0, 200)
+        # Periodic words with a mutation make long common prefixes, the scan's hard case.
+        base = [rng.randrange(size) for _ in range(rng.randint(1, 6))]
+        letters = (base * (n // len(base) + 1))[:n]
+        if letters and rng.random() < 0.5:
+            letters[rng.randrange(n)] = rng.randrange(size)
+        letters = tuple(letters if rng.random() < 0.7 else (rng.randrange(size) for _ in range(n)))
+        assert _least_rotation(letters) == _least_rotation_oracle(letters), letters
 
 
 def test_is_rotation_transitive_small():
