@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .language import FactorLanguage
 from .morphism import Morphism, _image_letters, apply
 from .transfer import DepthError
-from .words import Word, _least_rotation, _lyndon_count, _lyndon_words, _root_letters
+from .words import Alphabet, Word, _least_rotation, _lyndon_count, _lyndon_words, _root_letters
 
 
 @dataclass(frozen=True)
@@ -23,21 +24,26 @@ class ViolationReport:
     kind is "period-preservation" (each certificate a single primitive word
     whose image is a proper power) or "orbit-injectivity" (each certificate a
     pair of primitive non-conjugate words whose image orbits coincide).
-    Certificates always re-verify against the defining condition.
+    Certificates always re-verify against the defining condition.  They are
+    held as tuples of letter tuples; certificates builds the Words on demand.
     """
 
     kind: str
     bound: int
-    certificates: tuple
+    _domain: Alphabet
+    _letters: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def certificates(self) -> tuple:
+        words = (tuple(Word(self._domain, part) for part in c) for c in self._letters)
+        return tuple(w[0] if len(w) == 1 else w for w in words)
 
     def __bool__(self) -> bool:
-        return bool(self.certificates)
+        return bool(self._letters)
 
     def lines(self) -> list[str]:
-        return [
-            f"VIOLATION {self.kind} " + " ".join(map(str, (c,) if isinstance(c, Word) else c))
-            for c in self.certificates
-        ]
+        symbols, head = self._domain.symbols, f"VIOLATION {self.kind} "
+        return [head + " ".join([symbols[i] for part in c for i in part]) for c in self._letters]
 
     def render(self) -> str:
         return "\n".join([f"BOUND {self.bound}"] + self.lines())
@@ -116,11 +122,10 @@ def _reports(
             )
         placed.append((group, len(group)))
         group.append(rep)
-    domain = sigma.domain
-    pairs = ((Word(domain, g[i]), Word(domain, right)) for g, i in placed for right in g[i + 1 :])
+    pairs = tuple((g[i], right) for g, i in placed for right in g[i + 1 :])
     return (
-        ViolationReport("period-preservation", bound, tuple(Word(domain, r) for r in powers)),
-        ViolationReport("orbit-injectivity", bound, tuple(pairs)),
+        ViolationReport("period-preservation", bound, sigma.domain, tuple((r,) for r in powers)),
+        ViolationReport("orbit-injectivity", bound, sigma.domain, pairs),
     )
 
 

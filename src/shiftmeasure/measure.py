@@ -12,6 +12,7 @@ reported by validate(), not construction errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,6 +102,27 @@ class Violation:
         return f"{self.kind} at {subject}: expected {self.expected}, found {self.actual}"
 
 
+_SCALE_CAP = 1 << 64
+
+
+def _scaled(weights: Mapping[tuple[int, ...], Fraction]) -> tuple[int, Mapping]:
+    """(den, numerators): each weight as an int over den, the lcm of the
+    denominators.  Distinct prime denominators make den grow with the support,
+    so above _SCALE_CAP it is (1, weights) and sums run on the Fractions."""
+    den = 1
+    for v in weights.values():
+        if den % v.denominator:
+            den = math.lcm(den, v.denominator)
+            if den > _SCALE_CAP:
+                return 1, weights
+    return den, {u: v.numerator * (den // v.denominator) for u, v in weights.items()}
+
+
+def _unscaled(n: int | Fraction, den: int) -> Fraction:
+    """A sum over _scaled numerators as a Fraction; a fallback Fraction is kept."""
+    return Fraction(n, den) if type(n) is int else n
+
+
 def validate(m: MeasureTable) -> list[Violation]:
     """Every Kirchhoff and level-sum violation; an empty list means consistent.
 
@@ -112,30 +134,33 @@ def validate(m: MeasureTable) -> list[Violation]:
     other word has value 0 and both extension sums 0, so only those words
     are checked.  One pass over the support collects them with their
     extension sums, so the work is O(|support| * depth), not O(|A|^depth).
-    Violations come in canonical word order (length, then letters; left
-    before right at each word), then the level sums by length.
+    The sums and comparisons run on _scaled numerators; expected and actual
+    are Fractions.  Violations come in canonical word order (length, then
+    letters; left before right at each word), then the level sums by length.
     """
-    zero = Fraction(0)
-    left_sums: dict[tuple[int, ...], Fraction] = {}
-    right_sums: dict[tuple[int, ...], Fraction] = {}
+    den, weights = _scaled(m._weights)
+    zero = Fraction(0) if weights is m._weights else 0  # int 0 + Fraction is slow
+    left_sums: dict[tuple[int, ...], int | Fraction] = {}
+    right_sums: dict[tuple[int, ...], int | Fraction] = {}
     level = [zero] * (m.depth + 1)
-    for u, v in m._weights.items():
+    for u, v in weights.items():
         level[len(u)] += v
         if len(u) >= 2:
             left_sums[u[1:]] = left_sums.get(u[1:], zero) + v
             right_sums[u[:-1]] = right_sums.get(u[:-1], zero) + v
-    candidates = {u for u in m._weights if len(u) < m.depth}
+    candidates = {u for u in weights if len(u) < m.depth}
     candidates.update(left_sums, right_sums)
     out: list[Violation] = []
     for u in sorted(candidates, key=lambda u: (len(u), u)):
-        expected = m._weights.get(u, zero)
+        expected = weights.get(u, zero)
         for kind, actual in (("left-extension", left_sums.get(u, zero)),
                              ("right-extension", right_sums.get(u, zero))):
             if actual != expected:
-                out.append(Violation(kind, Word(m.alphabet, u), None, expected, actual))
-    for length in range(1, m.depth + 1):
-        if level[length] != m.total_mass:
-            out.append(Violation("level-sum", None, length, m.total_mass, level[length]))
+                out.append(Violation(kind, Word(m.alphabet, u), None,
+                                     _unscaled(expected, den), _unscaled(actual, den)))
+    for length, total in enumerate(level[1:], 1):
+        if total != m.total_mass * den:
+            out.append(Violation("level-sum", None, length, m.total_mass, _unscaled(total, den)))
     return out
 
 

@@ -4,10 +4,11 @@ The direct route evaluates the transferred weight of a target word as an
 essential-occurrence sum against the stored support of the input table.  It
 images each support word once and credits every essential occurrence to its
 target in the same pass, so a whole table costs one sweep of the support
-rather than one per target.  The decomposition route reweights the table
-along the subdivision part of the canonical decomposition and pushes the
-result through the letter-to-letter part.  The two routes produce identical
-tables and are kept separate as a structural cross-check.
+rather than one per target, summing int numerators over the table's common
+denominator.  The decomposition route reweights the table along the
+subdivision part of the canonical decomposition and pushes the result
+through the letter-to-letter part, on Fraction.  The two routes produce
+identical tables and are kept separate as a structural cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .measure import MeasureTable
+from .measure import MeasureTable, _scaled, _unscaled
 from .morphism import (
     Morphism,
     _essential_sweep,
@@ -59,10 +60,10 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word.
 
     Sweeps the support of m for essential occurrences of exactly the
-    target's length and reads the target's sum.  Support words longer than
-    the required input depth of the target cannot carry one and are
-    skipped.  The empty target yields the total transferred mass, where each
-    letter block contributes its length.
+    target's length and reads the target's sum, the only one turned into a
+    Fraction.  Support words longer than the required input depth of the
+    target cannot carry one and are skipped.  The empty target yields the
+    total transferred mass, where each letter block contributes its length.
     """
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
@@ -73,9 +74,10 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
         raise DepthError(required, m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    support = ((u, mu) for u, mu in m._weights.items() if len(u) <= required)
+    den, weights = _scaled(m._weights)
+    support = ((u, mu) for u, mu in weights.items() if len(u) <= required)
     swept = _essential_sweep(sigma, support, len(target), len(target))
-    return Fraction(swept.get(target.letters, 0))
+    return _unscaled(swept.get(target.letters, 0), den)
 
 
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:
@@ -83,9 +85,9 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
 
     One sweep images each support word of length at most the required input
     depth once and credits every essential occurrence of length <= out_depth
-    to its factor, so all targets are evaluated together.  Longer support
-    words only have essential occurrences longer than out_depth.  Words the
-    sweep never reaches are zero.
+    to its factor, so all targets are evaluated together on _scaled
+    numerators.  Longer support words only have essential occurrences longer
+    than out_depth.  Words the sweep never reaches are zero.
     """
     if out_depth < 1:
         raise ValueError("output depth must be >= 1")
@@ -94,8 +96,12 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     required = required_input_depth(sigma, out_depth)
     if m.depth < required:
         raise DepthError(required, m.depth)
-    support = ((u, mu) for u, mu in m._weights.items() if len(u) <= required)
+    den, weights = _scaled(m._weights)
+    support = ((u, mu) for u, mu in weights.items() if len(u) <= required)
     swept = _essential_sweep(sigma, support, 1, out_depth)
+    if weights is not m._weights:  # int sums: one Fraction per distinct sum
+        exact = {n: Fraction(n, den) for n in set(swept.values())}
+        swept = {t: exact[n] for t, n in swept.items()}
     return MeasureTable._trusted(sigma.codomain, out_depth, swept, _transferred_mass(sigma, m))
 
 

@@ -206,6 +206,31 @@ def test_check_images_each_representative_once(files, capsys, monkeypatch):
     assert calls == {"_image_letters": 71, "_root_letters": 71}
 
 
+def test_check_prints_its_certificates_without_words(files, capsys, monkeypatch):
+    """The reports hold letter tuples: check renders them from the domain's
+    symbols and builds no Word, while certificates still gives the Words."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Word(*args)
+
+    monkeypatch.setattr(diagnostics, "Word", counting)
+    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
+    assert main(["check", sigma, "--bound", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert built == []
+    collapse = Morphism.from_images(("a", "b"), ("c",), {"a": "c", "b": "c"})
+    period, orbit = diagnostics._reports(collapse, None, 6)
+    assert lines == period.render().splitlines() + orbit.lines()
+    # Every one of the 23 Lyndon words up to length 6 images into c*: one group.
+    assert len(orbit.certificates) == 23 * 22 // 2 and len(built) == 2 * 253
+    assert len(period.certificates) == 21 and len(built) == 2 * 253 + 21
+    words = [(w,) for w in period.certificates] + list(orbit.certificates)
+    assert lines[1:] == [f"VIOLATION {kind} " + " ".join(map(str, c)) for kind, c in zip(
+        ["period-preservation"] * 21 + ["orbit-injectivity"] * 253, words)]
+
+
 @pytest.mark.parametrize("bound", ["14", "20"])
 def test_check_refuses_a_report_over_the_certificate_budget(files, capsys, bound):
     """The collapse owes 3.2M pairs at bound 14; it is refused before any
