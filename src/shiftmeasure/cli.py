@@ -8,8 +8,9 @@ that is too shallow for the requested depth).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .diagnostics import _reports
 from .language import image_language
@@ -57,6 +58,21 @@ def _load(parse: Callable[[str], _T], path: str) -> _T:
         raise _Failure(2, f"{path}:{exc.line}: {exc.message}") from exc
 
 
+@contextlib.contextmanager
+def _any_digits() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit (CPython 3.10.7 on) while
+    exact values are written.  Parsing keeps it: a header integer of thousands
+    of digits still fails fast."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _parse_cli_word(alphabet: Alphabet, text: str, compact: bool):
     try:
         return parse_word(alphabet, text, compact=compact)
@@ -67,7 +83,9 @@ def _parse_cli_word(alphabet: Alphabet, text: str, compact: bool):
 def _cmd_transfer(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     table = _load(parse_measure, args.measure)
-    sys.stdout.write(render_measure(transfer_table(sigma, table, args.depth)))
+    out = transfer_table(sigma, table, args.depth)
+    with _any_digits():
+        sys.stdout.write(render_measure(out))
     return 0
 
 
@@ -75,7 +93,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     table = _load(parse_measure, args.measure)
     target = _parse_cli_word(sigma.codomain, args.word, args.compact)
-    print(transfer_eval(sigma, table, target))
+    value = transfer_eval(sigma, table, target)
+    with _any_digits():
+        print(value)
     return 0
 
 
@@ -137,8 +157,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_kirchhoff(args: argparse.Namespace) -> int:
     violations = validate(_load(parse_measure, args.measure))
-    for violation in violations:
-        print(f"VIOLATION {violation}")
+    with _any_digits():
+        for violation in violations:
+            print(f"VIOLATION {violation}")
     return 1 if violations else 0
 
 

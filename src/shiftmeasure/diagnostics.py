@@ -17,7 +17,7 @@ from .transfer import DepthError
 from .words import Alphabet, Word, _least_rotation, _lyndon_count, _lyndon_words, _root_letters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ViolationReport:
     """Certificates found by one bounded check.
 
@@ -25,13 +25,27 @@ class ViolationReport:
     whose image is a proper power) or "orbit-injectivity" (each certificate a
     pair of primitive non-conjugate words whose image orbits coincide).
     Certificates always re-verify against the defining condition.  They are
-    held as tuples of letter tuples; certificates builds the Words on demand.
+    kept as letter tuples over _domain; certificates is built on first use.
     """
 
     kind: str
     bound: int
-    _domain: Alphabet
+    _domain: Alphabet | None
     _letters: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __init__(self, kind: str, bound: int, certificates: tuple) -> None:
+        parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]
+        self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates),
+                             _domain=parts[0][0].alphabet if parts else None,
+                             _letters=tuple(tuple(w.letters for w in p) for p in parts))
+
+    @classmethod
+    def _trusted(cls, kind: str, bound: int, domain: Alphabet,
+                 letters: tuple[tuple[tuple[int, ...], ...], ...]) -> "ViolationReport":
+        report = object.__new__(cls)
+        report.__dict__.update(kind=kind, bound=bound, _domain=domain if letters else None,
+                               _letters=letters)
+        return report
 
     @cached_property
     def certificates(self) -> tuple:
@@ -42,7 +56,7 @@ class ViolationReport:
         return bool(self._letters)
 
     def lines(self) -> list[str]:
-        symbols, head = self._domain.symbols, f"VIOLATION {self.kind} "
+        symbols, head = self._domain.symbols if self._domain else (), f"VIOLATION {self.kind} "
         return [head + " ".join([symbols[i] for part in c for i in part]) for c in self._letters]
 
     def render(self) -> str:
@@ -124,8 +138,9 @@ def _reports(
         group.append(rep)
     pairs = tuple((g[i], right) for g, i in placed for right in g[i + 1 :])
     return (
-        ViolationReport("period-preservation", bound, sigma.domain, tuple((r,) for r in powers)),
-        ViolationReport("orbit-injectivity", bound, sigma.domain, pairs),
+        ViolationReport._trusted("period-preservation", bound, sigma.domain,
+                                 tuple((r,) for r in powers)),
+        ViolationReport._trusted("orbit-injectivity", bound, sigma.domain, pairs),
     )
 
 

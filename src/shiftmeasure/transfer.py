@@ -60,10 +60,10 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word.
 
     Sweeps the support of m for essential occurrences of exactly the
-    target's length and reads the target's sum, the only one turned into a
-    Fraction.  Support words longer than the required input depth of the
-    target cannot carry one and are skipped.  The empty target yields the
-    total transferred mass, where each letter block contributes its length.
+    target's length, on _scaled numerators, and reads the target's sum.
+    Support words longer than the required input depth of the target cannot
+    carry one and are skipped.  The empty target yields the total transferred
+    mass, where each letter block contributes its length.
     """
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
@@ -74,9 +74,8 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
         raise DepthError(required, m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    den, weights = _scaled(m._weights)
-    support = ((u, mu) for u, mu in weights.items() if len(u) <= required)
-    swept = _essential_sweep(sigma, support, len(target), len(target))
+    den, support = _scaled({u: mu for u, mu in m._weights.items() if len(u) <= required})
+    swept = _essential_sweep(sigma, support.items(), len(target), len(target))
     return _unscaled(swept.get(target.letters, 0), den)
 
 
@@ -96,10 +95,10 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     required = required_input_depth(sigma, out_depth)
     if m.depth < required:
         raise DepthError(required, m.depth)
-    den, weights = _scaled(m._weights)
-    support = ((u, mu) for u, mu in weights.items() if len(u) <= required)
-    swept = _essential_sweep(sigma, support, 1, out_depth)
-    if weights is not m._weights:  # int sums: one Fraction per distinct sum
+    kept = {u: mu for u, mu in m._weights.items() if len(u) <= required}
+    den, support = _scaled(kept)
+    swept = _essential_sweep(sigma, support.items(), 1, out_depth)
+    if support is not kept:  # int sums: one Fraction per distinct sum
         exact = {n: Fraction(n, den) for n in set(swept.values())}
         swept = {t: exact[n] for t, n in swept.items()}
     return MeasureTable._trusted(sigma.codomain, out_depth, swept, _transferred_mass(sigma, m))

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,45 @@ def test_check_prints_its_certificates_without_words(files, capsys, monkeypatch)
     words = [(w,) for w in period.certificates] + list(orbit.certificates)
     assert lines[1:] == [f"VIOLATION {kind} " + " ".join(map(str, c)) for kind, c in zip(
         ["period-preservation"] * 21 + ["orbit-injectivity"] * 253, words)]
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_values_beyond_the_int_digit_limit_are_written_in_full(files, capsys):
+    """1,500 weights over as many primes sum to a denominator of about 5,400
+    digits, over the interpreter's int-to-str limit: transfer, eval and
+    kirchhoff print it in full, and the limit is back in place afterwards."""
+    limit = sys.get_int_max_str_digits()
+    primes, n = [], 2
+    while len(primes) < 1500:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    tokens = [f"x{i}" for i in range(len(primes))]
+    measure = files("primes.measure", f"!alphabet {' '.join(tokens)}\n!depth 1\n!mass 1\n"
+                    + "".join(f"{t}\t1/{p}\n" for t, p in zip(tokens, primes)))
+    sigma = files("collapse.morphism", "".join(f"{t} -> c\n" for t in tokens))
+    total = sum((Fraction(1, p) for p in primes), Fraction(0))
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(total)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(text) > limit
+    assert main(["transfer", sigma, measure, "--depth", "1"]) == 0
+    assert capsys.readouterr().out == f"!alphabet c\n!depth 1\n!mass {text}\nc\t{text}\n"
+    assert main(["eval", sigma, measure, "--word", "c"]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main(["kirchhoff", measure]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"VIOLATION level-sum at length-1: expected 1, found {text}\n"
+    assert captured.err == ""
+    assert sys.get_int_max_str_digits() == limit
+    # Reading keeps the limit: an over-long header integer is still a parse error.
+    deep = files("deep.measure", f"!alphabet a\n!depth {'9' * (limit + 1)}\n!mass 1\n")
+    assert main(["kirchhoff", deep]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {deep}:2: ")
 
 
 @pytest.mark.parametrize("bound", ["14", "20"])

@@ -63,6 +63,19 @@ def test_collapse_certificates():
     assert period.lines() == ["VIOLATION period-preservation a b"]
 
 
+def test_a_report_built_from_words_equals_the_checks_report():
+    """The public constructor takes Word certificates, as the checks' reports
+    give them back: the rebuilt report is equal and renders the same lines."""
+    for sigma in (COLLAPSE, THUE_MORSE, SQUARING):
+        for report in diagnostics._reports(sigma, None, 4):
+            rebuilt = diagnostics.ViolationReport(report.kind, report.bound, report.certificates)
+            assert rebuilt == report and bool(rebuilt) == bool(report)
+            assert rebuilt.certificates == report.certificates
+            assert rebuilt.render() == report.render()
+    empty = diagnostics.ViolationReport("period-preservation", 3, ())
+    assert not empty and empty.certificates == () and empty.render() == "BOUND 3"
+
+
 def test_square_image_breaks_period_preservation():
     a = Alphabet(("a",))
     report = check_period_preservation(SQUARING, full_shift_language(a, 1), 1)

@@ -183,6 +183,33 @@ def test_transfer_matches_the_fraction_sums():
     assert scaled >= 100 and fallback >= 50 and evaluated >= 500
 
 
+def test_transfer_scales_only_the_words_it_sweeps(monkeypatch):
+    """Deep weights over distinct primes put the whole table over the cap, but
+    the sweep reads only words up to the required depth: those are scaled,
+    and the sums run on ints."""
+    alph = Alphabet(("a", "b"))
+    sigma = Morphism.from_images(alph, Alphabet(("c", "d")), {"a": "cd", "b": "dc"})
+    shallow = characteristic_measure(alph.word("aab"), 5)
+    deep = _prime_table(alph, 5, 62)
+    values = {w: v for w, v in deep.values.items() if len(w) > 3}
+    values.update({w: v for w, v in shallow.values.items() if len(w) <= 3})
+    m = MeasureTable(alph, 5, values, shallow.total_mass)
+    assert _scaled(m._weights)[1] is m._weights and required_input_depth(sigma, 4) == 3
+    on_ints = []
+
+    def recording(weights):
+        assert all(len(u) <= 3 for u in weights)
+        den, numerators = _scaled(weights)
+        on_ints.append(numerators is not weights)
+        return den, numerators
+
+    monkeypatch.setattr(transfer, "_scaled", recording)
+    assert _assert_same_transfer(sigma, m, 4) == transfer_table(sigma, shallow, 4)
+    target = sigma.codomain.word("cddc")
+    assert transfer_eval(sigma, m, target) == _transfer_eval_on_fractions(sigma, m, target)
+    assert on_ints == [True, True, True]
+
+
 def test_the_decomposition_route_still_equals_the_direct_route_over_the_cap():
     rng = random.Random(83)
     for _ in range(10):
