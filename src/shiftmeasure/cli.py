@@ -123,12 +123,8 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
 def _cmd_characteristic(args: argparse.Namespace) -> int:
     if args.alphabet is not None:
         tokens = list(args.alphabet.strip()) if args.compact else args.alphabet.split()
-    else:
-        tokens = []
-        raw = list(args.word.strip()) if args.compact else args.word.split()
-        for token in raw:
-            if token not in tokens:
-                tokens.append(token)
+    else:  # the word's tokens in order of first appearance
+        tokens = list(dict.fromkeys(list(args.word.strip()) if args.compact else args.word.split()))
     if not tokens:
         raise _Failure(2, "cannot infer an alphabet from an empty word")
     try:

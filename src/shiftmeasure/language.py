@@ -108,7 +108,7 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     if language.maxlen < required:
         raise DepthError(required, language.maxlen)
     swept = _essential_sweep(
-        sigma, ((u.letters, 1) for u in language.words if len(u) <= required), 1, n
+        sigma, ((u.letters, 1) for u in language.words if len(u) <= required), n
     )
     return FactorLanguage(
         sigma.codomain, n, frozenset(Word(sigma.codomain, letters) for letters in swept)

@@ -150,11 +150,12 @@ def validate(m: MeasureTable) -> list[Violation]:
             right_sums[u[:-1]] = right_sums.get(u[:-1], zero) + v
     candidates = {u for u in weights if len(u) < m.depth}
     candidates.update(left_sums, right_sums)
+    value, left, right = weights.get, left_sums.get, right_sums.get
+    broken = [u for u in candidates if not left(u, zero) == value(u, zero) == right(u, zero)]
     out: list[Violation] = []
-    for u in sorted(candidates, key=lambda u: (len(u), u)):
-        expected = weights.get(u, zero)
-        for kind, actual in (("left-extension", left_sums.get(u, zero)),
-                             ("right-extension", right_sums.get(u, zero))):
+    for u in sorted(broken, key=lambda u: (len(u), u)):
+        expected = value(u, zero)
+        for kind, actual in (("left-extension", left(u, zero)), ("right-extension", right(u, zero))):
             if actual != expected:
                 out.append(Violation(kind, Word(m.alphabet, u), None,
                                      _unscaled(expected, den), _unscaled(actual, den)))

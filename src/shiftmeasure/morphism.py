@@ -236,14 +236,18 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
         raise ValueError("word is not over the domain of the morphism")
     if target.alphabet != sigma.codomain:
         raise ValueError("target is not over the codomain of the morphism")
-    image = apply(sigma, w)
-    first_block = len(sigma.images[w.letters[0]])
-    prefix_end = len(image) - len(sigma.images[w.letters[-1]])
-    pattern = target.letters
+    return _essential_count([img.letters for img in sigma.images], w.letters, target.letters)
+
+
+def _essential_count(images: Sequence[tuple[int, ...]], letters: tuple[int, ...],
+                     pattern: tuple[int, ...]) -> int:
+    """essential_occurrences on letter tuples, unchecked."""
+    image = _image_letters(images, letters)
     m = len(pattern)
+    prefix_end = len(image) - len(images[letters[-1]])
     count = 0
-    for s in range(min(first_block, len(image) - m + 1)):
-        if s + m > prefix_end and image.letters[s : s + m] == pattern:
+    for s in range(max(0, prefix_end - m + 1), min(len(images[letters[0]]), len(image) - m + 1)):
+        if image[s : s + m] == pattern:
             count += 1
     return count
 
@@ -251,16 +255,15 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
 def _essential_sweep(
     sigma: Morphism,
     inputs: Iterable[tuple[tuple[int, ...], Fraction | int]],
-    lo: int,
-    hi: int,
+    max_len: int,
 ) -> dict[tuple[int, ...], Fraction | int]:
-    """Weighted essential occurrences of lengths lo..hi, summed per factor.
+    """Weighted essential occurrences of length at most max_len, summed per factor.
 
     inputs are (letters of a non-empty domain word u, weight) pairs.  Each
     image sigma(u) is built once as a letter tuple, and the weight is added
     to the entry of every slice image[s:e] that starts in the first letter
     block (s < |sigma(u_1)|), ends in the last (e > |sigma(u)| - |sigma(u_n)|)
-    and has lo <= e - s <= hi.  The entry of a letter tuple t is therefore
+    and has e - s <= max_len.  The entry of a letter tuple t is therefore
     the sum of essential_occurrences(sigma, u, t) * weight over the inputs.
     Letters are not checked against the domain.
     """
@@ -272,7 +275,7 @@ def _essential_sweep(
         end = len(image)
         last_start = end - len(images[letters[-1]])
         for s in range(len(images[letters[0]])):
-            for e in range(max(last_start + 1, s + lo), min(end, s + hi) + 1):
+            for e in range(max(last_start, s) + 1, min(end, s + max_len) + 1):
                 factor = image[s:e]
                 sums[factor] = get(factor, 0) + weight
     return sums

@@ -28,7 +28,7 @@ class ParseError(Exception):
 
 
 _HeaderReader = Callable[[str, list[str]], Any]
-_BodyHandler = Callable[[int, str, dict[str, Any]], None]
+_BodyHandler = Callable[[list[tuple[int, str]], dict[str, Any]], None]
 
 
 def _read_format(
@@ -36,34 +36,41 @@ def _read_format(
 ) -> tuple[dict[str, Any], dict[str, int], int]:
     """Walk the content lines (not blank, not ``#`` comments) of one format.
 
-    Each ``!name`` line is read once, by ``readers[name]``; an unknown or
-    duplicate name is an error before any value is read.  Every other line
-    goes to ``body`` in file order, with the headers read so far.  A
-    ``ValueError`` from a reader or from ``body`` is reported at its line;
-    with ``required``, a missing header at the last content line.  Returns
-    the headers and their lines by name, and the last content line.
+    A ``!name`` line is read by ``readers[name]``; an unknown or duplicate
+    name, or a ``ValueError`` from the reader, is an error at that line.  Each
+    run of other lines between two headers goes to ``body`` in one call, as
+    ``(line number, line)`` pairs with the headers read before it, and
+    ``body`` raises its own ParseError.  With ``required``, a missing header
+    is an error at the last content line.  Returns the headers and their lines
+    by name, and the last content line.
     """
     headers: dict[str, Any] = {}
     lines: dict[str, int] = {}
+    run: list[tuple[int, str]] = []
     last_line = 1
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         last_line = number
+        if line[0] != "!":
+            run.append((number, line))
+            continue
+        if run:
+            body(run, headers)
+            run = []
+        name, *fields = line.split()
+        if name not in readers:
+            raise ParseError(number, f"unknown header {name!r}")
+        if name in headers:
+            raise ParseError(number, f"duplicate {name} header")
         try:
-            if not line.startswith("!"):
-                body(number, line, headers)
-                continue
-            name, *fields = line.split()
-            if name not in readers:
-                raise ParseError(number, f"unknown header {name!r}")
-            if name in headers:
-                raise ParseError(number, f"duplicate {name} header")
             headers[name] = readers[name](name, fields)
-            lines[name] = number
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None
+        lines[name] = number
+    if run:
+        body(run, headers)
     if required:
         for name in readers:
             if name not in headers:
@@ -105,18 +112,22 @@ def parse_morphism(text: str) -> Morphism:
     """
     rules: list[tuple[int, str, list[str]]] = []
 
-    def rule(number: int, line: str, headers: dict[str, Any]) -> None:
-        fields = line.split()
-        if len(fields) < 2 or fields[1] != "->":
-            raise ValueError("expected a rule of the form '<letter> -> <letter> ...'")
-        if len(fields) < 3:
-            raise ValueError(f"empty image for {fields[0]!r}")
-        for token in (fields[0], *fields[2:]):
-            _check_token(token)
-        rules.append((number, fields[0], fields[2:]))
+    def rule_lines(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
+        try:
+            for number, line in run:
+                fields = line.split()
+                if len(fields) < 2 or fields[1] != "->":
+                    raise ValueError("expected a rule of the form '<letter> -> <letter> ...'")
+                if len(fields) < 3:
+                    raise ValueError(f"empty image for {fields[0]!r}")
+                for token in (fields[0], *fields[2:]):
+                    _check_token(token)
+                rules.append((number, fields[0], fields[2:]))
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from None
 
     headers, lines, last_line = _read_format(
-        text, {"!domain": _alphabet_header, "!codomain": _alphabet_header}, rule
+        text, {"!domain": _alphabet_header, "!codomain": _alphabet_header}, rule_lines
     )
     if not rules:
         raise ParseError(last_line, "no morphism rules found")
@@ -163,33 +174,38 @@ def parse_measure(text: str) -> MeasureTable:
     weights: dict[tuple[int, ...], Fraction] = {}
     parsed: dict[str, Fraction] = {}  # by value text: a table repeats few distinct values
 
-    def entry(number: int, line: str, headers: dict[str, Any]) -> None:
+    def entries(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
         alphabet, depth = headers.get("!alphabet"), headers.get("!depth")
         if alphabet is None or depth is None:
-            raise ValueError("!alphabet and !depth headers must precede entries")
-        left, tab, right = line.partition("\t")
-        if not tab:
-            raise ValueError("entry needs a tab between the word and its value")
-        tokens = left.split()
-        if not tokens:
-            raise ValueError("entry for the empty word is not allowed")
+            raise ParseError(run[0][0], "!alphabet and !depth headers must precede entries")
+        index = alphabet._indices.__getitem__
         try:
-            letters = tuple([alphabet._indices[t] for t in tokens])
-        except KeyError:
-            alphabet.word(tokens)  # raises the error for the first unknown token
-        if len(letters) > depth:
-            raise ValueError(f"word '{' '.join(tokens)}' is longer than the declared depth {depth}")
-        if letters in weights:
-            raise ValueError(f"duplicate entry for '{' '.join(tokens)}'")
-        value_text = right.strip()
-        if value_text not in parsed:
-            parsed[value_text] = _parse_rational(value_text)
-        weights[letters] = parsed[value_text]
+            for number, line in run:
+                left, tab, right = line.partition("\t")
+                if not tab:
+                    raise ValueError("entry needs a tab between the word and its value")
+                tokens = left.split()
+                if not tokens:
+                    raise ValueError("entry for the empty word is not allowed")
+                try:
+                    letters = tuple([*map(index, tokens)])
+                except KeyError:
+                    alphabet.word(tokens)  # raises the error for the first unknown token
+                if len(letters) > depth:
+                    raise ValueError(f"word '{' '.join(tokens)}' is longer than the declared depth {depth}")
+                if letters in weights:
+                    raise ValueError(f"duplicate entry for '{' '.join(tokens)}'")
+                value_text = right.strip()
+                if value_text not in parsed:
+                    parsed[value_text] = _parse_rational(value_text)
+                weights[letters] = parsed[value_text]
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from None
 
     headers, _, _ = _read_format(
         text,
         {"!alphabet": _alphabet_header, "!depth": _count_header, "!mass": _mass_header},
-        entry,
+        entries,
         required=True,
     )
     if not all(parsed.values()):  # zero entries were kept to catch their duplicates
@@ -232,13 +248,17 @@ def parse_language(text: str) -> FactorLanguage:
     so words longer than the cap contribute their factors."""
     words: list[Word] = []
 
-    def word(number: int, line: str, headers: dict[str, Any]) -> None:
+    def word_lines(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
         if "!alphabet" not in headers:
-            raise ValueError("!alphabet header must precede words")
-        words.append(headers["!alphabet"].word(line.split()))
+            raise ParseError(run[0][0], "!alphabet header must precede words")
+        try:
+            for number, line in run:
+                words.append(headers["!alphabet"].word(line.split()))
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from None
 
     headers, _, _ = _read_format(
-        text, {"!alphabet": _alphabet_header, "!maxlen": _count_header}, word, required=True
+        text, {"!alphabet": _alphabet_header, "!maxlen": _count_header}, word_lines, required=True
     )
     return factorial_closure(headers["!alphabet"], words, headers["!maxlen"])
 

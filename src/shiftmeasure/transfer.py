@@ -1,14 +1,14 @@
 """Measure transfer along a non-erasing morphism, by two independent routes.
 
-The direct route evaluates the transferred weight of a target word as an
-essential-occurrence sum against the stored support of the input table.  It
-images each support word once and credits every essential occurrence to its
-target in the same pass, so a whole table costs one sweep of the support
-rather than one per target, summing int numerators over the table's common
-denominator.  The decomposition route reweights the table along the
-subdivision part of the canonical decomposition and pushes the result
-through the letter-to-letter part, on Fraction.  The two routes produce
-identical tables and are kept separate as a structural cross-check.
+The direct route sums essential occurrences against the stored support of
+the input table, on int numerators over a common denominator.  A whole
+table is one sweep: each support word is imaged once and every essential
+occurrence is credited to its target.  One target is a pruned count: only
+the support words whose first letter block can start it are imaged.  The
+decomposition route reweights the table along the subdivision part of the
+canonical decomposition and pushes the result through the letter-to-letter
+part, on Fraction.  The two routes produce identical tables and are kept
+separate as a structural cross-check.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Mapping
 from .measure import MeasureTable, _scaled, _unscaled
 from .morphism import (
     Morphism,
+    _essential_count,
     _essential_sweep,
     _image_letters,
     canonical_decomposition,
@@ -57,13 +58,12 @@ def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
 
 
 def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
-    """Transferred weight of one codomain word.
+    """Transferred weight of one codomain word: the sum of m(u) * ess(u, target).
 
-    Sweeps the support of m for essential occurrences of exactly the
-    target's length, on _scaled numerators, and reads the target's sum.
-    Support words longer than the required input depth of the target cannot
-    carry one and are skipped.  The empty target yields the total transferred
-    mass, where each letter block contributes its length.
+    A pruned count, not a sweep: of the support words no longer than the
+    required input depth, only those whose first letter block can start the
+    target are imaged, and only weights with a nonzero count are _scaled and
+    summed.  The empty target yields the total transferred mass.
     """
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
@@ -74,9 +74,13 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
         raise DepthError(required, m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    den, support = _scaled({u: mu for u, mu in m._weights.items() if len(u) <= required})
-    swept = _essential_sweep(sigma, support.items(), len(target), len(target))
-    return _unscaled(swept.get(target.letters, 0), den)
+    pattern, images = target.letters, [img.letters for img in sigma.images]
+    starts = [any(img[s : s + len(pattern)] == pattern[: len(img) - s] for s in range(len(img)))
+              for img in images]
+    counts = {u: n for u in m._weights
+              if len(u) <= required and starts[u[0]] and (n := _essential_count(images, u, pattern))}
+    den, support = _scaled({u: m._weights[u] for u in counts})
+    return _unscaled(sum([n * support[u] for u, n in counts.items()]), den)
 
 
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:
@@ -97,7 +101,7 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
         raise DepthError(required, m.depth)
     kept = {u: mu for u, mu in m._weights.items() if len(u) <= required}
     den, support = _scaled(kept)
-    swept = _essential_sweep(sigma, support.items(), 1, out_depth)
+    swept = _essential_sweep(sigma, support.items(), out_depth)
     if support is not kept:  # int sums: one Fraction per distinct sum
         exact = {n: Fraction(n, den) for n in set(swept.values())}
         swept = {t: exact[n] for t, n in swept.items()}

@@ -8,6 +8,7 @@ field, with Fraction values."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import gen
@@ -25,7 +26,7 @@ from shiftmeasure import (
     transfer_via_decomposition,
     validate,
 )
-from shiftmeasure import measure, transfer
+from shiftmeasure import measure, morphism, transfer
 from shiftmeasure.measure import _SCALE_CAP, _scaled
 from shiftmeasure.morphism import _essential_sweep
 from shiftmeasure.transfer import _transferred_mass
@@ -62,14 +63,14 @@ def _validate_on_fractions(m):
 def _transfer_table_on_fractions(sigma, m, out_depth):
     required = required_input_depth(sigma, out_depth)
     support = ((u, mu) for u, mu in m._weights.items() if len(u) <= required)
-    swept = _essential_sweep(sigma, support, 1, out_depth)
+    swept = _essential_sweep(sigma, support, out_depth)
     return MeasureTable._trusted(sigma.codomain, out_depth, swept, _transferred_mass(sigma, m))
 
 
 def _transfer_eval_on_fractions(sigma, m, target):
     required = required_input_depth(sigma, len(target))
     support = ((u, mu) for u, mu in m._weights.items() if len(u) <= required)
-    swept = _essential_sweep(sigma, support, len(target), len(target))
+    swept = _essential_sweep(sigma, support, len(target))
     return Fraction(swept.get(target.letters, 0))
 
 
@@ -271,3 +272,78 @@ def test_the_fallback_validate_adds_no_fraction_to_an_int(monkeypatch):
     validate(m)
     monkeypatch.undo()
     assert reverse == []
+
+
+def test_eval_matches_the_fraction_sums_on_every_kind_of_target(monkeypatch):
+    """transfer_eval's pruned count against the sweep it replaced, with targets
+    of length 1, of weight zero and longer than any image, tables deeper than
+    the required depth, and matched weights over the cap."""
+    rng = random.Random(84)
+    seen = Counter()
+    scaled_calls = []
+
+    def recording(weights):
+        den, numerators = _scaled(weights)
+        scaled_calls.append(bool(weights) and numerators is weights)
+        return den, numerators
+
+    monkeypatch.setattr(transfer, "_scaled", recording)
+    for _ in range(40):
+        domain, codomain = gen.alphabet(rng.randint(1, 3)), gen.alphabet(rng.randint(1, 3), 3)
+        sigma = gen.random_morphism(rng, domain, codomain)
+        longest = max(len(img) for img in sigma.images)
+        length = rng.choice([1, 2, longest + 1, longest + 3])
+        required = required_input_depth(sigma, length)
+        for m in _seeded_tables(rng, domain, required + rng.randint(0, 2)):
+            deep = any(len(u) > required for u in m._weights)
+            for target in [gen.random_word(rng, codomain, length) for _ in range(6)]:
+                value = transfer_eval(sigma, m, target)
+                assert value == _transfer_eval_on_fractions(sigma, m, target)
+                assert type(value) is Fraction
+                seen["zero" if value == 0 else "nonzero"] += 1
+                seen["length 1"] += length == 1
+                seen["longer than any image"] += length > longest
+                seen["deep support"] += deep
+    seen["matched over the cap"] = sum(scaled_calls)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monkeypatch):
+    """No sweep: each support word up to the required depth whose first block
+    agrees with the target on their overlap is imaged once, and no other."""
+    rng = random.Random(85)
+    cases = []
+    for _ in range(60):
+        sigma = gen.random_morphism(rng, gen.alphabet(3), gen.alphabet(2, 3))
+        target = gen.random_nonempty_word(rng, sigma.codomain, 5)
+        m = gen.random_orbit_table(rng, sigma.domain, required_input_depth(sigma, len(target)) + 1)
+        cases.append((sigma, m, target, _transfer_eval_on_fractions(sigma, m, target)))
+
+    def forbidden(*args):
+        raise AssertionError("transfer_eval swept the support")
+
+    imaged = []
+    real = morphism._image_letters
+
+    def recording(images, letters):
+        imaged.append(letters)
+        return real(images, letters)
+
+    monkeypatch.setattr(transfer, "_essential_sweep", forbidden)
+    monkeypatch.setattr(morphism, "_image_letters", recording)
+    pruned = 0
+    for sigma, m, target, expected in cases:
+        imaged.clear()
+        assert transfer_eval(sigma, m, target) == expected
+        t = target.letters
+
+        def can_start(img):
+            return any(all(img[s + i] == t[i] for i in range(min(len(t), len(img) - s)))
+                       for s in range(len(img)))
+
+        required = required_input_depth(sigma, len(t))
+        wanted = [u for u in m._weights
+                  if len(u) <= required and can_start(sigma.images[u[0]].letters)]
+        assert sorted(imaged) == sorted(wanted)
+        pruned += sum(1 for u in m._weights if len(u) <= required) - len(wanted)
+    assert pruned >= 150

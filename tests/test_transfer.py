@@ -265,19 +265,18 @@ def test_sweep_counts_essential_occurrences_within_candidate_lengths():
     counted multiplicity, and the word's length lies in the key's
     candidate-length interval."""
     for sigma, m, out_depth in _sweep_cases(59, 30):
-        lo = min(2, out_depth)
         for u in m.values:
-            swept = _essential_sweep(sigma, [(u.letters, 1)], lo, out_depth)
+            swept = _essential_sweep(sigma, [(u.letters, 1)], out_depth)
             for letters, count in swept.items():
                 target = Word(sigma.codomain, letters)
-                assert lo <= len(target) <= out_depth
+                assert 1 <= len(target) <= out_depth
                 assert count == essential_occurrences(sigma, u, target)
                 if len(target) >= 2:
                     shortest, longest = candidate_lengths(sigma, len(target))
                     assert shortest <= len(u) <= longest
             image = apply(sigma, u)
             for target in factors(image, out_depth):
-                if len(target) >= lo and essential_occurrences(sigma, u, target):
+                if essential_occurrences(sigma, u, target):
                     assert target.letters in swept
 
 
