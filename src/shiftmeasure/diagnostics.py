@@ -7,14 +7,12 @@ of the unbounded property; a non-empty report is a genuine counterexample.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .language import FactorLanguage
-from .morphism import Morphism, _image_letters, apply
-from .transfer import DepthError
-from .words import Alphabet, Word, _least_rotation, _lyndon_count, _lyndon_words, _root_letters
+from .morphism import DepthError, Morphism, _image_letters
+from .words import Alphabet, Word, _least_rotation, _lyndon_counts, _lyndon_words, _root_letters
 
 
 @dataclass(frozen=True, init=False)
@@ -89,8 +87,8 @@ def _primitive_representatives(
         size = len(sigma.domain)
         count = 0
         # Over one letter no Lyndon word is longer than 1, whatever the bound.
-        for k in range(1, bound + 1 if size > 1 else 2):
-            count += _lyndon_count(size, k)
+        for k, lyndon in zip(range(1, bound + 1 if size > 1 else 2), _lyndon_counts(size)):
+            count += lyndon
             if count > FULL_SHIFT_BUDGET:
                 raise ValueError(
                     f"bound {bound} is over the work budget: the full shift over {size} "
@@ -176,10 +174,10 @@ def prolongation_split(
 ) -> tuple[set[Word], set[Word], set[Word]]:
     """Split the n-step two-sided prolongations of w by preimage ambiguity.
 
-    Returns (W, U, A): W holds every uwv in the language with |u| = |v| = n;
-    a prolongation is unambiguous (in U) when every language word with the
-    same image has the same middle w, and ambiguous (in A) otherwise.  Only
-    defined for letter-to-letter morphisms.
+    Returns (W, U, A): W holds every uwv in the language with |u| = |v| = n.
+    The language words of that length are grouped by image, and a
+    prolongation is ambiguous (in A) when its group holds a middle other than
+    w, unambiguous (in U) otherwise.  Only for letter-to-letter morphisms.
     """
     if not sigma.is_letter_to_letter:
         raise ValueError("the prolongation split requires a letter-to-letter morphism")
@@ -187,29 +185,19 @@ def prolongation_split(
         raise ValueError("language alphabet must be the domain of the morphism")
     if n < 0:
         raise ValueError("prolongation length must be >= 0")
-    if len(w) + 2 * n > language.maxlen:
-        raise DepthError(len(w) + 2 * n, language.maxlen)
+    total_len = len(w) + 2 * n
+    if total_len > language.maxlen:
+        raise DepthError(total_len, language.maxlen)
     if w not in language:
         raise ValueError(f"word '{w}' is not in the language")
-    middle = w.letters
-    total_len = len(w) + 2 * n
-    prolongations = {
-        x
-        for x in language.words
-        if len(x) == total_len and x.letters[n : n + len(w)] == middle
-    }
-    preimages: dict[int, list[int]] = {}
-    for i, img in enumerate(sigma.images):
-        preimages.setdefault(img.letters[0], []).append(i)
-    unambiguous: set[Word] = set()
-    ambiguous: set[Word] = set()
-    for x in prolongations:
-        image = apply(sigma, x)
-        options = [preimages.get(b, []) for b in image.letters]
-        clean = True
-        for combo in itertools.product(*options):
-            if combo[n : n + len(w)] != middle and Word(sigma.domain, combo) in language:
-                clean = False
-                break
-        (unambiguous if clean else ambiguous).add(x)
-    return prolongations, unambiguous, ambiguous
+    letter = [img.letters[0] for img in sigma.images]
+    middles: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    prolongations: dict[Word, tuple[int, ...]] = {}
+    for x in language.words:
+        if len(x) == total_len:
+            image = tuple([letter[i] for i in x.letters])
+            middles.setdefault(image, set()).add(x.letters[n : total_len - n])
+            if x.letters[n : total_len - n] == w.letters:
+                prolongations[x] = image
+    ambiguous = {x for x, image in prolongations.items() if len(middles[image]) > 1}
+    return set(prolongations), set(prolongations) - ambiguous, ambiguous

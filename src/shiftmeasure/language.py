@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .morphism import Morphism, _essential_sweep
-from .transfer import DepthError, required_input_depth
+from .morphism import Morphism, _essential_sweep, _require_depth
 from .words import Alphabet, Word, factors, iter_words, primitive_root
 
 
@@ -104,9 +103,7 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
         raise ValueError("language alphabet must be the domain of the morphism")
     if n < 1:
         raise ValueError("maxlen must be >= 1")
-    required = required_input_depth(sigma, n)
-    if language.maxlen < required:
-        raise DepthError(required, language.maxlen)
+    required = _require_depth(sigma, n, language.maxlen)
     swept = _essential_sweep(
         sigma, ((u.letters, 1) for u in language.words if len(u) <= required), n
     )

@@ -142,9 +142,9 @@ def validate(m: MeasureTable) -> list[Violation]:
     zero = Fraction(0) if weights is m._weights else 0  # int 0 + Fraction is slow
     left_sums: dict[tuple[int, ...], int | Fraction] = {}
     right_sums: dict[tuple[int, ...], int | Fraction] = {}
-    level = [zero] * (m.depth + 1)
+    level: dict[int, int | Fraction] = {}
     for u, v in weights.items():
-        level[len(u)] += v
+        level[len(u)] = level.get(len(u), zero) + v
         if len(u) >= 2:
             left_sums[u[1:]] = left_sums.get(u[1:], zero) + v
             right_sums[u[:-1]] = right_sums.get(u[:-1], zero) + v
@@ -159,8 +159,10 @@ def validate(m: MeasureTable) -> list[Violation]:
             if actual != expected:
                 out.append(Violation(kind, Word(m.alphabet, u), None,
                                      _unscaled(expected, den), _unscaled(actual, den)))
-    for length, total in enumerate(level[1:], 1):
-        if total != m.total_mass * den:
+    mass = m.total_mass * den
+    # Mass 0: only the support's levels can break; else each level broken is a line.
+    for length in range(1, m.depth + 1) if mass else sorted(level):
+        if (total := level.get(length, zero)) != mass:
             out.append(Violation("level-sum", None, length, m.total_mass, _unscaled(total, den)))
     return out
 

@@ -3,9 +3,10 @@
 A morphism is fixed by one non-empty image word per domain letter.  Besides
 application and composition this module provides the incidence matrix, the
 canonical decomposition into a subdivision morphism followed by a
-letter-to-letter morphism, and the essential-occurrence count that drives
-cylinder evaluation of transferred measures, together with the one-pass sweep
-that sums it over many input words and targets at once.
+letter-to-letter morphism, the essential-occurrence count that drives
+cylinder evaluation of transferred measures with the one-pass sweep that sums
+it over many input words and targets at once, and the input-depth bound
+(DepthError) that the transfer, the image language and candidate_lengths share.
 """
 
 from __future__ import annotations
@@ -166,6 +167,33 @@ def norms(sigma: Morphism) -> tuple[int, int]:
     return max(lengths), min(lengths)
 
 
+class DepthError(ValueError):
+    """An input table or language is too shallow for the requested output."""
+
+    def __init__(self, required: int, actual: int):
+        super().__init__(
+            f"input depth {actual} is insufficient: depth >= {required} is required"
+        )
+        self.required = required
+        self.actual = actual
+
+
+def required_input_depth(sigma: Morphism, out_len: int) -> int:
+    """Smallest input depth that determines every transferred weight on
+    words up to the given output length."""
+    if out_len < 0:
+        raise ValueError("output length must be >= 0")
+    return 1 if out_len <= 1 else (out_len - 2) // norms(sigma)[1] + 2
+
+
+def _require_depth(sigma: Morphism, out_len: int, depth: int) -> int:
+    """required_input_depth(sigma, out_len), or DepthError when depth is below it."""
+    required = required_input_depth(sigma, out_len)
+    if depth < required:
+        raise DepthError(required, depth)
+    return required
+
+
 def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morphism:
     """The morphism a -> a.1 ... a.k (k = lengths[a]) into fresh letters.
 
@@ -286,7 +314,4 @@ def candidate_lengths(sigma: Morphism, target_len: int) -> tuple[int, int]:
     target of the given length; only defined for target_len >= 2."""
     if target_len < 2:
         raise ValueError("the candidate-length bound applies to targets of length >= 2")
-    max_len, min_len = norms(sigma)
-    lo = -(-target_len // max_len)
-    hi = (target_len - 2) // min_len + 2
-    return lo, hi
+    return -(-target_len // norms(sigma)[0]), required_input_depth(sigma, target_len)

@@ -8,7 +8,8 @@ the support words whose first letter block can start it are imaged.  The
 decomposition route reweights the table along the subdivision part of the
 canonical decomposition and pushes the result through the letter-to-letter
 part, on Fraction.  The two routes produce identical tables and are kept
-separate as a structural cross-check.
+separate as a structural cross-check; both take the input-depth bound and
+DepthError from morphism.
 """
 
 from __future__ import annotations
@@ -22,33 +23,12 @@ from .morphism import (
     _essential_count,
     _essential_sweep,
     _image_letters,
+    _require_depth,
     canonical_decomposition,
-    norms,
     subdivision_morphism,
 )
+from .morphism import DepthError, required_input_depth  # noqa: F401  still importable from here
 from .words import Word
-
-
-class DepthError(ValueError):
-    """An input table or language is too shallow for the requested output."""
-
-    def __init__(self, required: int, actual: int):
-        super().__init__(
-            f"input depth {actual} is insufficient: depth >= {required} is required"
-        )
-        self.required = required
-        self.actual = actual
-
-
-def required_input_depth(sigma: Morphism, out_len: int) -> int:
-    """Smallest input depth that determines every transferred weight on
-    words up to the given output length."""
-    if out_len < 0:
-        raise ValueError("output length must be >= 0")
-    if out_len <= 1:
-        return 1
-    _, min_len = norms(sigma)
-    return (out_len - 2) // min_len + 2
 
 
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
@@ -69,9 +49,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
         raise ValueError("table alphabet must be the domain of the morphism")
     if target.alphabet != sigma.codomain:
         raise ValueError("target word must be over the codomain of the morphism")
-    required = required_input_depth(sigma, len(target))
-    if m.depth < required:
-        raise DepthError(required, m.depth)
+    required = _require_depth(sigma, len(target), m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
     pattern, images = target.letters, [img.letters for img in sigma.images]
@@ -96,9 +74,7 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
         raise ValueError("output depth must be >= 1")
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
-    required = required_input_depth(sigma, out_depth)
-    if m.depth < required:
-        raise DepthError(required, m.depth)
+    required = _require_depth(sigma, out_depth, m.depth)
     kept = {u: mu for u, mu in m._weights.items() if len(u) <= required}
     den, support = _scaled(kept)
     swept = _essential_sweep(sigma, support.items(), out_depth)
@@ -120,9 +96,7 @@ def subdivision_measure(
     if out_depth < 1:
         raise ValueError("output depth must be >= 1")
     pi = subdivision_morphism(m.alphabet, lengths)
-    required = required_input_depth(pi, out_depth)
-    if m.depth < required:
-        raise DepthError(required, m.depth)
+    required = _require_depth(pi, out_depth, m.depth)
     # subdivision letter -> (base letter, 1-based position, block length)
     info: dict[int, tuple[int, int, int]] = {}
     for i, img in enumerate(pi.images):

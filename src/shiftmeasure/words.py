@@ -236,20 +236,13 @@ def _lyndon_words(size: int, n: int) -> list[tuple[int, ...]]:
     return [x for group in by_length for x in group]
 
 
-def _lyndon_count(size: int, n: int) -> int:
-    """Number of Lyndon words of length exactly n >= 1 over size letters, by
-    Moreau's formula (1/n) * sum over d | n of mobius(d) * size**(n/d)."""
-    return sum(_mobius(d) * size ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+def _lyndon_counts(size: int) -> Iterator[int]:
+    """The numbers of Lyndon words of length 1, 2, ... over size letters.
 
-
-def _mobius(n: int) -> int:
-    """The Moebius function of n >= 1, by trial division."""
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
+    Each word of length k is a power of a primitive word of a length d
+    dividing k, and each primitive class of length d has d rotations and one
+    Lyndon representative, so size**k is the sum over d | k of d * L(d)."""
+    counts = [0]
+    for k in itertools.count(1):
+        counts.append((size**k - sum([d * counts[d] for d in range(1, k) if k % d == 0])) // k)
+        yield counts[k]

@@ -2,7 +2,9 @@
 oracle, invariance laws that justify per-class checking, and the
 prolongation split."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from shiftmeasure import (
     Alphabet,
     DepthError,
     Morphism,
+    Word,
     apply,
     check_period_preservation,
     check_periodic_orbit_injectivity,
@@ -22,6 +25,7 @@ from shiftmeasure import (
     is_rotation,
     iter_words,
     min_rotation,
+    periodic_orbit_language,
     primitive_root,
     prolongation_split,
     subdivision_morphism,
@@ -341,6 +345,71 @@ def test_prolongation_split_matches_direct_scan():
             if tuple(str(x).split()[n : n + len(w)]) == w.tokens:
                 expected.add(x)
         assert prolongations == expected
+
+
+def _prolongation_split_oracle(sigma, language, w, n):
+    """The split by enumeration in the free monoid: every preimage tuple of a
+    prolongation's image is built as a word and looked up in the language."""
+    middle = w.letters
+    total_len = len(w) + 2 * n
+    prolongations = {
+        x
+        for x in language.words
+        if len(x) == total_len and x.letters[n : n + len(w)] == middle
+    }
+    preimages = {}
+    for i, img in enumerate(sigma.images):
+        preimages.setdefault(img.letters[0], []).append(i)
+    unambiguous, ambiguous = set(), set()
+    for x in prolongations:
+        options = [preimages.get(b, []) for b in apply(sigma, x).letters]
+        clean = True
+        for combo in itertools.product(*options):
+            if combo[n : n + len(w)] != middle and Word(sigma.domain, combo) in language:
+                clean = False
+                break
+        (unambiguous if clean else ambiguous).add(x)
+    return prolongations, unambiguous, ambiguous
+
+
+def test_prolongation_split_matches_preimage_enumeration():
+    """Seeded cases over 1-4 domain and 1-3 codomain letters, on full shifts
+    and on thin languages that hold same-image twins, at every allowed n."""
+    rng = random.Random(67)
+    cases = Counter()
+    while sum(cases.values()) < 3000:
+        domain, codomain = gen.alphabet(rng.randint(1, 4)), gen.alphabet(rng.randint(1, 3), start=4)
+        sigma = _random_letter_map(rng, domain, codomain)
+        maxlen = rng.randint(1, 5 if len(domain) < 4 else 4)
+        full = rng.random() < 0.4
+        if full:
+            language = full_shift_language(domain, maxlen)
+        else:
+            seeds = [gen.random_word(rng, domain, maxlen) for _ in range(rng.randint(1, 6))]
+            for seed in seeds[: rng.randint(0, len(seeds))]:
+                i = rng.randrange(maxlen)
+                twins = [j for j, img in enumerate(sigma.images) if img == sigma.images[seed.letters[i]]]
+                seeds.append(Word(domain, seed.letters[:i] + (rng.choice(twins),) + seed.letters[i + 1 :]))
+            language = factorial_closure(domain, seeds, maxlen)
+        words = sorted(language.words, key=Word.sort_key)
+        w = rng.choice([x for x in words if len(x) <= maxlen - 2] or words)
+        for n in range((maxlen - len(w)) // 2 + 1):
+            got = prolongation_split(sigma, language, w, n)
+            assert got == _prolongation_split_oracle(sigma, language, w, n)
+            cases[full, min(n, 2), bool(got[1]), bool(got[2])] += 1
+    for full in (False, True):
+        assert sum(c for (f, n, _, _), c in cases.items() if f == full and n == 2) >= 10
+        for split in ((True, False), (False, True)):
+            assert sum(c for (f, _, *s), c in cases.items() if f == full and tuple(s) == split) >= 300
+    assert sum(c for (_, _, u, a), c in cases.items() if u and a) >= 10
+    # The collapse of four letters onto one over the orbit of a: a^9 has 4^9
+    # preimage tuples, one of them in the language.
+    collapse = Morphism.from_images("abcd", "c", {t: "c" for t in "abcd"})
+    language = periodic_orbit_language(collapse.domain.word("a"), 9)
+    nine = collapse.domain.word("a" * 9)
+    expected = ({nine}, {nine}, set())
+    assert prolongation_split(collapse, language, nine, 0) == expected
+    assert _prolongation_split_oracle(collapse, language, nine, 0) == expected
 
 
 def test_prolongation_split_errors():

@@ -159,6 +159,22 @@ def test_validate_matches_the_fraction_sums():
     assert scaled >= 200 and fallback >= 100 and broken >= 150
 
 
+def test_validate_does_no_work_sized_by_the_declared_depth():
+    ab = gen.alphabet(2)
+    assert validate(MeasureTable(ab, 10**12, {}, 0)) == []
+    lone = validate(MeasureTable(ab, 10**12, {ab.word("a"): Fraction(1, 2)}, 0))
+    assert _fields(lone) == [
+        ("left-extension", ab.word("a"), None, Fraction(1, 2), 0),
+        ("right-extension", ab.word("a"), None, Fraction(1, 2), 0),
+        ("level-sum", None, 1, 0, Fraction(1, 2)),
+    ]
+    values = {ab.word("a"): Fraction(1, 2), ab.word("b"): Fraction(1, 2), ab.word("ab"): Fraction(1, 2)}
+    deep = MeasureTable(ab, 10**4, values, 1)
+    got = _assert_same_violations(deep)
+    assert [v.level for v in got if v.kind == "level-sum"] == list(range(2, 10**4 + 1))
+    assert len(_assert_same_violations(MeasureTable(ab, 10**4, {}, 1))) == 10**4
+
+
 def test_transfer_matches_the_fraction_sums():
     rng = random.Random(82)
     scaled = fallback = evaluated = 0

@@ -1,7 +1,9 @@
 """Measure transfer: the evaluation formulas, the two routes, the depth
 preconditions, and the structural identities that tie the modules together."""
 
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -79,6 +81,24 @@ def test_depth_shortfall_raises_with_the_required_depth():
     assert "2" in str(err.value)
     with pytest.raises(DepthError):
         transfer_table(SIGMA4, m, 2)
+
+
+def test_the_depth_bound_lives_in_morphism():
+    """DepthError and required_input_depth are defined once, in morphism;
+    transfer still exposes them, and language and diagnostics import nothing
+    from transfer."""
+    import shiftmeasure
+    from shiftmeasure import diagnostics, language, morphism, transfer
+
+    assert transfer.DepthError is shiftmeasure.DepthError is morphism.DepthError
+    assert transfer.required_input_depth is shiftmeasure.required_input_depth
+    assert shiftmeasure.required_input_depth is morphism.required_input_depth
+    for module in (language, diagnostics):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        sources = {(node.level, node.module) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        assert (1, "transfer") not in sources and (0, "shiftmeasure.transfer") not in sources
+        assert (1, "morphism") in sources
 
 
 def test_alphabet_mismatches_raise():
