@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
+import os
 import sys
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -30,6 +32,7 @@ from .transfer import transfer_eval, transfer_table
 from .words import Alphabet
 
 _T = TypeVar("_T")
+_BLOCK_LINES = 4096  # check writes in blocks: memory follows the block, not the report
 
 
 class _Failure(Exception):
@@ -147,7 +150,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     language = None if args.language is None else _load(parse_language, args.language)
     period, orbit = _reports(sigma, language, args.bound)
-    print("\n".join([period.render()] + orbit.lines()))
+    lines = itertools.chain([f"BOUND {args.bound}"], period._lines(), orbit._lines())
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
     return 1 if period or orbit else 0
 
 
@@ -216,7 +221,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:  # the reader closed stdout: let the flush at exit go to devnull
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # a StringIO has no fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.code

@@ -3,16 +3,19 @@
 Every check here inspects periodic orbits of bounded period only.  An empty
 report is therefore a necessary condition at the stated bound, never a proof
 of the unbounded property; a non-empty report is a genuine counterexample.
+One pass scans each image once for its exponent and the least rotation of
+its primitive root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
-from .words import Alphabet, Word, _least_rotation, _lyndon_counts, _lyndon_words, _root_letters
+from .words import Alphabet, Word, _lyndon_counts, _lyndon_words, _root_rotation
 
 
 @dataclass(frozen=True, init=False)
@@ -54,8 +57,11 @@ class ViolationReport:
         return bool(self._letters)
 
     def lines(self) -> list[str]:
+        return list(self._lines())
+
+    def _lines(self) -> Iterator[str]:  # lines(), one at a time
         symbols, head = self._domain.symbols if self._domain else (), f"VIOLATION {self.kind} "
-        return [head + " ".join([symbols[i] for part in c for i in part]) for c in self._letters]
+        return (head + " ".join([symbols[i] for part in c for i in part]) for c in self._letters)
 
     def render(self) -> str:
         return "\n".join([f"BOUND {self.bound}"] + self.lines())
@@ -100,11 +106,8 @@ def _primitive_representatives(
         raise ValueError("language alphabet must be the domain of the morphism")
     if not 1 <= bound <= language.maxlen:
         raise ValueError(f"bound {bound} outside 1..{language.maxlen}")
-    representatives = {
-        _least_rotation(w.letters)
-        for w in language.words
-        if len(w) <= bound and _root_letters(w.letters)[1] == 1
-    }
+    scans = (_root_rotation(w.letters) for w in language.words if len(w) <= bound)
+    representatives = {key for key, exponent in scans if exponent == 1}
     return sorted(representatives, key=lambda letters: (len(letters), letters))
 
 
@@ -121,11 +124,11 @@ def _reports(
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     powers, placed, count = [], [], 0
     for rep in _primitive_representatives(sigma, language, bound):
-        root, exponent = _root_letters(_image_letters(images, rep))
+        key, exponent = _root_rotation(_image_letters(images, rep))
         if exponent >= 2:
             powers.append(rep)
             count += 1
-        group = groups.setdefault(_least_rotation(root), [])
+        group = groups.setdefault(key, [])
         count += len(group)
         if count > CERTIFICATE_BUDGET:
             raise ValueError(

@@ -5,8 +5,8 @@ application and composition this module provides the incidence matrix, the
 canonical decomposition into a subdivision morphism followed by a
 letter-to-letter morphism, the essential-occurrence count that drives
 cylinder evaluation of transferred measures with the one-pass sweep that sums
-it over many input words and targets at once, and the input-depth bound
-(DepthError) that the transfer, the image language and candidate_lengths share.
+it over many input words and targets at once, and the input-depth bound (per
+word, _window) that the transfer, the image language and candidate_lengths share.
 """
 
 from __future__ import annotations
@@ -278,6 +278,15 @@ def _essential_count(images: Sequence[tuple[int, ...]], letters: tuple[int, ...]
         if image[s : s + m] == pattern:
             count += 1
     return count
+
+
+def _window(sigma: Morphism, words: Iterable[tuple[int, ...]], max_len: int) -> list:
+    """The letter tuples u that can have an essential occurrence of length <= max_len.  For
+    |u| >= 2 each covers sigma(u_2 ... u_{n-1}) and a letter on each side; this implies the
+    sumless test |u| <= required_input_depth(sigma, max_len), so that one runs first."""
+    lengths, deepest = [len(img) for img in sigma.images], required_input_depth(sigma, max_len)
+    return [u for u in words if len(u) <= deepest
+            and (len(u) < 3 or sum([lengths[x] for x in u[1:-1]]) <= max_len - 2)]
 
 
 def _essential_sweep(

@@ -4,12 +4,12 @@ The direct route sums essential occurrences against the stored support of
 the input table, on int numerators over a common denominator.  A whole
 table is one sweep: each support word is imaged once and every essential
 occurrence is credited to its target.  One target is a pruned count: only
-the support words whose first letter block can start it are imaged.  The
-decomposition route reweights the table along the subdivision part of the
-canonical decomposition and pushes the result through the letter-to-letter
-part, on Fraction.  The two routes produce identical tables and are kept
-separate as a structural cross-check; both take the input-depth bound and
-DepthError from morphism.
+the support words whose first letter block can start it are imaged.  Both
+read only the support words in the length window.  The decomposition route
+reweights the table along the subdivision part of the canonical decomposition
+and pushes the result through the letter-to-letter part, on Fraction.  The
+two routes produce identical tables and are kept separate as a structural
+cross-check; both take the input-depth bound and DepthError from morphism.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .morphism import (
     _essential_sweep,
     _image_letters,
     _require_depth,
+    _window,
     canonical_decomposition,
     subdivision_morphism,
 )
@@ -40,23 +41,23 @@ def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
 def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word: the sum of m(u) * ess(u, target).
 
-    A pruned count, not a sweep: of the support words no longer than the
-    required input depth, only those whose first letter block can start the
-    target are imaged, and only weights with a nonzero count are _scaled and
-    summed.  The empty target yields the total transferred mass.
+    A pruned count, not a sweep: of the support words in the target length's
+    _window, only those whose first letter block can start the target are
+    imaged, and only weights with a nonzero count are _scaled and summed.  The
+    empty target yields the total transferred mass.
     """
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
     if target.alphabet != sigma.codomain:
         raise ValueError("target word must be over the codomain of the morphism")
-    required = _require_depth(sigma, len(target), m.depth)
+    _require_depth(sigma, len(target), m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
     pattern, images = target.letters, [img.letters for img in sigma.images]
     starts = [any(img[s : s + len(pattern)] == pattern[: len(img) - s] for s in range(len(img)))
               for img in images]
-    counts = {u: n for u in m._weights
-              if len(u) <= required and starts[u[0]] and (n := _essential_count(images, u, pattern))}
+    counts = {u: n for u in _window(sigma, (u for u in m._weights if starts[u[0]]), len(pattern))
+              if (n := _essential_count(images, u, pattern))}
     den, support = _scaled({u: m._weights[u] for u in counts})
     return _unscaled(sum([n * support[u] for u, n in counts.items()]), den)
 
@@ -64,18 +65,18 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:
     """Transferred table on all codomain words up to out_depth.
 
-    One sweep images each support word of length at most the required input
-    depth once and credits every essential occurrence of length <= out_depth
-    to its factor, so all targets are evaluated together on _scaled
-    numerators.  Longer support words only have essential occurrences longer
-    than out_depth.  Words the sweep never reaches are zero.
+    One sweep images each support word in the _window of out_depth once and
+    credits every essential occurrence of length <= out_depth to its factor,
+    so all targets are evaluated together on _scaled numerators.  The other
+    support words only have essential occurrences longer than out_depth.
+    Words the sweep never reaches are zero.
     """
     if out_depth < 1:
         raise ValueError("output depth must be >= 1")
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
-    required = _require_depth(sigma, out_depth, m.depth)
-    kept = {u: mu for u, mu in m._weights.items() if len(u) <= required}
+    _require_depth(sigma, out_depth, m.depth)
+    kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth)}
     den, support = _scaled(kept)
     swept = _essential_sweep(sigma, support.items(), out_depth)
     if support is not kept:  # int sums: one Fraction per distinct sum

@@ -5,7 +5,8 @@ composite letters such as ``a.2`` coming out of subdivision alphabets need no
 special casing; the text formats reserve a leading ``#`` or ``!`` and the
 token ``->``.  Words store symbol indices into a fixed alphabet and are
 immutable; the empty word is a valid value except where an operation is
-mathematically undefined on it.
+mathematically undefined on it.  One linear scan gives the primitive root,
+its exponent and the least rotation.
 """
 
 from __future__ import annotations
@@ -135,17 +136,8 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     """
     if len(w) == 0:
         raise ValueError("the empty word has no primitive root")
-    root, exponent = _root_letters(w.letters)
-    return Word(w.alphabet, root), exponent
-
-
-def _root_letters(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """primitive_root on a non-empty letter tuple."""
-    n = len(letters)
-    for p in range(1, n + 1):
-        if n % p == 0 and letters[:p] * (n // p) == letters:
-            return letters[:p], n // p
-    raise AssertionError("unreachable: every word is a power of itself")
+    exponent = _root_rotation(w.letters)[1]
+    return Word(w.alphabet, w.letters[: len(w) // exponent]), exponent
 
 
 def is_proper_power(w: Word) -> bool:
@@ -165,12 +157,15 @@ def rotations(w: Word) -> Iterator[Word]:
 
 def min_rotation(w: Word) -> Word:
     """Lexicographically least rotation, by letter index order."""
-    return Word(w.alphabet, _least_rotation(w.letters))
+    key, exponent = _root_rotation(w.letters) if w.letters else ((), 1)
+    return Word(w.alphabet, key * exponent)
 
 
-def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """min_rotation on a letter tuple in O(n): of two live starts i < j with k letters in
-    common, the one with the larger next letter loses with the k starts after it."""
+def _root_rotation(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(least rotation of the primitive root, exponent) of non-empty letters in O(n): of
+    two live starts i < j with k letters in common, the one with the larger next letter
+    loses with the k starts after it, each greater than another rotation.  So at k == n,
+    i and j are equal rotations with only greater ones between: the root has length j - i."""
     n, doubled = len(letters), letters + letters
     i, j, k = 0, 1, 0
     while j < n and k < n:
@@ -180,7 +175,8 @@ def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
             i, j, k = j, max(j + 1, i + k + 1), 0
         else:
             j, k = j + k + 1, 0
-    return doubled[i : i + n]
+    p = j - i if k == n else n
+    return doubled[i : i + p], n // p
 
 
 def is_rotation(w1: Word, w2: Word) -> bool:

@@ -184,9 +184,9 @@ def test_check_refuses_a_bound_over_the_budget(files, capsys):
 
 
 def test_check_images_each_representative_once(files, capsys, monkeypatch):
-    """Both checks come from one pass: one image and one primitive root per
+    """Both checks come from one pass: one image and one scan of it per
     representative (the 71 Lyndon words over two letters up to length 8)."""
-    calls = {"_image_letters": 0, "_root_letters": 0}
+    calls = {"_image_letters": 0, "_root_rotation": 0}
 
     def counting(name):
         real = getattr(diagnostics, name)
@@ -204,7 +204,63 @@ def test_check_images_each_representative_once(files, capsys, monkeypatch):
     tm = Morphism.from_images(("a", "b"), ("c", "d"), {"a": "cd", "b": "dc"})
     representatives = len(diagnostics._primitive_representatives(tm, None, 8))
     assert representatives == 71
-    assert calls == {"_image_letters": 71, "_root_letters": 71}
+    assert calls == {"_image_letters": 71, "_root_rotation": 71}
+
+
+def test_check_writes_a_report_at_the_budget_in_bounded_memory(files, tmp_path):
+    """The collapse a -> c, b -> c at bound 13 owes 948,752 lines; they are
+    written in blocks, so the child's peak RSS stays far below the 273 MiB
+    that joining the whole report took."""
+    resource = pytest.importorskip("resource")
+    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
+    out = tmp_path / "collapse.out"
+    script = (
+        "import resource, sys\n"
+        "from shiftmeasure.cli import main\n"
+        f"code = main(['check', {sigma!r}, '--bound', '13'])\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    with open(out, "wb") as handle:
+        proc = subprocess.run([sys.executable, "-c", script], stdout=handle,
+                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    with open(out, "rb") as handle:
+        assert sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 20), b"")) == 948752
+    peak_mib = int(proc.stderr) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mib < 128, peak_mib
+
+
+def test_check_into_a_closed_pipe_is_an_io_failure(files):
+    """A reader that stops after one line closes stdout: exit 2 with one
+    error line, no traceback, and nothing from the flush at exit.  A report
+    small enough to sit in the stdout buffer meets the closed pipe only when
+    it is flushed, which must fail the same way.  stdout is buffered, as by
+    default: PYTHONUNBUFFERED would let no byte wait for the flush at exit."""
+    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
+    env = {k: v for k, v in _subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "shiftmeasure", "check", sigma, "--bound", "10"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"BOUND 10\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: cannot write to stdout") and err.count("\n") == 1, err
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        small = subprocess.run([sys.executable, "-m", "shiftmeasure", "check", sigma, "--bound", "3"],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (small.returncode, small.stderr.decode()) == (2, err)
 
 
 def test_check_prints_its_certificates_without_words(files, capsys, monkeypatch):

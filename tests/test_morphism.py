@@ -20,8 +20,10 @@ from shiftmeasure import (
     incidence_matrix,
     iter_words,
     norms,
+    required_input_depth,
     subdivision_morphism,
 )
+from shiftmeasure.morphism import _essential_sweep, _window
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -273,6 +275,21 @@ def factors_of(image):
     from shiftmeasure import factors
 
     return sorted(factors(image, len(image)), key=Word.sort_key)
+
+
+def test_window_keeps_exactly_the_words_with_a_short_essential_occurrence():
+    """u is in the window of L iff sigma(u) has an essential occurrence of
+    length <= L, and every kept word is within the input-depth bound; all
+    morphisms a, b -> images of length 1-3 over c, d, all inputs up to length 6."""
+    image_pool = [t for k in (1, 2, 3) for t in itertools.product("cd", repeat=k)]
+    inputs = [w.letters for w in words_up_to(AB, 6)]
+    for img_a, img_b in itertools.product(image_pool, repeat=2):
+        sigma = Morphism.from_images(AB, CD, {"a": img_a, "b": img_b})
+        for max_len in range(1, 6):
+            kept = set(_window(sigma, inputs, max_len))
+            for u in inputs:
+                assert (u in kept) == bool(_essential_sweep(sigma, [(u, 1)], max_len)), (sigma, u)
+            assert max(map(len, kept)) <= required_input_depth(sigma, max_len)
 
 
 # ---------------------------------------------------------------- candidate lengths

@@ -325,8 +325,10 @@ def test_eval_matches_the_fraction_sums_on_every_kind_of_target(monkeypatch):
 
 
 def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monkeypatch):
-    """No sweep: each support word up to the required depth whose first block
-    agrees with the target on their overlap is imaged once, and no other."""
+    """No sweep: each support word whose middle image leaves room for the
+    target (|sigma(u_2 ... u_{n-1})| <= |target| - 2, or |u| = 1) and whose
+    first block agrees with the target on their overlap is imaged once, and
+    no other."""
     rng = random.Random(85)
     cases = []
     for _ in range(60):
@@ -347,7 +349,7 @@ def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monke
 
     monkeypatch.setattr(transfer, "_essential_sweep", forbidden)
     monkeypatch.setattr(morphism, "_image_letters", recording)
-    pruned = 0
+    pruned = roomless = 0
     for sigma, m, target, expected in cases:
         imaged.clear()
         assert transfer_eval(sigma, m, target) == expected
@@ -357,9 +359,13 @@ def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monke
             return any(all(img[s + i] == t[i] for i in range(min(len(t), len(img) - s)))
                        for s in range(len(img)))
 
+        def has_room(u):
+            return len(u) == 1 or sum(len(sigma.images[x]) for x in u[1:-1]) <= len(t) - 2
+
         required = required_input_depth(sigma, len(t))
-        wanted = [u for u in m._weights
-                  if len(u) <= required and can_start(sigma.images[u[0]].letters)]
+        wanted = [u for u in m._weights if has_room(u) and can_start(sigma.images[u[0]].letters)]
         assert sorted(imaged) == sorted(wanted)
+        assert all(len(u) <= required for u in wanted)
         pruned += sum(1 for u in m._weights if len(u) <= required) - len(wanted)
-    assert pruned >= 150
+        roomless += sum(1 for u in m._weights if len(u) <= required and not has_room(u))
+    assert pruned >= 150 and roomless >= 50, (pruned, roomless)

@@ -20,7 +20,7 @@ from shiftmeasure import (
     primitive_root,
     rotations,
 )
-from shiftmeasure.words import _least_rotation, _lyndon_counts, _lyndon_words
+from shiftmeasure.words import _lyndon_counts, _lyndon_words, _root_rotation
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -192,20 +192,63 @@ def _least_rotation_oracle(letters):
     return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
 
 
-def test_least_rotation_matches_the_quadratic_oracle():
-    for n in range(10):
-        for letters in itertools.product(range(3), repeat=n):
-            assert _least_rotation(letters) == _least_rotation_oracle(letters), letters
-    rng = random.Random(97)
-    for _ in range(2000):
+def _root_oracle(letters):
+    """The divisor loop that the scan replaced: the shortest prefix whose power is the word."""
+    n = len(letters)
+    return next((letters[:p], n // p) for p in range(1, n + 1)
+                if n % p == 0 and letters[:p] * (n // p) == letters)
+
+
+def _scan_cases(seed, count):
+    """Seeded words up to length 200, mostly periodic with one mutation: such
+    words make long common prefixes, the scan's hard case."""
+    rng = random.Random(seed)
+    for _ in range(count):
         size, n = rng.randint(1, 4), rng.randint(0, 200)
-        # Periodic words with a mutation make long common prefixes, the scan's hard case.
         base = [rng.randrange(size) for _ in range(rng.randint(1, 6))]
         letters = (base * (n // len(base) + 1))[:n]
         if letters and rng.random() < 0.5:
             letters[rng.randrange(n)] = rng.randrange(size)
-        letters = tuple(letters if rng.random() < 0.7 else (rng.randrange(size) for _ in range(n)))
-        assert _least_rotation(letters) == _least_rotation_oracle(letters), letters
+        yield tuple(letters if rng.random() < 0.7 else (rng.randrange(size) for _ in range(n)))
+
+
+def _scanned_least_rotation(letters):
+    key, exponent = _root_rotation(letters)
+    return key * exponent
+
+
+def test_least_rotation_matches_the_quadratic_oracle():
+    for n in range(1, 10):
+        for letters in itertools.product(range(3), repeat=n):
+            assert _scanned_least_rotation(letters) == _least_rotation_oracle(letters), letters
+    for letters in _scan_cases(97, 2000):
+        if letters:
+            assert _scanned_least_rotation(letters) == _least_rotation_oracle(letters), letters
+    empty = Word(ABC, ())
+    assert min_rotation(empty) == empty == Word(ABC, _least_rotation_oracle(()))
+
+
+def test_one_scan_gives_the_root_rotation_and_exponent():
+    """The scan's (key, exponent) is the least rotation of the divisor loop's
+    root and its exponent, on every word over 1-3 letters up to length 10 and
+    on the seeded hard cases; primitive_root and is_proper_power agree."""
+    def check(letters):
+        root, exponent = _root_oracle(letters)
+        assert _root_rotation(letters) == (_least_rotation_oracle(root), exponent), letters
+
+    for size in (1, 2, 3):
+        for n in range(1, 11):
+            for letters in itertools.product(range(size), repeat=n):
+                check(letters)
+    for letters in _scan_cases(101, 3000):
+        if letters:
+            check(letters)
+            w = Word(Alphabet(("a", "b", "c", "d")), letters)
+            root, exponent = _root_oracle(letters)
+            assert primitive_root(w) == (Word(w.alphabet, root), exponent)
+            assert is_proper_power(w) == (exponent >= 2)
+    with pytest.raises(ValueError):
+        primitive_root(Word(ABC, ()))
 
 
 def test_is_rotation_transitive_small():
