@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .diagnostics import _reports
 from .language import image_language
-from .measure import characteristic_measure, validate
+from .measure import _violations, characteristic_measure
 from .morphism import canonical_decomposition, compose, incidence_matrix
 from .textio import (
     ParseError,
@@ -32,7 +32,7 @@ from .transfer import transfer_eval, transfer_table
 from .words import Alphabet
 
 _T = TypeVar("_T")
-_BLOCK_LINES = 4096  # check writes in blocks: memory follows the block, not the report
+_BLOCK_LINES = 4096  # reports are written in blocks: memory follows the block, not the report
 
 
 class _Failure(Exception):
@@ -74,6 +74,15 @@ def _any_digits() -> Iterator[None]:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _write_lines(lines: Iterator[str]) -> bool:
+    """Write the lines to stdout _BLOCK_LINES at a time; True if there was one."""
+    wrote = False
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
+        wrote = True
+    return wrote
 
 
 def _parse_cli_word(alphabet: Alphabet, text: str, compact: bool):
@@ -150,18 +159,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     language = None if args.language is None else _load(parse_language, args.language)
     period, orbit = _reports(sigma, language, args.bound)
-    lines = itertools.chain([f"BOUND {args.bound}"], period._lines(), orbit._lines())
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        sys.stdout.write("\n".join(block) + "\n")
+    _write_lines(itertools.chain([f"BOUND {args.bound}"], period._lines(), orbit._lines()))
     return 1 if period or orbit else 0
 
 
 def _cmd_kirchhoff(args: argparse.Namespace) -> int:
-    violations = validate(_load(parse_measure, args.measure))
+    violations = _violations(_load(parse_measure, args.measure))
     with _any_digits():
-        for violation in violations:
-            print(f"VIOLATION {violation}")
-    return 1 if violations else 0
+        return 1 if _write_lines(f"VIOLATION {violation}" for violation in violations) else 0
 
 
 _MORPHISM = ("morphism", {"help": "morphism file"})
@@ -224,7 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:  # the reader closed stdout: let the flush at exit go to devnull
+    except OSError as exc:  # _load and _write wrap file errors, so stdout failed: flush to devnull
         with contextlib.suppress(AttributeError, OSError, ValueError):  # a StringIO has no fd
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)

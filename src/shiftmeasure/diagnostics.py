@@ -9,17 +9,15 @@ its primitive root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
-from .words import Alphabet, Word, _lyndon_counts, _lyndon_words, _root_rotation
+from .words import Alphabet, Word, _lyndon_counts, _lyndon_words, _Record, _root_rotation
 
 
-@dataclass(frozen=True, init=False)
-class ViolationReport:
+class ViolationReport(_Record):
     """Certificates found by one bounded check.
 
     kind is "period-preservation" (each certificate a single primitive word
@@ -29,10 +27,7 @@ class ViolationReport:
     kept as letter tuples over _domain; certificates is built on first use.
     """
 
-    kind: str
-    bound: int
-    _domain: Alphabet | None
-    _letters: tuple[tuple[tuple[int, ...], ...], ...]
+    __match_args__ = ("kind", "bound", "_domain", "_letters")
 
     def __init__(self, kind: str, bound: int, certificates: tuple) -> None:
         parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]

@@ -8,37 +8,34 @@ occurs essentially over an input of bounded length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .morphism import Morphism, _essential_sweep, _require_depth
-from .words import Alphabet, Word, factors, iter_words, primitive_root
+from .words import Alphabet, Word, _Record, factors, iter_words, primitive_root
 
 
-@dataclass(frozen=True)
-class FactorLanguage:
+class FactorLanguage(_Record):
     """A factor-closed set of non-empty words of length at most maxlen."""
 
-    alphabet: Alphabet
-    maxlen: int
-    words: frozenset[Word]
+    __match_args__ = ("alphabet", "maxlen", "words")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", frozenset(self.words))
-        if self.maxlen < 1:
+    def __init__(self, alphabet: Alphabet, maxlen: int, words: frozenset[Word]) -> None:
+        words = frozenset(words)
+        if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         letters = set()
-        for w in self.words:
-            if w.alphabet != self.alphabet:
+        for w in words:
+            if w.alphabet != alphabet:
                 raise ValueError(f"word '{w}' is not over the language alphabet")
-            if not 1 <= len(w) <= self.maxlen:
-                raise ValueError(f"word '{w}' has length outside 1..{self.maxlen}")
+            if not 1 <= len(w) <= maxlen:
+                raise ValueError(f"word '{w}' has length outside 1..{maxlen}")
             letters.add(w.letters)
         # Factor closure is equivalent to closure under dropping one outer letter.
-        for w in self.words:
+        for w in words:
             x = w.letters
             if len(x) >= 2 and (x[1:] not in letters or x[:-1] not in letters):
                 raise ValueError(f"language is not factor-closed at '{w}'")
+        self.__dict__.update(alphabet=alphabet, maxlen=maxlen, words=words)
 
     def of_length(self, k: int) -> set[Word]:
         return {w for w in self.words if len(w) == k}

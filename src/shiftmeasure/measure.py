@@ -13,12 +13,11 @@ reported by validate(), not construction errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
-from .words import Alphabet, Word, primitive_root
+from .words import Alphabet, Word, _Record, primitive_root
 
 Rational = Union[Fraction, int]
 
@@ -29,15 +28,12 @@ def _as_fraction(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, init=False)
-class MeasureTable:
+class MeasureTable(_Record):
     """Exact weights for all words of length 1..depth over one alphabet, keyed
-    by letter tuple; values is the same table keyed by Word, built on demand."""
+    by letter tuple; values is the same table keyed by Word, built on demand.
+    The weights dict makes a table unhashable."""
 
-    alphabet: Alphabet
-    depth: int
-    _weights: dict[tuple[int, ...], Fraction]
-    total_mass: Fraction
+    __match_args__ = ("alphabet", "depth", "_weights", "total_mass")
 
     def __init__(self, alphabet: Alphabet, depth: int, values: Mapping[Word, Rational],
                  total_mass: Rational) -> None:
@@ -57,7 +53,6 @@ class MeasureTable:
                 raise ValueError(f"negative value for '{word}'")
             if value:
                 weights[word.letters] = value
-        # Frozen: the fields are set through __dict__, here and in _trusted.
         self.__dict__.update(alphabet=alphabet, depth=depth, _weights=weights, total_mass=mass)
 
     @classmethod
@@ -83,19 +78,18 @@ class MeasureTable:
         return self._weights.get(w.letters, Fraction(0))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One broken consistency constraint found by validate().
 
     kind is "left-extension" or "right-extension" (word set, level None) or
     "level-sum" (level set, word None).
     """
 
-    kind: str
-    word: Word | None
-    level: int | None
-    expected: Fraction
-    actual: Fraction
+    __match_args__ = ("kind", "word", "level", "expected", "actual")
+
+    def __init__(self, kind: str, word: Word | None, level: int | None, expected: Fraction,
+                 actual: Fraction) -> None:
+        self.__dict__.update(kind=kind, word=word, level=level, expected=expected, actual=actual)
 
     def __str__(self) -> str:
         subject = str(self.word) if self.word is not None else f"length-{self.level}"
@@ -138,6 +132,11 @@ def validate(m: MeasureTable) -> list[Violation]:
     are Fractions.  Violations come in canonical word order (length, then
     letters; left before right at each word), then the level sums by length.
     """
+    return list(_violations(m))
+
+
+def _violations(m: MeasureTable) -> Iterator[Violation]:
+    """validate's violations one at a time: a deep table's level sums cost no memory."""
     den, weights = _scaled(m._weights)
     zero = Fraction(0) if weights is m._weights else 0  # int 0 + Fraction is slow
     left_sums: dict[tuple[int, ...], int | Fraction] = {}
@@ -152,19 +151,17 @@ def validate(m: MeasureTable) -> list[Violation]:
     candidates.update(left_sums, right_sums)
     value, left, right = weights.get, left_sums.get, right_sums.get
     broken = [u for u in candidates if not left(u, zero) == value(u, zero) == right(u, zero)]
-    out: list[Violation] = []
     for u in sorted(broken, key=lambda u: (len(u), u)):
         expected = value(u, zero)
         for kind, actual in (("left-extension", left(u, zero)), ("right-extension", right(u, zero))):
             if actual != expected:
-                out.append(Violation(kind, Word(m.alphabet, u), None,
-                                     _unscaled(expected, den), _unscaled(actual, den)))
+                yield Violation(kind, Word(m.alphabet, u), None,
+                                _unscaled(expected, den), _unscaled(actual, den))
     mass = m.total_mass * den
     # Mass 0: only the support's levels can break; else each level broken is a line.
     for length in range(1, m.depth + 1) if mass else sorted(level):
         if (total := level.get(length, zero)) != mass:
-            out.append(Violation("level-sum", None, length, m.total_mass, _unscaled(total, den)))
-    return out
+            yield Violation("level-sum", None, length, m.total_mass, _unscaled(total, den))
 
 
 def characteristic_measure(w: Word, depth: int) -> MeasureTable:
@@ -215,12 +212,13 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
     return MeasureTable._trusted(alphabet, depth, weights, mass)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(_Record):
     """Letter weights in alphabet order; entries sum to the total mass."""
 
-    alphabet: Alphabet
-    entries: tuple[Fraction, ...]
+    __match_args__ = ("alphabet", "entries")
+
+    def __init__(self, alphabet: Alphabet, entries: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(alphabet=alphabet, entries=entries)
 
 
 def frequency_vector(m: MeasureTable) -> FrequencyVector:

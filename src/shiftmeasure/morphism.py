@@ -11,34 +11,31 @@ word, _window) that the transfer, the image language and candidate_lengths share
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Record
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Record):
     """A non-erasing monoid morphism, given letterwise.
 
     images[i] is the image of domain letter i, always a non-empty word over
     the codomain.
     """
 
-    domain: Alphabet
-    codomain: Alphabet
-    images: tuple[Word, ...]
+    __match_args__ = ("domain", "codomain", "images")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != len(self.domain):
+    def __init__(self, domain: Alphabet, codomain: Alphabet, images: tuple[Word, ...]) -> None:
+        images = tuple(images)
+        if len(images) != len(domain):
             raise ValueError("need exactly one image per domain letter")
-        for token, image in zip(self.domain.symbols, self.images):
-            if image.alphabet != self.codomain:
+        for token, image in zip(domain.symbols, images):
+            if image.alphabet != codomain:
                 raise ValueError(f"image of {token!r} is not a word over the codomain")
             if len(image) == 0:
                 raise ValueError(f"erasing morphism: image of {token!r} is empty")
+        self.__dict__.update(domain=domain, codomain=codomain, images=images)
 
     @classmethod
     def from_images(
@@ -105,27 +102,26 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     return Morphism(inner.domain, outer.codomain, tuple(apply(outer, img) for img in inner.images))
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(_Record):
     """Letter-count matrix: entry (b, a) is the number of b's in sigma(a).
 
     Rows follow the codomain, columns the domain, both in declaration order.
     Matrices multiply the way the morphisms they come from compose.
     """
 
-    row_alphabet: Alphabet
-    col_alphabet: Alphabet
-    entries: tuple[tuple[int, ...], ...]
+    __match_args__ = ("row_alphabet", "col_alphabet", "entries")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        if len(self.entries) != len(self.row_alphabet):
+    def __init__(self, row_alphabet: Alphabet, col_alphabet: Alphabet,
+                 entries: tuple[tuple[int, ...], ...]) -> None:
+        entries = tuple(tuple(row) for row in entries)
+        if len(entries) != len(row_alphabet):
             raise ValueError("need one row per codomain letter")
-        for row in self.entries:
-            if len(row) != len(self.col_alphabet):
+        for row in entries:
+            if len(row) != len(col_alphabet):
                 raise ValueError("need one column per domain letter")
             if any(entry < 0 for entry in row):
                 raise ValueError("entries must be nonnegative")
+        self.__dict__.update(row_alphabet=row_alphabet, col_alphabet=col_alphabet, entries=entries)
 
     def entry(self, row: int, col: int) -> int:
         return self.entries[row][col]
@@ -221,8 +217,7 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
     return Morphism(alphabet, sub_alphabet, tuple(images))
 
 
-@dataclass(frozen=True)
-class SubdivisionData:
+class SubdivisionData(_Record):
     """Canonical decomposition sigma = alpha . pi.
 
     pi is the subdivision morphism sending letter a to a.1 ... a.k with
@@ -230,9 +225,10 @@ class SubdivisionData:
     of sigma(a).
     """
 
-    subdivision_alphabet: Alphabet
-    pi: Morphism
-    alpha: Morphism
+    __match_args__ = ("subdivision_alphabet", "pi", "alpha")
+
+    def __init__(self, subdivision_alphabet: Alphabet, pi: Morphism, alpha: Morphism) -> None:
+        self.__dict__.update(subdivision_alphabet=subdivision_alphabet, pi=pi, alpha=alpha)
 
     @property
     def lengths(self) -> dict[str, int]:

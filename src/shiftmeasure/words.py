@@ -12,35 +12,64 @@ its exponent and the least rotation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """An immutable value whose fields, named by __match_args__, are set once
+    through __dict__ and are compared, hashed and shown as a frozen
+    dataclass's are: equal only within one class, hashed as a tuple."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Alphabet(_Record):
     """An ordered collection of distinct symbol tokens.
 
     Declaration order is part of the identity: it fixes matrix indexing and
     the canonical (length, then lexicographic) order used for all output.
     """
 
-    symbols: tuple[str, ...]
+    __match_args__ = ("symbols",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        symbols = tuple(symbols)
+        if not symbols:
             raise ValueError("alphabet must not be empty")
-        seen: set[str] = set()
-        for token in self.symbols:
+        indices: dict[str, int] = {}
+        for token in symbols:
             _check_token(token)
-            if token in seen:
+            if token in indices:
                 raise ValueError(f"duplicate symbol token: {token!r}")
-            seen.add(token)
+            indices[token] = len(indices)
+        self.__dict__.update(symbols=symbols, _indices=indices)
 
-    @cached_property
-    def _indices(self) -> dict[str, int]:
-        return {token: i for i, token in enumerate(self.symbols)}
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self is other or self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash((self.symbols,))
 
     def index(self, token: str) -> int:
         try:
@@ -83,19 +112,27 @@ def _check_token(token: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A finite word: a sequence of symbol indices into one alphabet."""
 
-    alphabet: Alphabet
-    letters: tuple[int, ...]
+    __match_args__ = ("alphabet", "letters")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        size = len(self.alphabet)
-        for i in self.letters:
+    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...]) -> None:
+        letters = tuple(letters)
+        size = len(alphabet)
+        for i in letters:
             if not 0 <= i < size:
-                raise ValueError(f"letter index {i} out of range for alphabet [{self.alphabet}]")
+                raise ValueError(f"letter index {i} out of range for alphabet [{alphabet}]")
+        self.__dict__.update(alphabet=alphabet, letters=letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Word:
+            return NotImplemented
+        a, b = self.alphabet, other.alphabet
+        return self.letters == other.letters and (a is b or a == b)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.letters))
 
     @property
     def tokens(self) -> tuple[str, ...]:

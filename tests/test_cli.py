@@ -3,6 +3,7 @@ channel.  All invocations go through main(argv) with captured streams; one
 subprocess test covers the installed entry point."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -261,6 +262,78 @@ def test_check_into_a_closed_pipe_is_an_io_failure(files):
     finally:
         os.close(write_end)
     assert (small.returncode, small.stderr.decode()) == (2, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_full_stdout_is_an_io_failure(files, buffered):
+    """Every write failure on stdout, not only a closed pipe, exits 2 with one
+    error line: /dev/full fails each write with ENOSPC, whether it comes from
+    a write (unbuffered) or from the flush (buffered)."""
+    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
+    deep = files("deep.measure", "!alphabet a b\n!depth 5\n!mass 1\n")
+    table = files("ab.measure", MEASURE_AB)
+    env = {k: v for k, v in _subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in [["check", sigma, "--bound", "3"], ["kirchhoff", deep],
+                 ["transfer", sigma, table, "--depth", "2"],
+                 ["characteristic", "--word", "a b", "--depth", "2"]]:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "shiftmeasure", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr.decode()) == (
+            2, f"error: cannot write to stdout: {os.strerror(28)}\n"), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_kirchhoff_streams_a_deep_table_in_bounded_memory(files, tmp_path):
+    """A table of depth 100,000 with mass 1 and no entries breaks every level
+    sum: the 100,000 lines are written in blocks as they are found, not listed
+    first (which peaked at 36.5 MiB), and they are the bytes they always were.
+    The child reads its peak from VmHWM, which starts afresh at exec; ru_maxrss
+    can carry over this process's larger peak."""
+    measure = files("deep.measure", "!alphabet a b\n!depth 100000\n!mass 1\n")
+    out = tmp_path / "deep.out"
+    script = (
+        "import sys\n"
+        "from shiftmeasure.cli import main\n"
+        f"code = main(['kirchhoff', {measure!r}])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    with open(out, "wb") as handle:
+        proc = subprocess.run([sys.executable, "-c", script], stdout=handle,
+                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "860a6d2593367cac0f1fb3c46d270c9cc128cbb848b57927ba8877143e5f8b4c")
+    assert int(proc.stderr) / 1024 < 24, proc.stderr
+
+
+def test_the_cli_imports_no_code_introspection(tmp_path):
+    """Start-up cost: neither importing the CLI nor running --help loads
+    dataclasses or the inspect, ast, dis and tokenize modules it pulls in."""
+    script = (
+        "import runpy, sys\n"
+        "import shiftmeasure.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+        "sys.argv = ['shiftmeasure', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('shiftmeasure', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: shiftmeasure" in proc.stdout
+    assert proc.stdout.splitlines()[0] == proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_check_prints_its_certificates_without_words(files, capsys, monkeypatch):

@@ -206,8 +206,8 @@ def test_parse_measure_checks_each_entry_once_without_words(monkeypatch):
     entries = "".join(f"{' '.join(w)}\t{i % 9 + 1}/{i % 4 + 1}\n" for i, w in enumerate(words))
     text = f"!alphabet a b c\n!depth 5\n!mass 7\n{entries}"
     built, formatted = [], []
-    post_init, to_str = Word.__post_init__, Word.__str__
-    monkeypatch.setattr(Word, "__post_init__", lambda self: built.append(1) or post_init(self))
+    init, to_str = Word.__init__, Word.__str__
+    monkeypatch.setattr(Word, "__init__", lambda self, *args: built.append(1) or init(self, *args))
     monkeypatch.setattr(Word, "__str__", lambda self: formatted.append(1) or to_str(self))
     m = parse_measure(text)
     rendered = render_measure(m)
