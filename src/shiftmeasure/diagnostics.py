@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
-from .words import Alphabet, Word, _lyndon_counts, _lyndon_words, _Record, _root_rotation
+from .words import Word, _lyndon_counts, _lyndon_words, _Record, _root_rotation
 
 
 class ViolationReport(_Record):
@@ -34,14 +34,6 @@ class ViolationReport(_Record):
         self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates),
                              _domain=parts[0][0].alphabet if parts else None,
                              _letters=tuple(tuple(w.letters for w in p) for p in parts))
-
-    @classmethod
-    def _trusted(cls, kind: str, bound: int, domain: Alphabet,
-                 letters: tuple[tuple[tuple[int, ...], ...], ...]) -> "ViolationReport":
-        report = object.__new__(cls)
-        report.__dict__.update(kind=kind, bound=bound, _domain=domain if letters else None,
-                               _letters=letters)
-        return report
 
     @cached_property
     def certificates(self) -> tuple:
@@ -101,7 +93,7 @@ def _primitive_representatives(
         raise ValueError("language alphabet must be the domain of the morphism")
     if not 1 <= bound <= language.maxlen:
         raise ValueError(f"bound {bound} outside 1..{language.maxlen}")
-    scans = (_root_rotation(w.letters) for w in language.words if len(w) <= bound)
+    scans = (_root_rotation(x) for x in language._words if len(x) <= bound)
     representatives = {key for key, exponent in scans if exponent == 1}
     return sorted(representatives, key=lambda letters: (len(letters), letters))
 
@@ -133,11 +125,10 @@ def _reports(
         placed.append((group, len(group)))
         group.append(rep)
     pairs = tuple((g[i], right) for g, i in placed for right in g[i + 1 :])
-    return (
-        ViolationReport._trusted("period-preservation", bound, sigma.domain,
-                                 tuple((r,) for r in powers)),
-        ViolationReport._trusted("orbit-injectivity", bound, sigma.domain, pairs),
-    )
+    found = (("period-preservation", tuple((r,) for r in powers)), ("orbit-injectivity", pairs))
+    # An empty report has no domain, as one from the public constructor.
+    return tuple(ViolationReport._trusted(kind, bound, sigma.domain if letters else None, letters)
+                 for kind, letters in found)
 
 
 def check_period_preservation(
@@ -191,11 +182,11 @@ def prolongation_split(
     letter = [img.letters[0] for img in sigma.images]
     middles: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     prolongations: dict[Word, tuple[int, ...]] = {}
-    for x in language.words:
+    for x in language._words:
         if len(x) == total_len:
-            image = tuple([letter[i] for i in x.letters])
-            middles.setdefault(image, set()).add(x.letters[n : total_len - n])
-            if x.letters[n : total_len - n] == w.letters:
-                prolongations[x] = image
+            image = tuple([letter[i] for i in x])
+            middles.setdefault(image, set()).add(x[n : total_len - n])
+            if x[n : total_len - n] == w.letters:
+                prolongations[Word(w.alphabet, x)] = image
     ambiguous = {x for x, image in prolongations.items() if len(middles[image]) > 1}
     return set(prolongations), set(prolongations) - ambiguous, ambiguous

@@ -8,74 +8,86 @@ occurs essentially over an input of bounded length.
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
 from typing import Iterable
 
+from .measure import characteristic_measure
 from .morphism import Morphism, _essential_sweep, _require_depth
-from .words import Alphabet, Word, _Record, factors, iter_words, primitive_root
+from .words import Alphabet, Word, _Record
 
 
 class FactorLanguage(_Record):
-    """A factor-closed set of non-empty words of length at most maxlen."""
+    """A factor-closed set of non-empty words of length at most maxlen, kept as letter tuples;
+    words is the set of Words, built on first use.  Errors name the canonical first offender."""
 
-    __match_args__ = ("alphabet", "maxlen", "words")
+    __match_args__ = ("alphabet", "maxlen", "_words")
 
     def __init__(self, alphabet: Alphabet, maxlen: int, words: frozenset[Word]) -> None:
         words = frozenset(words)
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
-        letters = set()
-        for w in words:
+        bad = [w for w in words if w.alphabet != alphabet or not 1 <= len(w) <= maxlen]
+        if bad:
+            w = min(bad, key=lambda w: (len(w), w.letters, w.tokens, w.alphabet != alphabet))
             if w.alphabet != alphabet:
                 raise ValueError(f"word '{w}' is not over the language alphabet")
-            if not 1 <= len(w) <= maxlen:
-                raise ValueError(f"word '{w}' has length outside 1..{maxlen}")
-            letters.add(w.letters)
+            raise ValueError(f"word '{w}' has length outside 1..{maxlen}")
+        letters = frozenset([w.letters for w in words])
         # Factor closure is equivalent to closure under dropping one outer letter.
-        for w in words:
-            x = w.letters
-            if len(x) >= 2 and (x[1:] not in letters or x[:-1] not in letters):
-                raise ValueError(f"language is not factor-closed at '{w}'")
-        self.__dict__.update(alphabet=alphabet, maxlen=maxlen, words=words)
+        bad = [x for x in letters if len(x) >= 2 and not letters.issuperset((x[1:], x[:-1]))]
+        if bad:
+            x = min(bad, key=lambda x: (len(x), x))
+            raise ValueError(f"language is not factor-closed at '{Word(alphabet, x)}'")
+        self.__dict__.update(alphabet=alphabet, maxlen=maxlen, _words=letters)
+
+    @cached_property
+    def words(self) -> frozenset[Word]:
+        return frozenset([Word(self.alphabet, x) for x in self._words])
 
     def of_length(self, k: int) -> set[Word]:
-        return {w for w in self.words if len(w) == k}
+        return {Word(self.alphabet, x) for x in self._words if len(x) == k}
 
     def __contains__(self, w: object) -> bool:
-        return w in self.words
+        return type(w) is Word and w.alphabet == self.alphabet and w.letters in self._words
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._words)
 
 
 def factorial_closure(alphabet: Alphabet, words: Iterable[Word], n: int) -> FactorLanguage:
-    """Language of all non-empty factors (length <= n) of the given words."""
+    """Language of all non-empty factors (length <= n) of the given words: those of each
+    length-n window, one outer letter dropped at a time up to a factor already kept."""
     if n < 1:
         raise ValueError("maxlen must be >= 1")
-    closed: set[Word] = set()
+    closed: set[tuple[int, ...]] = set()
     for w in words:
         if w.alphabet != alphabet:
             raise ValueError(f"word '{w}' is not over the given alphabet")
-        closed |= factors(w, n)
-    return FactorLanguage(alphabet, n, frozenset(closed))
+        x = w.letters
+        todo = [x[i : i + n] for i in range(max(len(x) - n, 0) + 1)]
+        while todo:
+            if (x := todo.pop()) and x not in closed:
+                closed.add(x)
+                todo += (x[1:], x[:-1])
+    return FactorLanguage._trusted(alphabet, n, frozenset(closed))
 
 
 def periodic_orbit_language(w: Word, n: int) -> FactorLanguage:
-    """All factors up to length n of the biinfinite periodic word over w."""
+    """All factors up to length n of the biinfinite periodic word over w: its measure's support."""
     if len(w) == 0:
         raise ValueError("the empty word generates no periodic orbit")
     if n < 1:
         raise ValueError("maxlen must be >= 1")
-    root, _ = primitive_root(w)
-    stream = Word(w.alphabet, root.letters * (-(-n // len(root)) + 1))
-    return factorial_closure(w.alphabet, [stream], n)
+    return FactorLanguage._trusted(w.alphabet, n, frozenset(characteristic_measure(w, n)._weights))
 
 
 def full_shift_language(alphabet: Alphabet, n: int) -> FactorLanguage:
     """Every non-empty word up to length n."""
     if n < 1:
         raise ValueError("maxlen must be >= 1")
-    ws = {w for k in range(1, n + 1) for w in iter_words(alphabet, k)}
-    return FactorLanguage(alphabet, n, frozenset(ws))
+    ws = (itertools.product(range(len(alphabet)), repeat=k) for k in range(1, n + 1))
+    return FactorLanguage._trusted(alphabet, n, frozenset(itertools.chain(*ws)))
 
 
 def union(first: FactorLanguage, second: FactorLanguage) -> FactorLanguage:
@@ -83,8 +95,8 @@ def union(first: FactorLanguage, second: FactorLanguage) -> FactorLanguage:
     if first.alphabet != second.alphabet:
         raise ValueError("languages must share one alphabet")
     n = min(first.maxlen, second.maxlen)
-    ws = {w for w in first.words | second.words if len(w) <= n}
-    return FactorLanguage(first.alphabet, n, frozenset(ws))
+    ws = frozenset([x for x in first._words | second._words if len(x) <= n])
+    return FactorLanguage._trusted(first.alphabet, n, ws)
 
 
 def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorLanguage:
@@ -101,16 +113,12 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     if n < 1:
         raise ValueError("maxlen must be >= 1")
     required = _require_depth(sigma, n, language.maxlen)
-    swept = _essential_sweep(
-        sigma, ((u.letters, 1) for u in language.words if len(u) <= required), n
-    )
-    return FactorLanguage(
-        sigma.codomain, n, frozenset(Word(sigma.codomain, letters) for letters in swept)
-    )
+    swept = _essential_sweep(sigma, ((u, 1) for u in language._words if len(u) <= required), n)
+    return FactorLanguage._trusted(sigma.codomain, n, frozenset(swept))
 
 
 def complexity(language: FactorLanguage, k: int) -> int:
     """Number of language words of length exactly k."""
     if not 1 <= k <= language.maxlen:
         raise ValueError(f"length {k} outside 1..{language.maxlen}")
-    return sum(1 for w in language.words if len(w) == k)
+    return sum(1 for x in language._words if len(x) == k)

@@ -29,9 +29,9 @@ def _as_fraction(value, what: str) -> Fraction:
 
 
 class MeasureTable(_Record):
-    """Exact weights for all words of length 1..depth over one alphabet, keyed
-    by letter tuple; values is the same table keyed by Word, built on demand.
-    The weights dict makes a table unhashable."""
+    """Exact weights for all words of length 1..depth over one alphabet, keyed by letter tuple
+    (_trusted takes Fraction weights > 0 and a Fraction mass); values is the same table keyed
+    by Word, built on demand.  The weights dict makes a table unhashable."""
 
     __match_args__ = ("alphabet", "depth", "_weights", "total_mass")
 
@@ -54,14 +54,6 @@ class MeasureTable(_Record):
             if value:
                 weights[word.letters] = value
         self.__dict__.update(alphabet=alphabet, depth=depth, _weights=weights, total_mass=mass)
-
-    @classmethod
-    def _trusted(cls, alphabet: Alphabet, depth: int, weights: dict[tuple[int, ...], Fraction],
-                 mass: Fraction) -> "MeasureTable":
-        """Checked data in: Fraction weights > 0 on tuples of length 1..depth, a Fraction mass."""
-        table = object.__new__(cls)
-        table.__dict__.update(alphabet=alphabet, depth=depth, _weights=weights, total_mass=mass)
-        return table
 
     @cached_property
     def values(self) -> dict[Word, Fraction]:

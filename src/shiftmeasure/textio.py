@@ -265,8 +265,9 @@ def parse_language(text: str) -> FactorLanguage:
 
 def render_language(language: FactorLanguage) -> str:
     lines = [f"!alphabet {language.alphabet}", f"!maxlen {language.maxlen}"]
-    for word in sorted(language.words, key=Word.sort_key):
-        lines.append(str(word))
+    symbols = language.alphabet.symbols
+    for x in sorted(language._words, key=lambda x: (len(x), x)):
+        lines.append(" ".join([symbols[i] for i in x]))
     return "\n".join(lines) + "\n"
 
 

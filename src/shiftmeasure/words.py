@@ -20,6 +20,13 @@ class _Record:
     through __dict__ and are compared, hashed and shown as a frozen
     dataclass's are: equal only within one class, hashed as a tuple."""
 
+    @classmethod
+    def _trusted(cls, *fields: object):
+        """A record from already checked fields in __match_args__ order: no check, no copy."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls.__match_args__, fields))
+        return record
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 

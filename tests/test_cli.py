@@ -208,19 +208,23 @@ def test_check_images_each_representative_once(files, capsys, monkeypatch):
     assert calls == {"_image_letters": 71, "_root_rotation": 71}
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
 def test_check_writes_a_report_at_the_budget_in_bounded_memory(files, tmp_path):
     """The collapse a -> c, b -> c at bound 13 owes 948,752 lines; they are
     written in blocks, so the child's peak RSS stays far below the 273 MiB
-    that joining the whole report took."""
-    resource = pytest.importorskip("resource")
+    that joining the whole report took.  The child reads its peak from VmHWM,
+    which starts afresh at exec; ru_maxrss can carry over this process's
+    larger peak."""
     sigma = files("collapse.morphism", "a -> c\nb -> c\n")
     out = tmp_path / "collapse.out"
     script = (
-        "import resource, sys\n"
+        "import sys\n"
         "from shiftmeasure.cli import main\n"
         f"code = main(['check', {sigma!r}, '--bound', '13'])\n"
         "sys.stdout.flush()\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
         "raise SystemExit(code)\n"
     )
     with open(out, "wb") as handle:
@@ -229,7 +233,7 @@ def test_check_writes_a_report_at_the_budget_in_bounded_memory(files, tmp_path):
     assert proc.returncode == 1, proc.stderr
     with open(out, "rb") as handle:
         assert sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 20), b"")) == 948752
-    peak_mib = int(proc.stderr) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    peak_mib = int(proc.stderr) / 1024
     assert peak_mib < 128, peak_mib
 
 
@@ -579,6 +583,8 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(files):
     ))
     # Collapses b c onto a: many period and orbit certificates.
     collapse_file = files("collapse.morphism", "a -> c d\nb -> c\nc -> d\n")
+    # Sends every letter of the language's alphabet to one orbit: certificates at its cap.
+    merge_file = files("merge.morphism", "a -> d\nb -> d\nc -> d\n")
     tau = gen.random_morphism(rng, sigma.codomain, gen.alphabet(2))
     tau_file = files("tau.morphism", render_morphism(tau))
     pi_file, alpha_file = files("pi.morphism", ""), files("alpha.morphism", "")
@@ -588,6 +594,7 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(files):
         (["image-language", sigma_file, language_file, "--maxlen", str(out_depth)], 0, (), 11),
         (["kirchhoff", raised_file], 1, (), 0),
         (["check", collapse_file, "--bound", "4"], 1, (), 0),
+        (["check", merge_file, "--bound", str(table.depth), "--language", language_file], 1, (), 0),
         (["eval", sigma_file, table_file, "--word", str(sigma.images[0])], 0, (), 1),
         (["characteristic", "--word", "c b a c a b b", "--depth", "4"], 0, (), 11),
         (["incidence", sigma_file], 0, (), 3),

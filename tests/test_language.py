@@ -1,16 +1,22 @@
 """Factor languages: closure validation, periodic orbits, image languages
 with the depth restriction, and the complexity bound."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import gen
+import shiftmeasure
 from shiftmeasure import (
     Alphabet,
     DepthError,
     FactorLanguage,
     Morphism,
+    Word,
     apply,
     complexity,
     compose,
@@ -18,7 +24,9 @@ from shiftmeasure import (
     factors,
     full_shift_language,
     image_language,
+    iter_words,
     norms,
+    parse_language,
     periodic_orbit_language,
     required_input_depth,
     union,
@@ -171,3 +179,101 @@ def test_image_language_complexity_bound():
         max_len, _ = norms(sigma)
         for k in range(1, n + 1):
             assert complexity(image, k) <= max_len * complexity(language, k)
+
+
+# ---------------------------------------------------------------- trusted producers
+
+def _closure_oracle(alphabet, words, n):
+    """The closure as it was built from Words: every factor, then the public
+    constructor's checks."""
+    closed = set()
+    for w in words:
+        closed |= factors(w, n)
+    return FactorLanguage(alphabet, n, frozenset(closed))
+
+
+def _checked(language):
+    """The language, after its Words pass the public constructor's checks."""
+    assert FactorLanguage(language.alphabet, language.maxlen, language.words) == language
+    return language
+
+
+def test_trusted_producers_match_the_word_built_closure():
+    """Each producer that skips the public constructor gives the language the
+    Word-built closure gives, and its Words pass the constructor's checks."""
+    rng = random.Random(35)
+    abc = gen.alphabet(3)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        words = [gen.random_word(rng, abc, rng.randint(0, 9)) for _ in range(rng.randint(0, 6))]
+        closure = _checked(factorial_closure(abc, words, n))
+        assert closure == _closure_oracle(abc, words, n)
+        text = f"!alphabet a b c\n!maxlen {n}\n" + "".join(f"{w}\n" for w in words if len(w))
+        assert _checked(parse_language(text)) == closure
+
+        w = gen.random_nonempty_word(rng, abc, 5)
+        orbit = _checked(periodic_orbit_language(w, n))
+        assert orbit == _closure_oracle(abc, [Word(abc, w.letters * (n + 1))], n)
+        shift = _checked(full_shift_language(abc, n))
+        assert shift == _closure_oracle(abc, iter_words(abc, n), n)
+
+        second = periodic_orbit_language(w, rng.randint(1, 5))
+        both = _checked(union(closure, second))
+        m = both.maxlen
+        assert both == _closure_oracle(abc, [u for u in closure.words | second.words if len(u) <= m], m)
+
+        sigma = gen.random_morphism(rng, abc, CD)
+        language = rng.choice([closure, orbit, shift])
+        for out in range(1, 5):
+            if required_input_depth(sigma, out) <= language.maxlen:
+                image = _checked(image_language(sigma, language, out))
+                assert image == _closure_oracle(CD, [apply(sigma, u) for u in language.words], out)
+
+
+def test_trusted_producers_build_no_word_per_factor(monkeypatch):
+    """The closure builds no Word, and parsing builds at most one per body
+    line, whatever the factors of that line."""
+    abc = gen.alphabet(3)
+    rng = random.Random(36)
+    words = [gen.random_word(rng, abc, rng.randint(1, 12)) for _ in range(200)]
+    text = "!alphabet a b c\n!maxlen 6\n" + "".join(f"{w}\n" for w in words)
+    built = []
+    init = Word.__init__
+    monkeypatch.setattr(Word, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    language = factorial_closure(abc, words, 6)
+    assert built == []
+    assert parse_language(text) == language
+    assert len(built) <= len(words)
+    monkeypatch.undo()
+    assert language == _closure_oracle(abc, words, 6)
+
+
+def test_constructor_errors_do_not_depend_on_the_hash_seed():
+    """Each error names the first offending word in canonical order (length,
+    then letters), whatever order the set iterates in."""
+    src = str(Path(shiftmeasure.__file__).resolve().parents[1])
+    script = (
+        "from shiftmeasure import Alphabet, FactorLanguage\n"
+        "abc, cd = Alphabet(('a', 'b', 'c')), Alphabet(('c', 'd'))\n"
+        "for alphabet, maxlen, words in [\n"
+        "        (abc, 2, ['a b', 'b c', 'c a', 'a', 'b']),\n"
+        "        (abc, 1, ['a b', 'b c a', 'a', 'b']),\n"
+        "        (cd, 1, ['d', 'c'])]:\n"
+        "    try:\n"
+        "        FactorLanguage(abc, maxlen, frozenset(alphabet.word(w.split()) for w in words))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    outputs = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "language is not factor-closed at 'b c'\n"
+        "word 'a b' has length outside 1..1\n"
+        "word 'c' is not over the language alphabet\n"
+    }

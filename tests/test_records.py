@@ -56,7 +56,7 @@ RECORDS = {
     ViolationReport: (("kind", "bound", "_domain", "_letters"),
                       ("period-preservation", 3, (Word(AB, (0, 1)),)),
                       ("orbit-injectivity", 3, ((A, B),))),
-    FactorLanguage: (("alphabet", "maxlen", "words"), (AB, 1, frozenset({A})),
+    FactorLanguage: (("alphabet", "maxlen", "_words"), (AB, 1, frozenset({A})),
                      (AB, 1, frozenset({A, B}))),
 }
 # The oracles: frozen dataclasses with each record's name and fields.
