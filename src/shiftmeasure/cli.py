@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 semantic finding (a violation was reported), 2
 parse or I/O failure, 3 precondition failure (for instance an input table
 that is too shallow for the requested depth).
+
+An argv that names a command is parsed by a parser of that command alone;
+the full parser, with every command, is built only for help and for the
+usage errors it reports.
 """
 
 from __future__ import annotations
@@ -203,28 +207,41 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple]] = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a command, with only that command's
-    subparser.  Its metavar keeps the top-level usage, which an unrecognized
-    argument prints, listing every command."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give the parser the arguments and the handler of command `name`."""
+    _, handler, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, with a subparser per command."""
     parser = argparse.ArgumentParser(
         prog="shiftmeasure",
         description="Exact measure transfer for subshifts under non-erasing morphisms.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, handler, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv as the full parser does.  A named command's own parser,
+    built as the full parser builds its subparser, parses the rest; the full
+    parser is built only when argv names no command or has arguments over."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"shiftmeasure {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -3,7 +3,10 @@ channel.  All invocations go through main(argv) with captured streams; one
 subprocess test covers the installed entry point."""
 
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import random
@@ -13,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 import shiftmeasure
@@ -437,9 +442,9 @@ def test_kirchhoff_lists_violations_with_exit_one(files, capsys):
 
 
 # stdout, stderr and exit code of argparse's own output (help, usage and
-# argument errors), recorded with COLUMNS=80 from the parser that built all
-# nine subcommands on every call.  The last case is the one error the
-# top-level parser reports after a command has matched.
+# argument errors), recorded with COLUMNS=80 from the top-level parser and
+# its subparsers.  Cases with an argument left over ("extra", "--bogus") are
+# the one error the top-level parser reports after a command has matched.
 ARGPARSE_GOLDENS = json.loads(
     (Path(__file__).with_name("argparse_goldens.json")).read_text(encoding="utf-8")
 )
@@ -456,28 +461,76 @@ def test_argparse_output_is_pinned(case, capsys, monkeypatch):
     assert (exit_info.value.code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
-def test_a_command_builds_only_its_own_subparser(files, capsys, monkeypatch):
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_a_command_builds_only_its_own_parser(files, capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     sigma = files("sigma.morphism", MORPHISM_SIGMA4)
     measure = files("orbit.measure", MEASURE_AB)
     assert main(["eval", sigma, measure, "--word", "c c"]) == 0
-    assert names == ["eval"]
+    assert progs == ["shiftmeasure eval"]
     # No parser is kept between calls.
     assert main(["eval", sigma, measure, "--word", "c c"]) == 0
-    assert names == ["eval", "eval"]
+    assert progs == ["shiftmeasure eval"] * 2
     assert capsys.readouterr().out == "2\n2\n"
-    names.clear()
+    # A left-over argument is the full parser's error: it builds every subparser.
+    full = ["shiftmeasure"] + [f"shiftmeasure {name}" for name in cli._COMMANDS]
+    progs.clear()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", sigma, measure, "--word", "c c", "extra"])
+    assert exit_info.value.code == 2
+    assert progs == ["shiftmeasure eval"] + full
+    assert capsys.readouterr().err.startswith("usage: shiftmeasure [-h]\n")
+    progs.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert names == list(cli._COMMANDS)
+    assert progs == full
     assert capsys.readouterr().out.startswith("usage: shiftmeasure [-h]\n")
+
+
+def _argparse_outcome(parse, argv):
+    """vars() of the namespace parse(argv) returns, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _command_argvs(name):
+    """Argvs naming a command: its positionals and required options, shuffled
+    with up to four pieces drawn from its flags (whole, abbreviated, in =
+    form, with a bad value or none), "--", "-h" and strings it does not know."""
+    base, pieces = [], [("--",), ("-h",), ("extra",), ("-x",), ("--bogus",)]
+    for flag, options in cli._COMMANDS[name][2]:
+        if not flag.startswith("-"):
+            base.append((flag,))
+        elif options.get("action") == "store_true":
+            pieces += [(flag,), (flag[:-1],), (f"{flag}=1",)]
+        else:
+            (base if options.get("required") else pieces).append((flag, "3"))
+            pieces += [(flag, "4"), (flag[:-1], "5"), (f"{flag}=6",), (flag[:4], "x"), (flag,)]
+    return st.lists(st.sampled_from(pieces), max_size=4).flatmap(
+        lambda more: st.permutations(base + more)).map(
+        lambda shuffled: [name, *itertools.chain.from_iterable(shuffled)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(cli._COMMANDS)).flatmap(_command_argvs))
+def test_a_command_parser_parses_as_the_full_parser(argv):
+    # The full parser is the oracle: a named command's own parser must give
+    # the same namespace (but for the full parser's command name), or exit
+    # with the same code and output.
+    expected = _argparse_outcome(lambda a: cli._build_parser().parse_args(a), argv)
+    if isinstance(expected, dict):
+        assert expected.pop("command") == argv[0]
+    assert _argparse_outcome(cli._parse_args, argv) == expected
 
 
 def test_parse_errors_exit_two_with_file_and_line(files, capsys):
