@@ -141,8 +141,8 @@ def _cmd_characteristic(args: argparse.Namespace) -> int:
         tokens = list(args.alphabet.strip()) if args.compact else args.alphabet.split()
     else:  # the word's tokens in order of first appearance
         tokens = list(dict.fromkeys(list(args.word.strip()) if args.compact else args.word.split()))
-    if not tokens:
-        raise _Failure(2, "cannot infer an alphabet from an empty word")
+        if not tokens:
+            raise _Failure(2, "cannot infer an alphabet from an empty word")
     try:
         alphabet = Alphabet(tuple(tokens))
     except ValueError as exc:

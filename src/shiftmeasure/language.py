@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .measure import characteristic_measure
-from .morphism import Morphism, _essential_sweep, _require_depth
+from .morphism import Morphism, _essential_sweep, _require_depth, _window
 from .words import Alphabet, Word, _Record
 
 
@@ -102,18 +102,18 @@ def union(first: FactorLanguage, second: FactorLanguage) -> FactorLanguage:
 def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorLanguage:
     """Depth-n language of the image subshift.
 
-    Every image word of length <= n occurs essentially over an input no
-    longer than the required input depth, so only those inputs are imaged,
-    each once, and only their essential occurrences are kept.  The language
-    is factor-closed, so any factor of an image is an essential occurrence
-    over some factor of the input and nothing is lost.
+    Every image word of length <= n occurs essentially over an input in the
+    _window of n, the one the transfer reads, so only those inputs are
+    imaged, each once, and only their essential occurrences are kept.  The
+    language is factor-closed, so any factor of an image is an essential
+    occurrence over some factor of the input and nothing is lost.
     """
     if language.alphabet != sigma.domain:
         raise ValueError("language alphabet must be the domain of the morphism")
     if n < 1:
         raise ValueError("maxlen must be >= 1")
-    required = _require_depth(sigma, n, language.maxlen)
-    swept = _essential_sweep(sigma, ((u, 1) for u in language._words if len(u) <= required), n)
+    _require_depth(sigma, n, language.maxlen)
+    swept = _essential_sweep(sigma, ((u, 1) for u in _window(sigma, language._words, n)), n)
     return FactorLanguage._trusted(sigma.codomain, n, frozenset(swept))
 
 

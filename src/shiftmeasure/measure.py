@@ -13,6 +13,7 @@ reported by validate(), not construction errors.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
@@ -169,6 +170,8 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
         raise ValueError("depth must be >= 1")
     root, exponent = primitive_root(w)
     period = len(root)
+    if depth > sys.maxsize - 2 * period:  # the stream below has < depth + 2 * period letters
+        raise ValueError(f"depth {depth} is too large to index")
     stream = root.letters * (-(-depth // period) + 1)
     weights: dict[tuple[int, ...], Fraction] = {}
     for offset in range(period):

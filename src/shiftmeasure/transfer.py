@@ -98,41 +98,18 @@ def subdivision_measure(
         raise ValueError("output depth must be >= 1")
     pi = subdivision_morphism(m.alphabet, lengths)
     required = _require_depth(pi, out_depth, m.depth)
-    # subdivision letter -> (base letter, 1-based position, block length)
-    info: dict[int, tuple[int, int, int]] = {}
-    for i, img in enumerate(pi.images):
-        for k, letter in enumerate(img.letters):
-            info[letter] = (i, k + 1, len(img))
-    images = [img.letters for img in pi.images]
-    candidates: set[tuple[int, ...]] = set()
+    images, weights, seen = [img.letters for img in pi.images], {}, set()
     for u in m._weights:
         if len(u) <= required:
             image = _image_letters(images, u)
+            block = [k for k, x in enumerate(u) for _ in images[x]]  # u's index behind each image letter
             for length in range(1, min(out_depth, len(image)) + 1):
-                candidates.update(image[i : i + length] for i in range(len(image) - length + 1))
-    weights = {u: m._weights[c] for u in candidates if (c := _shortest_cover(info, u)) in m._weights}
+                for i in range(len(image) - length + 1):
+                    if (t := image[i : i + length]) not in seen:
+                        seen.add(t)  # pi's images share no letter: every u gives t this cover
+                        if (cover := u[block[i] : block[i + length - 1] + 1]) in m._weights:
+                            weights[t] = m._weights[cover]
     return MeasureTable._trusted(pi.codomain, out_depth, weights, _transferred_mass(pi, m))
-
-
-def _shortest_cover(
-    info: Mapping[int, tuple[int, int, int]], letters: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Base word tiled by a subdivision word, or None when the positions do
-    not chain (within a block positions must step by one; a block may only
-    be left at its end and entered at position one)."""
-    base, position, block_len = info[letters[0]]
-    cover = [base]
-    for x in letters[1:]:
-        b, pos, ln = info[x]
-        if position < block_len:
-            if b != base or pos != position + 1:
-                return None
-        else:
-            if pos != 1:
-                return None
-            cover.append(b)
-        base, position, block_len = b, pos, ln
-    return tuple(cover)
 
 
 def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTable:

@@ -147,6 +147,23 @@ def test_characteristic_explicit_alphabet(capsys):
     assert capsys.readouterr().out == "!alphabet b a\n!depth 1\n!mass 1\na\t1\n"
 
 
+def test_characteristic_depth_past_any_index_is_a_precondition_failure(capsys):
+    """A depth no index can hold is refused before the orbit is repeated."""
+    depth = "99999999999999999999999"
+    assert main(["characteristic", "--word", "a b", "--depth", depth]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: depth {depth} is too large to index\n"
+
+
+def test_characteristic_empty_alphabet_messages(capsys):
+    """Only an alphabet inferred from the word blames the word."""
+    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", ""]) == 2
+    assert capsys.readouterr() == ("", "error: alphabet must not be empty\n")
+    assert main(["characteristic", "--word", "", "--depth", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot infer an alphabet from an empty word\n")
+
+
 def test_image_language_golden(files, capsys):
     sigma = files("sigma.morphism", MORPHISM_SIGMA4)
     language = files("full.language", "!alphabet a b\n!maxlen 2\na a\na b\nb a\nb b\n")

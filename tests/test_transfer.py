@@ -41,7 +41,10 @@ from shiftmeasure import (
     transfer_via_decomposition,
     validate,
 )
-from shiftmeasure.morphism import _essential_sweep
+from shiftmeasure import language as language_module
+from shiftmeasure import morphism as morphism_module
+from shiftmeasure import transfer as transfer_module
+from shiftmeasure.morphism import _essential_sweep, _window
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -311,6 +314,28 @@ def test_image_language_equals_the_factors_of_images():
         assert image_language(sigma, language, out_depth).words == expected
 
 
+def test_image_language_sweeps_the_window_words(monkeypatch):
+    """image_language images exactly the language words in the transfer's
+    _window, not every word up to the required depth."""
+    received = []
+
+    def recording_sweep(sigma, inputs, max_len):
+        inputs = list(inputs)
+        received.append([u for u, _ in inputs])
+        return _essential_sweep(sigma, inputs, max_len)
+
+    monkeypatch.setattr(language_module, "_essential_sweep", recording_sweep)
+    narrower = 0
+    for sigma, m, out_depth in _sweep_cases(64, 30):
+        language = FactorLanguage(sigma.domain, m.depth, frozenset(support_words(m)))
+        image_language(sigma, language, out_depth)
+        window = _window(sigma, language._words, out_depth)
+        assert sorted(received.pop()) == sorted(window)
+        required = required_input_depth(sigma, out_depth)
+        narrower += len(window) < sum(1 for u in language._words if len(u) <= required)
+    assert narrower > 0
+
+
 def test_wrong_table_alphabet_raises_even_with_empty_support():
     sigma = Morphism.from_images(ABC, CD, {"a": "c", "b": "dc", "c": "ccd"})
     stocked = characteristic_measure(AB.word("ab"), 3)
@@ -388,6 +413,82 @@ def test_subdivision_measure_matches_brute_force_cover():
                 cover = _shortest_cover_oracle(pi, u, m.depth)
                 expected = m.value(cover) if cover is not None else Fraction(0)
                 assert out.value(u) == expected
+
+
+def _walked_cover(info, letters):
+    """Base word tiled by a subdivision word, found by walking its letters,
+    or None when the positions do not chain (within a block positions must
+    step by one; a block may only be left at its end and entered at
+    position one).  info maps a subdivision letter to (base letter, 1-based
+    position, block length)."""
+    base, position, block_len = info[letters[0]]
+    cover = [base]
+    for x in letters[1:]:
+        b, pos, ln = info[x]
+        if position < block_len:
+            if b != base or pos != position + 1:
+                return None
+        else:
+            if pos != 1:
+                return None
+            cover.append(b)
+        base, position, block_len = b, pos, ln
+    return tuple(cover)
+
+
+def _walked_subdivision_measure(lengths, m, out_depth):
+    """Oracle: every factor of every subdivision image of a support word
+    within the required depth, weighed by the cover its letters walk to."""
+    pi = subdivision_morphism(m.alphabet, lengths)
+    info = {}
+    for i, img in enumerate(pi.images):
+        for k, letter in enumerate(img.letters):
+            info[letter] = (i, k + 1, len(img))
+    required = required_input_depth(pi, out_depth)
+    candidates = set()
+    for u in m.values:
+        if len(u) <= required:
+            candidates |= factors(apply(pi, u), out_depth)
+    values = {}
+    for t in candidates:
+        cover = _walked_cover(info, t.letters)
+        if cover is not None:
+            values[t] = m.value(Word(m.alphabet, cover))
+    mass = sum((lengths[t] * m.value(Word(m.alphabet, (i,))) for i, t in enumerate(m.alphabet.symbols)),
+               Fraction(0))
+    return MeasureTable(pi.codomain, out_depth, values, mass)
+
+
+def test_subdivision_measure_matches_the_walked_cover():
+    """The cover read off the block tiling is the one the letter walk finds,
+    beyond the brute-force sizes: 3-4 letters, blocks of 1-4 letters, output
+    depth up to 8, and every other table deeper than required."""
+    rng = random.Random(62)
+    for index in range(40):
+        alph = gen.alphabet(rng.randint(3, 4))
+        lengths = {t: rng.randint(1, 4) for t in alph.symbols}
+        out_depth = rng.randint(1, 8)
+        required = required_input_depth(subdivision_morphism(alph, lengths), out_depth)
+        m = gen.random_orbit_table(rng, alph, required + (rng.randint(1, 3) if index % 2 else 0), terms=3)
+        expected = _walked_subdivision_measure(lengths, m, out_depth)
+        assert subdivision_measure(lengths, m, out_depth) == expected
+
+
+def test_the_decomposition_route_runs_without_the_direct_route(monkeypatch):
+    """The cross-check stays independent: with the direct route's sweep,
+    count and window made to raise, the decomposition route still gives
+    the table the direct route gives without them."""
+    cases = list(_sweep_cases(63, 30))
+    expected = [transfer_table(sigma, m, out_depth) for sigma, m, out_depth in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the decomposition route reached the direct route")
+
+    for module in (transfer_module, morphism_module):
+        for name in ("_essential_sweep", "_essential_count", "_window"):
+            monkeypatch.setattr(module, name, forbidden)
+    for (sigma, m, out_depth), table in zip(cases, expected):
+        assert transfer_via_decomposition(sigma, m, out_depth) == table
 
 
 def test_pushforward_letter_to_letter():
