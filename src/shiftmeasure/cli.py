@@ -24,6 +24,7 @@ from .measure import _violations, characteristic_measure
 from .morphism import canonical_decomposition, compose, incidence_matrix
 from .textio import (
     ParseError,
+    _tokens,
     parse_language,
     parse_measure,
     parse_morphism,
@@ -138,9 +139,9 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
 
 def _cmd_characteristic(args: argparse.Namespace) -> int:
     if args.alphabet is not None:
-        tokens = list(args.alphabet.strip()) if args.compact else args.alphabet.split()
+        tokens = _tokens(args.alphabet, args.compact)
     else:  # the word's tokens in order of first appearance
-        tokens = list(dict.fromkeys(list(args.word.strip()) if args.compact else args.word.split()))
+        tokens = list(dict.fromkeys(_tokens(args.word, args.compact)))
         if not tokens:
             raise _Failure(2, "cannot infer an alphabet from an empty word")
     try:

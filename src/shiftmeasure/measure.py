@@ -13,7 +13,6 @@ reported by validate(), not construction errors.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
@@ -21,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from .words import Alphabet, Word, _Record, primitive_root
 
 Rational = Union[Fraction, int]
+TABLE_BUDGET = 10**7  # work budget: the most letters a characteristic table's keys may hold
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -162,7 +162,8 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
 
     A word v weighs the number of start offsets within one period of the
     biinfinite repetition of w at which v occurs, scaled by the exponent of w
-    over its primitive root.  Total mass is |w|.
+    over its primitive root.  Total mass is |w|.  More than TABLE_BUDGET letters
+    in the keys, period * depth * (depth + 1) / 2, is refused before any is built.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no characteristic measure")
@@ -170,8 +171,9 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
         raise ValueError("depth must be >= 1")
     root, exponent = primitive_root(w)
     period = len(root)
-    if depth > sys.maxsize - 2 * period:  # the stream below has < depth + 2 * period letters
-        raise ValueError(f"depth {depth} is too large to index")
+    if (letters := period * depth * (depth + 1) // 2) > TABLE_BUDGET:
+        raise ValueError(f"depth {depth} is over the table budget: its keys for an orbit of "
+                         f"period {period} hold {letters} letters, more than {TABLE_BUDGET}")
     stream = root.letters * (-(-depth // period) + 1)
     weights: dict[tuple[int, ...], Fraction] = {}
     for offset in range(period):

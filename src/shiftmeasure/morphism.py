@@ -67,9 +67,6 @@ class Morphism(_Record):
     def is_letter_to_letter(self) -> bool:
         return all(len(image) == 1 for image in self.images)
 
-    def image(self, letter: int) -> Word:
-        return self.images[letter]
-
     def __call__(self, w: Word) -> Word:
         return apply(self, w)
 
@@ -122,9 +119,6 @@ class IncidenceMatrix(_Record):
             if any(entry < 0 for entry in row):
                 raise ValueError("entries must be nonnegative")
         self.__dict__.update(row_alphabet=row_alphabet, col_alphabet=col_alphabet, entries=entries)
-
-    def entry(self, row: int, col: int) -> int:
-        return self.entries[row][col]
 
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(row[j] for row in self.entries) for j in range(len(self.col_alphabet)))

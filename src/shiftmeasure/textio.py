@@ -185,8 +185,6 @@ def parse_measure(text: str) -> MeasureTable:
                 if not tab:
                     raise ValueError("entry needs a tab between the word and its value")
                 tokens = left.split()
-                if not tokens:
-                    raise ValueError("entry for the empty word is not allowed")
                 try:
                     letters = tuple([*map(index, tokens)])
                 except KeyError:
@@ -271,7 +269,11 @@ def render_language(language: FactorLanguage) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tokens(text: str, compact: bool) -> list[str]:
+    """Whitespace-separated tokens, or single characters in compact mode."""
+    return list(text.strip()) if compact else text.split()
+
+
 def parse_word(alphabet: Alphabet, text: str, compact: bool = False) -> Word:
     """Parse a word from tokens, or from single characters in compact mode."""
-    tokens = list(text.strip()) if compact else text.split()
-    return alphabet.word(tokens)
+    return alphabet.word(_tokens(text, compact))

@@ -1,9 +1,9 @@
 """Measure transfer along a non-erasing morphism, by two independent routes.
 
 The direct route sums essential occurrences against the stored support of
-the input table, on int numerators over a common denominator.  A whole
-table is one sweep: each support word is imaged once and every essential
-occurrence is credited to its target.  One target is a pruned count: only
+the input table.  A whole table is one sweep on int numerators over a common
+denominator: each support word is imaged once and every essential occurrence
+is credited to its target.  One target adds its few terms as Fractions: only
 the support words whose first letter block can start it are imaged.  Both
 read only the support words in the length window.  The decomposition route
 reweights the table along the subdivision part of the canonical decomposition
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .measure import MeasureTable, _scaled, _unscaled
+from .measure import MeasureTable, _scaled
 from .morphism import (
     Morphism,
     _essential_count,
@@ -43,7 +43,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
 
     A pruned count, not a sweep: of the support words in the target length's
     _window, only those whose first letter block can start the target are
-    imaged, and only weights with a nonzero count are _scaled and summed.  The
+    imaged, and the weights with a nonzero count are summed as Fractions.  The
     empty target yields the total transferred mass.
     """
     if m.alphabet != sigma.domain:
@@ -58,8 +58,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
               for img in images]
     counts = {u: n for u in _window(sigma, (u for u in m._weights if starts[u[0]]), len(pattern))
               if (n := _essential_count(images, u, pattern))}
-    den, support = _scaled({u: m._weights[u] for u in counts})
-    return _unscaled(sum([n * support[u] for u, n in counts.items()]), den)
+    return sum([n * m._weights[u] for u, n in counts.items()], Fraction(0))
 
 
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:

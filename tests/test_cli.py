@@ -148,12 +148,28 @@ def test_characteristic_explicit_alphabet(capsys):
 
 
 def test_characteristic_depth_past_any_index_is_a_precondition_failure(capsys):
-    """A depth no index can hold is refused before the orbit is repeated."""
-    depth = "99999999999999999999999"
-    assert main(["characteristic", "--word", "a b", "--depth", depth]) == 3
+    """A depth no index can hold is refused by the table budget before the
+    orbit is repeated."""
+    depth = 99999999999999999999999
+    assert main(["characteristic", "--word", "a b", "--depth", str(depth)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: depth {depth} is too large to index\n"
+    assert captured.err == (
+        f"error: depth {depth} is over the table budget: its keys for an orbit of period 2 "
+        f"hold {depth * (depth + 1)} letters, more than 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [2**62, 10**9])
+def test_characteristic_depth_over_the_table_budget_is_a_precondition_failure(capsys, depth):
+    """2^62 fits an index (it once ended in a MemoryError traceback and exit 1),
+    and 10^9 would allocate gigabytes: both exit 3 with the letter count."""
+    assert main(["characteristic", "--word", "a b", "--depth", str(depth)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: depth {depth} is over the table budget: ")
+    assert f" hold {depth * (depth + 1)} letters, more than 10000000\n" in captured.err
 
 
 def test_characteristic_empty_alphabet_messages(capsys):
@@ -161,6 +177,20 @@ def test_characteristic_empty_alphabet_messages(capsys):
     assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", ""]) == 2
     assert capsys.readouterr() == ("", "error: alphabet must not be empty\n")
     assert main(["characteristic", "--word", "", "--depth", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot infer an alphabet from an empty word\n")
+
+
+def test_characteristic_compact_alphabets(capsys):
+    """--compact splits an explicit or inferred alphabet into characters, as it does the word."""
+    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", " ba ",
+                 "--compact"]) == 0
+    assert capsys.readouterr().out == "!alphabet b a\n!depth 1\n!mass 1\na\t1\n"
+    assert main(["characteristic", "--word", "abba", "--depth", "1", "--compact"]) == 0
+    assert capsys.readouterr().out == "!alphabet a b\n!depth 1\n!mass 4\na\t2\nb\t2\n"
+    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", "  ",
+                 "--compact"]) == 2
+    assert capsys.readouterr() == ("", "error: alphabet must not be empty\n")
+    assert main(["characteristic", "--word", " ", "--depth", "1", "--compact"]) == 2
     assert capsys.readouterr() == ("", "error: cannot infer an alphabet from an empty word\n")
 
 

@@ -84,6 +84,12 @@ def test_periodic_orbit_language_frozen():
         periodic_orbit_language(AB.epsilon(), 3)
 
 
+def test_periodic_orbit_language_has_its_tables_budget():
+    """The language is a characteristic table's support, refused past the same budget."""
+    with pytest.raises(ValueError, match="^depth 1000000000 is over the table budget: "):
+        periodic_orbit_language(AB.word("ab"), 10**9)
+
+
 def test_full_shift_language_counts():
     language = full_shift_language(AB, 3)
     assert len(language) == 2 + 4 + 8

@@ -2,6 +2,7 @@
 measures against a string-counting oracle, combinations and projections."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from shiftmeasure import (
     support_words,
     validate,
 )
+from shiftmeasure import measure
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -196,6 +198,41 @@ def test_characteristic_errors():
         characteristic_measure(AB.epsilon(), 2)
     with pytest.raises(ValueError):
         characteristic_measure(AB.word("a"), 0)
+
+
+def test_characteristic_table_budget_edge(monkeypatch):
+    """The keys hold period * depth * (depth + 1) / 2 letters: as many as the
+    budget is admitted, one more is refused.  The period is the primitive
+    root's, not the word's."""
+    monkeypatch.setattr(measure, "TABLE_BUDGET", 6)
+    for text, depth in (("aaaaab", 1), ("aaaaabaaaaab", 1), ("ab", 2), ("a", 3)):
+        assert validate(characteristic_measure(AB.word(text), depth)) == []
+    with pytest.raises(ValueError) as refused:
+        characteristic_measure(AB.word("aaaaaab"), 1)
+    assert str(refused.value) == (
+        "depth 1 is over the table budget: its keys for an orbit of period 7 hold 7 letters, "
+        "more than 6"
+    )
+    with pytest.raises(ValueError, match="period 1 hold 10 letters, more than 6$"):
+        characteristic_measure(AB.word("aa"), 4)
+
+
+def test_characteristic_refuses_huge_depths_before_building_anything():
+    """2^62 once ended in a MemoryError and 10^9 would allocate gigabytes;
+    both are refused from their arguments, in well under a mebibyte."""
+    assert measure.TABLE_BUDGET == 10**7
+    tracemalloc.start()
+    try:
+        for depth in (2**62, 10**9):
+            with pytest.raises(ValueError) as refused:
+                characteristic_measure(AB.word("ab"), depth)
+            assert str(refused.value) == (
+                f"depth {depth} is over the table budget: its keys for an orbit of period 2 "
+                f"hold {depth * (depth + 1)} letters, more than 10000000"
+            )
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _characteristic_oracle(w, depth):

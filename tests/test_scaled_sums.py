@@ -1,10 +1,11 @@
 """Int-numerator sums against the Fraction sums they replace.
 
-validate, transfer_table and transfer_eval sum int numerators over the lcm
-of a table's denominators (measure._scaled), or the Fractions themselves when
-that lcm is over the cap.  The oracles below are their bodies as they were on
-Fraction; both arithmetics must give the same violations and tables, field by
-field, with Fraction values."""
+validate and transfer_table sum a whole support as int numerators over the
+lcm of its denominators (measure._scaled), or as the Fractions themselves when
+that lcm is over the cap.  transfer_eval adds its few terms as Fractions.  The
+oracles below are their bodies as they were on Fraction (for transfer_eval,
+the sweep it replaced); both must give the same violations, tables and
+values, field by field, with Fraction values."""
 
 import itertools
 import random
@@ -203,7 +204,8 @@ def test_transfer_matches_the_fraction_sums():
 def test_transfer_scales_only_the_words_it_sweeps(monkeypatch):
     """Deep weights over distinct primes put the whole table over the cap, but
     the sweep reads only words up to the required depth: those are scaled,
-    and the sums run on ints."""
+    and the sums run on ints.  transfer_eval, which scales nothing, gives the
+    oracle's Fraction on the same table."""
     alph = Alphabet(("a", "b"))
     sigma = Morphism.from_images(alph, Alphabet(("c", "d")), {"a": "cd", "b": "dc"})
     shallow = characteristic_measure(alph.word("aab"), 5)
@@ -222,9 +224,12 @@ def test_transfer_scales_only_the_words_it_sweeps(monkeypatch):
 
     monkeypatch.setattr(transfer, "_scaled", recording)
     assert _assert_same_transfer(sigma, m, 4) == transfer_table(sigma, shallow, 4)
+    assert on_ints == [True, True]
+    monkeypatch.undo()
     target = sigma.codomain.word("cddc")
-    assert transfer_eval(sigma, m, target) == _transfer_eval_on_fractions(sigma, m, target)
-    assert on_ints == [True, True, True]
+    value = transfer_eval(sigma, m, target)
+    assert value == _transfer_eval_on_fractions(sigma, m, target) and value
+    assert type(value) is Fraction
 
 
 def test_the_decomposition_route_still_equals_the_direct_route_over_the_cap():
@@ -290,20 +295,13 @@ def test_the_fallback_validate_adds_no_fraction_to_an_int(monkeypatch):
     assert reverse == []
 
 
-def test_eval_matches_the_fraction_sums_on_every_kind_of_target(monkeypatch):
+def test_eval_matches_the_fraction_sums_on_every_kind_of_target():
     """transfer_eval's pruned count against the sweep it replaced, with targets
     of length 1, of weight zero and longer than any image, tables deeper than
-    the required depth, and matched weights over the cap."""
+    the required depth, and nonzero values read from weights whose lcm is over
+    the cap."""
     rng = random.Random(84)
     seen = Counter()
-    scaled_calls = []
-
-    def recording(weights):
-        den, numerators = _scaled(weights)
-        scaled_calls.append(bool(weights) and numerators is weights)
-        return den, numerators
-
-    monkeypatch.setattr(transfer, "_scaled", recording)
     for _ in range(40):
         domain, codomain = gen.alphabet(rng.randint(1, 3)), gen.alphabet(rng.randint(1, 3), 3)
         sigma = gen.random_morphism(rng, domain, codomain)
@@ -312,6 +310,8 @@ def test_eval_matches_the_fraction_sums_on_every_kind_of_target(monkeypatch):
         required = required_input_depth(sigma, length)
         for m in _seeded_tables(rng, domain, required + rng.randint(0, 2)):
             deep = any(len(u) > required for u in m._weights)
+            readable = {u: v for u, v in m._weights.items() if len(u) <= required}
+            over_cap = _scaled(readable)[1] is readable
             for target in [gen.random_word(rng, codomain, length) for _ in range(6)]:
                 value = transfer_eval(sigma, m, target)
                 assert value == _transfer_eval_on_fractions(sigma, m, target)
@@ -320,7 +320,7 @@ def test_eval_matches_the_fraction_sums_on_every_kind_of_target(monkeypatch):
                 seen["length 1"] += length == 1
                 seen["longer than any image"] += length > longest
                 seen["deep support"] += deep
-    seen["matched over the cap"] = sum(scaled_calls)
+                seen["nonzero over the cap"] += bool(value) and over_cap
     assert min(seen.values()) >= 100, seen
 
 
