@@ -249,7 +249,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except OSError as exc:  # _load and _write wrap file errors, so stdout failed: flush to devnull
         with contextlib.suppress(AttributeError, OSError, ValueError):  # a StringIO has no fd
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            fd = sys.stdout.fileno()
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), fd)
         print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except _Failure as failure:

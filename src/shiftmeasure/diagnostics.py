@@ -24,15 +24,19 @@ class ViolationReport(_Record):
     whose image is a proper power) or "orbit-injectivity" (each certificate a
     pair of primitive non-conjugate words whose image orbits coincide).
     Certificates always re-verify against the defining condition.  They are
-    kept as letter tuples over _domain; certificates is built on first use.
+    kept as letter tuples over _domain, the first word's alphabet, which every
+    word must share; certificates is built on first use.
     """
 
     __match_args__ = ("kind", "bound", "_domain", "_letters")
 
     def __init__(self, kind: str, bound: int, certificates: tuple) -> None:
         parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]
-        self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates),
-                             _domain=parts[0][0].alphabet if parts else None,
+        domain = parts[0][0].alphabet if parts else None
+        for w in (w for p in parts for w in p):
+            if w.alphabet != domain:
+                raise ValueError(f"certificate '{w}' is not over [{domain}], the first's alphabet")
+        self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates), _domain=domain,
                              _letters=tuple(tuple(w.letters for w in p) for p in parts))
 
     @cached_property
@@ -107,11 +111,10 @@ def _reports(
     the least rotation of the image root) in that order, so pairing each with
     the later members of its group yields the pairs already sorted.  More than
     CERTIFICATE_BUDGET certificates is an error raised before any is built."""
-    images = [img.letters for img in sigma.images]
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     powers, placed, count = [], [], 0
     for rep in _primitive_representatives(sigma, language, bound):
-        key, exponent = _root_rotation(_image_letters(images, rep))
+        key, exponent = _root_rotation(_image_letters(sigma._images, rep))
         if exponent >= 2:
             powers.append(rep)
             count += 1
@@ -179,7 +182,7 @@ def prolongation_split(
         raise DepthError(total_len, language.maxlen)
     if w not in language:
         raise ValueError(f"word '{w}' is not in the language")
-    letter = [img.letters[0] for img in sigma.images]
+    letter = [img[0] for img in sigma._images]
     middles: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     prolongations: dict[Word, tuple[int, ...]] = {}
     for x in language._words:

@@ -21,7 +21,8 @@ class Morphism(_Record):
     """A non-erasing monoid morphism, given letterwise.
 
     images[i] is the image of domain letter i, always a non-empty word over
-    the codomain.
+    the codomain.  _images holds their letter tuples for the hot paths; it is
+    not a field.
     """
 
     __match_args__ = ("domain", "codomain", "images")
@@ -35,7 +36,8 @@ class Morphism(_Record):
                 raise ValueError(f"image of {token!r} is not a word over the codomain")
             if len(image) == 0:
                 raise ValueError(f"erasing morphism: image of {token!r} is empty")
-        self.__dict__.update(domain=domain, codomain=codomain, images=images)
+        self.__dict__.update(domain=domain, codomain=codomain, images=images,
+                             _images=tuple([image.letters for image in images]))
 
     @classmethod
     def from_images(
@@ -65,7 +67,7 @@ class Morphism(_Record):
 
     @property
     def is_letter_to_letter(self) -> bool:
-        return all(len(image) == 1 for image in self.images)
+        return all(len(image) == 1 for image in self._images)
 
     def __call__(self, w: Word) -> Word:
         return apply(self, w)
@@ -75,7 +77,7 @@ def apply(sigma: Morphism, w: Word) -> Word:
     """The image word sigma(x_1)...sigma(x_n); the empty word maps to itself."""
     if w.alphabet != sigma.domain:
         raise ValueError("word is not over the domain of the morphism")
-    return Word(sigma.codomain, _image_letters([img.letters for img in sigma.images], w.letters))
+    return Word(sigma.codomain, _image_letters(sigma._images, w.letters))
 
 
 def _image_letters(images: Sequence[tuple[int, ...]], letters: Iterable[int]) -> tuple[int, ...]:
@@ -145,15 +147,13 @@ class IncidenceMatrix(_Record):
 
 def incidence_matrix(sigma: Morphism) -> IncidenceMatrix:
     """Count every codomain letter in every image."""
-    counts = []
-    for b in range(len(sigma.codomain)):
-        counts.append(tuple(sum(1 for x in img.letters if x == b) for img in sigma.images))
-    return IncidenceMatrix(sigma.codomain, sigma.domain, tuple(counts))
+    counts = tuple(tuple(img.count(b) for img in sigma._images) for b in range(len(sigma.codomain)))
+    return IncidenceMatrix(sigma.codomain, sigma.domain, counts)
 
 
 def norms(sigma: Morphism) -> tuple[int, int]:
     """(longest image length, shortest image length)."""
-    lengths = [len(img) for img in sigma.images]
+    lengths = [len(img) for img in sigma._images]
     return max(lengths), min(lengths)
 
 
@@ -231,11 +231,9 @@ class SubdivisionData(_Record):
 
 def canonical_decomposition(sigma: Morphism) -> SubdivisionData:
     """Split sigma into its subdivision part and its letter-to-letter part."""
-    lengths = {t: len(img) for t, img in zip(sigma.domain.symbols, sigma.images)}
+    lengths = {t: len(img) for t, img in zip(sigma.domain.symbols, sigma._images)}
     pi = subdivision_morphism(sigma.domain, lengths)
-    alpha_images = tuple(
-        Word(sigma.codomain, (b,)) for img in sigma.images for b in img.letters
-    )
+    alpha_images = tuple(Word(sigma.codomain, (b,)) for img in sigma._images for b in img)
     alpha = Morphism(pi.codomain, sigma.codomain, alpha_images)
     return SubdivisionData(pi.codomain, pi, alpha)
 
@@ -254,7 +252,7 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
         raise ValueError("word is not over the domain of the morphism")
     if target.alphabet != sigma.codomain:
         raise ValueError("target is not over the codomain of the morphism")
-    return _essential_count([img.letters for img in sigma.images], w.letters, target.letters)
+    return _essential_count(sigma._images, w.letters, target.letters)
 
 
 def _essential_count(images: Sequence[tuple[int, ...]], letters: tuple[int, ...],
@@ -274,7 +272,7 @@ def _window(sigma: Morphism, words: Iterable[tuple[int, ...]], max_len: int) -> 
     """The letter tuples u that can have an essential occurrence of length <= max_len.  For
     |u| >= 2 each covers sigma(u_2 ... u_{n-1}) and a letter on each side; this implies the
     sumless test |u| <= required_input_depth(sigma, max_len), so that one runs first."""
-    lengths, deepest = [len(img) for img in sigma.images], required_input_depth(sigma, max_len)
+    lengths, deepest = [len(img) for img in sigma._images], required_input_depth(sigma, max_len)
     return [u for u in words if len(u) <= deepest
             and (len(u) < 3 or sum([lengths[x] for x in u[1:-1]]) <= max_len - 2)]
 
@@ -294,7 +292,7 @@ def _essential_sweep(
     the sum of essential_occurrences(sigma, u, t) * weight over the inputs.
     Letters are not checked against the domain.
     """
-    images = [img.letters for img in sigma.images]
+    images = sigma._images
     sums: dict[tuple[int, ...], Fraction | int] = {}
     get = sums.get
     for letters, weight in inputs:

@@ -35,7 +35,7 @@ from .words import Word
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
     """Total transferred mass: each letter block contributes its length."""
     weights = m._weights
-    return sum((len(img) * weights.get((i,), 0) for i, img in enumerate(sigma.images)), Fraction(0))
+    return sum((len(img) * weights.get((i,), 0) for i, img in enumerate(sigma._images)), Fraction(0))
 
 
 def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
@@ -53,7 +53,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     _require_depth(sigma, len(target), m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    pattern, images = target.letters, [img.letters for img in sigma.images]
+    pattern, images = target.letters, sigma._images
     starts = [any(img[s : s + len(pattern)] == pattern[: len(img) - s] for s in range(len(img)))
               for img in images]
     counts = {u: n for u in _window(sigma, (u for u in m._weights if starts[u[0]]), len(pattern))
@@ -97,7 +97,7 @@ def subdivision_measure(
         raise ValueError("output depth must be >= 1")
     pi = subdivision_morphism(m.alphabet, lengths)
     required = _require_depth(pi, out_depth, m.depth)
-    images, weights, seen = [img.letters for img in pi.images], {}, set()
+    images, weights, seen = pi._images, {}, set()
     for u in m._weights:
         if len(u) <= required:
             image = _image_letters(images, u)
@@ -121,7 +121,7 @@ def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTab
         raise ValueError("push-forward requires a letter-to-letter morphism")
     if m.alphabet != alpha.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
-    letter = [img.letters[0] for img in alpha.images]
+    letter = [img[0] for img in alpha._images]
     weights: dict[tuple[int, ...], Fraction] = {}
     for u, weight in m._weights.items():
         image = tuple([letter[i] for i in u])

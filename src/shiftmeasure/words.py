@@ -190,26 +190,24 @@ def is_proper_power(w: Word) -> bool:
 
 
 def rotations(w: Word) -> Iterator[Word]:
-    """All cyclic shifts of w, starting with w itself."""
-    if len(w) == 0:
-        yield w
-        return
+    """All cyclic shifts of w, starting with w itself; the empty word is its own one."""
     doubled = w.letters + w.letters
-    for i in range(len(w)):
+    for i in range(max(len(w), 1)):
         yield Word(w.alphabet, doubled[i : i + len(w)])
 
 
 def min_rotation(w: Word) -> Word:
     """Lexicographically least rotation, by letter index order."""
-    key, exponent = _root_rotation(w.letters) if w.letters else ((), 1)
+    key, exponent = _root_rotation(w.letters)
     return Word(w.alphabet, key * exponent)
 
 
-def _root_rotation(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(least rotation of the primitive root, exponent) of non-empty letters in O(n): of
-    two live starts i < j with k letters in common, the one with the larger next letter
-    loses with the k starts after it, each greater than another rotation.  So at k == n,
-    i and j are equal rotations with only greater ones between: the root has length j - i."""
+def _root_rotation(letters: tuple) -> tuple[tuple, int]:
+    """(least rotation of the primitive root, exponent) of a tuple of letter indices or of
+    tokens, in O(n); () gives ((), 0).  Of two live starts i < j with k items in common, the
+    one with the larger next item loses with the k starts after it, each greater than another
+    rotation.  So at k == n, i and j are equal rotations with only greater ones between: the
+    root has length j - i."""
     n, doubled = len(letters), letters + letters
     i, j, k = 0, 1, 0
     while j < n and k < n:
@@ -224,14 +222,9 @@ def _root_rotation(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def is_rotation(w1: Word, w2: Word) -> bool:
-    """True iff the token sequences are cyclic shifts of each other."""
-    if len(w1) != len(w2):
-        return False
-    if len(w1) == 0:
-        return True
-    t1, t2 = w1.tokens, w2.tokens
-    doubled = t1 + t1
-    return any(doubled[i : i + len(t2)] == t2 for i in range(len(t1)))
+    """True iff the token sequences are cyclic shifts of each other: they have one
+    length and one least rotation."""
+    return len(w1) == len(w2) and _root_rotation(w1.tokens) == _root_rotation(w2.tokens)
 
 
 def factors(w: Word, n: int) -> set[Word]:

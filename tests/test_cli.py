@@ -342,6 +342,33 @@ def test_a_full_stdout_is_an_io_failure(files, buffered):
             2, f"error: cannot write to stdout: {os.strerror(28)}\n"), argv
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_failed_stdout_write_leaves_no_descriptor_open(files, capsys, monkeypatch):
+    """The handler sends the rest of stdout to devnull and closes the devnull
+    descriptor it opened; a stream with no descriptor opens none.  Five
+    failures on a stream that raises BrokenPipeError and has no fileno, and one
+    on a real pipe whose reader is gone, leave as many descriptors open as
+    before, and each prints the one error line."""
+    sigma = files("fibonacci.morphism", "a -> a b\nb -> a\n")
+
+    class BrokenStream(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, os.strerror(32))
+
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        monkeypatch.setattr(sys, "stdout", BrokenStream())
+        assert main(["compose", sigma, sigma]) == 2
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["compose", sigma, sigma]) == 2
+        monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == f"error: cannot write to stdout: {os.strerror(32)}\n" * 6
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
 def test_kirchhoff_streams_a_deep_table_in_bounded_memory(files, tmp_path):
     """A table of depth 100,000 with mass 1 and no entries breaks every level
@@ -648,6 +675,22 @@ def test_bad_bound_exits_three(files, capsys):
     sigma = files("sigma.morphism", MORPHISM_SIGMA4)
     assert main(["check", sigma, "--bound", "0"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["transfer", "{sigma}", "{measure}", "--depth", "0"], 3, "output depth must be >= 1"),
+    (["image-language", "{sigma}", "{language}", "--maxlen", "0"], 3, "maxlen must be >= 1"),
+    (["decompose", "{sigma}", "--pi-out", "/nonexistent/x", "--alpha-out", "{alpha}"], 2,
+     "cannot write /nonexistent/x: No such file or directory"),
+], ids=["transfer-depth", "image-language-maxlen", "decompose-unwritable"])
+def test_out_of_range_values_and_unwritable_outputs_exit_with_one_line(files, capsys, tmp_path,
+                                                                       argv, code, message):
+    paths = {"sigma": files("sigma.morphism", MORPHISM_SIGMA4),
+             "measure": files("orbit.measure", MEASURE_AB),
+             "language": files("ab.language", "!alphabet a b\n!maxlen 1\na\nb\n"),
+             "alpha": str(tmp_path / "alpha.morphism")}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_module_entry_point_smoke(files):

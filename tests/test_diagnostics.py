@@ -80,6 +80,23 @@ def test_a_report_built_from_words_equals_the_checks_report():
     assert not empty and empty.certificates == () and empty.render() == "BOUND 3"
 
 
+def test_a_report_refuses_certificates_over_two_alphabets():
+    """Certificates are kept as letters over the first word's alphabet, so a
+    word over another one, alone or in a pair, would be read with the wrong
+    symbols and make the report equal to one it is not."""
+    cd = Alphabet(("c", "d"))
+    for kind, certificates, foreign in [
+        ("period-preservation", (AB.word("a"), cd.word("d")), "d"),
+        ("period-preservation", (AB.word("a"), Alphabet(("b", "a")).word("b")), "b"),
+        ("orbit-injectivity", ((AB.word("a"), AB.word("b")), (AB.word("a"), cd.word("c"))), "c"),
+        ("orbit-injectivity", ((AB.word("ab"), cd.word("cd")),), "c d"),
+    ]:
+        with pytest.raises(ValueError, match=f"^certificate '{foreign}' is not over \\[a b\\], "):
+            diagnostics.ViolationReport(kind, 3, certificates)
+    report = diagnostics.ViolationReport("period-preservation", 3, (AB.word("a"), AB.word("b")))
+    assert report.lines() == ["VIOLATION period-preservation a", "VIOLATION period-preservation b"]
+
+
 def test_square_image_breaks_period_preservation():
     a = Alphabet(("a",))
     report = check_period_preservation(SQUARING, full_shift_language(a, 1), 1)
@@ -424,3 +441,5 @@ def test_prolongation_split_errors():
     thin = factorial_closure(AB, [AB.word("aaa")], 3)
     with pytest.raises(ValueError):
         prolongation_split(COLLAPSE, thin, AB.word("b"), 1)
+    with pytest.raises(ValueError, match="^language alphabet must be the domain of the morphism$"):
+        prolongation_split(COLLAPSE, full_shift_language(Alphabet(("b", "a")), 3), AB.word("a"), 1)

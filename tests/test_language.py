@@ -72,6 +72,10 @@ def test_factorial_closure_frozen():
     assert factorial_closure(AB, [], 3).words == frozenset()
     # words longer than the cap contribute their factors
     assert names(factorial_closure(AB, [AB.word("abab")], 1)) == {"a", "b"}
+    with pytest.raises(ValueError, match="^maxlen must be >= 1$"):
+        factorial_closure(AB, [AB.word("ab")], 0)
+    with pytest.raises(ValueError, match="^word 'c' is not over the given alphabet$"):
+        factorial_closure(AB, [AB.word("ab"), CD.word("c")], 2)
 
 
 def test_periodic_orbit_language_frozen():
@@ -82,6 +86,8 @@ def test_periodic_orbit_language_frozen():
     assert periodic_orbit_language(AB.word("abab"), 3) == periodic_orbit_language(AB.word("ab"), 3)
     with pytest.raises(ValueError):
         periodic_orbit_language(AB.epsilon(), 3)
+    with pytest.raises(ValueError, match="^maxlen must be >= 1$"):
+        periodic_orbit_language(AB.word("ab"), 0)
 
 
 def test_periodic_orbit_language_has_its_tables_budget():
@@ -94,6 +100,8 @@ def test_full_shift_language_counts():
     language = full_shift_language(AB, 3)
     assert len(language) == 2 + 4 + 8
     assert complexity(language, 3) == 8
+    with pytest.raises(ValueError, match="^maxlen must be >= 1$"):
+        full_shift_language(AB, 0)
 
 
 def test_union_truncates_to_common_cap():
@@ -134,6 +142,8 @@ def test_image_language_requires_enough_input_depth():
     assert err.value.required == required_input_depth(SIGMA4, 4)
     with pytest.raises(ValueError):
         image_language(SIGMA4, full_shift_language(CD, 2), 2)
+    with pytest.raises(ValueError, match="^maxlen must be >= 1$"):
+        image_language(SIGMA4, language, 0)
 
 
 def test_image_language_ignores_inputs_beyond_required_depth():

@@ -9,6 +9,7 @@ import pytest
 import gen
 from shiftmeasure import (
     Alphabet,
+    IncidenceMatrix,
     Morphism,
     Word,
     apply,
@@ -133,6 +134,11 @@ def test_matrix_vector_product_and_errors():
         m.apply((1, 1, 1))
     with pytest.raises(ValueError):
         incidence_matrix(SIGMA4) @ incidence_matrix(THUE_MORSE) @ incidence_matrix(SIGMA4)
+    for entries, message in [(((1, 1),), "need one row per codomain letter"),
+                             (((1, 1), (1,)), "need one column per domain letter"),
+                             (((1, 1), (0, -1)), "entries must be nonnegative")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IncidenceMatrix(CD, AB, entries)
 
 
 def test_norms_frozen():
@@ -223,6 +229,8 @@ def test_essential_occurrences_errors():
         essential_occurrences(SIGMA4, AB.word("a"), CD.epsilon())
     with pytest.raises(ValueError):
         essential_occurrences(SIGMA4, CD.word("c"), CD.word("c"))
+    with pytest.raises(ValueError, match="^target is not over the codomain of the morphism$"):
+        essential_occurrences(SIGMA4, AB.word("a"), AB.word("a"))
 
 
 def _essential_oracle(sigma, w, target):

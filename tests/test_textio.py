@@ -135,6 +135,7 @@ def test_measure_parse_errors_carry_line_numbers():
         (head + "\t1\n", 4),  # empty word
         ("!alphabet a b\n!depth 0\n", 2),  # bad depth
         ("!alphabet a b\n!mass 1\n!mass 2\n", 3),  # duplicate mass
+        ("!alphabet a b\n!mass 1 2\n", 2, "!mass needs one rational value"),
         ("!alphabet a a\n", 1),  # duplicate letter
         (head + "a 1\n\n!what\n", 4, "entry needs a tab between the word and its value"),
         # Missing headers, in the order !alphabet, !depth, !mass, at the last content line.

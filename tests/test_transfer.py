@@ -84,6 +84,10 @@ def test_depth_shortfall_raises_with_the_required_depth():
     assert "2" in str(err.value)
     with pytest.raises(DepthError):
         transfer_table(SIGMA4, m, 2)
+    with pytest.raises(ValueError, match="^output depth must be >= 1$"):
+        transfer_table(SIGMA4, m, 0)
+    with pytest.raises(ValueError, match="^output depth must be >= 1$"):
+        subdivision_measure({"a": 1, "b": 2}, m, 0)
 
 
 def test_the_depth_bound_lives_in_morphism():

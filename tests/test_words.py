@@ -167,12 +167,17 @@ def test_is_rotation_frozen():
     assert not is_rotation(ABC.word("aab"), ABC.word("abb"))
     assert is_rotation(AB.epsilon(), AB.epsilon())
     assert not is_rotation(AB.word("a"), AB.word("ab"))
+    # Tokens are compared, not letter indices: b < a in BA's order does not matter.
+    BA = Alphabet(("b", "a"))
+    assert is_rotation(AB.word("aab"), BA.word("aba")) and is_rotation(BA.word("ab"), AB.word("ab"))
+    assert not is_rotation(AB.word("aab"), BA.word("abb")) and is_rotation(AB.epsilon(), BA.epsilon())
 
 
 def test_rotations_and_min_rotation():
     assert [str(w) for w in rotations(AB.word("bab"))] == ["b a b", "a b b", "b b a"]
     assert str(min_rotation(AB.word("bab"))) == "a b b"
     assert min_rotation(AB.epsilon()) == AB.epsilon()
+    assert list(rotations(AB.epsilon())) == [AB.epsilon()]
 
 
 def test_is_rotation_matches_string_oracle_exhaustive():
@@ -280,6 +285,9 @@ def test_iter_words_order_and_count():
     level = list(iter_words(AB, 2))
     assert [str(w) for w in level] == ["a a", "a b", "b a", "b b"]
     assert sum(1 for _ in iter_words(ABC, 3)) == 27
+    assert list(iter_words(AB, 0)) == [AB.epsilon()]
+    with pytest.raises(ValueError, match="^length must be >= 0$"):
+        next(iter_words(AB, -1))
 
 
 def test_sort_key_orders_by_length_then_alphabet():
