@@ -25,13 +25,16 @@ class ViolationReport(_Record):
     pair of primitive non-conjugate words whose image orbits coincide).
     Certificates always re-verify against the defining condition.  They are
     kept as letter tuples over _domain, the first word's alphabet, which every
-    word must share; certificates is built on first use.
+    word must share; an empty certificate is refused.  certificates is built
+    on first use.
     """
 
     __match_args__ = ("kind", "bound", "_domain", "_letters")
 
     def __init__(self, kind: str, bound: int, certificates: tuple) -> None:
         parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]
+        if () in parts:
+            raise ValueError(f"certificate {parts.index(())} is empty: a certificate holds a word or a pair")
         domain = parts[0][0].alphabet if parts else None
         for w in (w for p in parts for w in p):
             if w.alphabet != domain:

@@ -115,15 +115,18 @@ def validate(m: MeasureTable) -> list[Violation]:
 
     The equalities mu(w) = sum_a mu(aw) = sum_a mu(wa) must hold at every
     word w of length 1..depth-1, and every level must sum to the total mass.
-    A word can break an extension equality only if it or one of its
-    extensions is in the support: it is a support word shorter than the
-    depth, or a support word with its first or last letter dropped.  Every
-    other word has value 0 and both extension sums 0, so only those words
-    are checked.  One pass over the support collects them with their
-    extension sums, so the work is O(|support| * depth), not O(|A|^depth).
-    The sums and comparisons run on _scaled numerators; expected and actual
-    are Fractions.  Violations come in canonical word order (length, then
-    letters; left before right at each word), then the level sums by length.
+    Each side keeps one signed balance per word, mu(w) less its extension
+    sum there: it starts at the weight of every support word shorter than
+    the depth, and each support word u of length 2 or more subtracts its
+    weight from the left balance of u with its first letter dropped and the
+    right balance of u with its last letter dropped.  A word breaks a side
+    exactly when its balance there is nonzero, and the extension sum is then
+    mu(w) less the balance; every word with no balance has value 0 and both
+    extension sums 0.  So the work is one pass over the support,
+    O(|support| * depth), not O(|A|^depth).  The balances run on _scaled
+    numerators; expected and actual are Fractions.  Violations come in
+    canonical word order (length, then letters; left before right at each
+    word), then the level sums by length.
     """
     return list(_violations(m))
 
@@ -132,24 +135,23 @@ def _violations(m: MeasureTable) -> Iterator[Violation]:
     """validate's violations one at a time: a deep table's level sums cost no memory."""
     den, weights = _scaled(m._weights)
     zero = Fraction(0) if weights is m._weights else 0  # int 0 + Fraction is slow
-    left_sums: dict[tuple[int, ...], int | Fraction] = {}
-    right_sums: dict[tuple[int, ...], int | Fraction] = {}
+    left = {u: v for u, v in weights.items() if len(u) < m.depth}
+    right = left.copy()
     level: dict[int, int | Fraction] = {}
     for u, v in weights.items():
-        level[len(u)] = level.get(len(u), zero) + v
-        if len(u) >= 2:
-            left_sums[u[1:]] = left_sums.get(u[1:], zero) + v
-            right_sums[u[:-1]] = right_sums.get(u[:-1], zero) + v
-    candidates = {u for u in weights if len(u) < m.depth}
-    candidates.update(left_sums, right_sums)
-    value, left, right = weights.get, left_sums.get, right_sums.get
-    broken = [u for u in candidates if not left(u, zero) == value(u, zero) == right(u, zero)]
+        n = len(u)
+        level[n] = level.get(n, zero) + v
+        if n >= 2:
+            suffix, prefix = u[1:], u[:-1]
+            left[suffix] = left.get(suffix, zero) - v
+            right[prefix] = right.get(prefix, zero) - v
+    broken = {u for u, b in left.items() if b}.union([u for u, b in right.items() if b])
     for u in sorted(broken, key=lambda u: (len(u), u)):
-        expected = value(u, zero)
-        for kind, actual in (("left-extension", left(u, zero)), ("right-extension", right(u, zero))):
-            if actual != expected:
+        expected = weights.get(u, zero)
+        for kind, balance in (("left-extension", left.get(u)), ("right-extension", right.get(u))):
+            if balance:
                 yield Violation(kind, Word(m.alphabet, u), None,
-                                _unscaled(expected, den), _unscaled(actual, den))
+                                _unscaled(expected, den), _unscaled(expected - balance, den))
     mass = m.total_mass * den
     # Mass 0: only the support's levels can break; else each level broken is a line.
     for length in range(1, m.depth + 1) if mass else sorted(level):

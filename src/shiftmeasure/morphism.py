@@ -12,6 +12,7 @@ word, _window) that the transfer, the image language and candidate_lengths share
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .words import Alphabet, Word, _Record
@@ -21,8 +22,8 @@ class Morphism(_Record):
     """A non-erasing monoid morphism, given letterwise.
 
     images[i] is the image of domain letter i, always a non-empty word over
-    the codomain.  _images holds their letter tuples for the hot paths; it is
-    not a field.
+    the codomain.  _images holds their letter tuples for the hot paths, built
+    on first use (also for a _trusted morphism); it is not a field.
     """
 
     __match_args__ = ("domain", "codomain", "images")
@@ -36,8 +37,11 @@ class Morphism(_Record):
                 raise ValueError(f"image of {token!r} is not a word over the codomain")
             if len(image) == 0:
                 raise ValueError(f"erasing morphism: image of {token!r} is empty")
-        self.__dict__.update(domain=domain, codomain=codomain, images=images,
-                             _images=tuple([image.letters for image in images]))
+        self.__dict__.update(domain=domain, codomain=codomain, images=images)
+
+    @cached_property
+    def _images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([image.letters for image in self.images])
 
     @classmethod
     def from_images(

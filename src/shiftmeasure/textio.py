@@ -169,34 +169,47 @@ def parse_measure(text: str) -> MeasureTable:
 
     Headers ``!alphabet`` and ``!depth`` must precede the entry lines, and
     ``!mass`` must appear somewhere; an entry is the word's tokens, a tab,
-    and a rational value.
+    and a rational value.  An entry ``head + " " + last`` whose head is the
+    word text of an earlier entry, spelled the same way, takes that entry's
+    letters and maps only its last token.  Every table render_measure writes
+    from a consistent measure lists each such prefix first, as mu(u) <=
+    mu(u[:-1]); any other entry maps all of its tokens, after one
+    rpartition and one lookup.
     """
     weights: dict[tuple[int, ...], Fraction] = {}
     parsed: dict[str, Fraction] = {}  # by value text: a table repeats few distinct values
+    known: dict[str, tuple[int, ...]] = {}  # by word text: always tuple(map(index, text.split()))
 
     def entries(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
         alphabet, depth = headers.get("!alphabet"), headers.get("!depth")
         if alphabet is None or depth is None:
             raise ParseError(run[0][0], "!alphabet and !depth headers must precede entries")
-        index = alphabet._indices.__getitem__
+        indices = alphabet._indices
+        index = indices.__getitem__
         try:
             for number, line in run:
                 left, tab, right = line.partition("\t")
                 if not tab:
                     raise ValueError("entry needs a tab between the word and its value")
-                tokens = left.split()
-                try:
-                    letters = tuple([*map(index, tokens)])
-                except KeyError:
-                    alphabet.word(tokens)  # raises the error for the first unknown token
+                head, _, last = left.rpartition(" ")
+                prefix = known.get(head)
+                if prefix is not None and last in indices:
+                    letters = prefix + (indices[last],)
+                else:
+                    try:
+                        letters = tuple([*map(index, left.split())])
+                    except KeyError:
+                        alphabet.word(left.split())  # raises the error for the first unknown token
                 if len(letters) > depth:
-                    raise ValueError(f"word '{' '.join(tokens)}' is longer than the declared depth {depth}")
+                    raise ValueError(
+                        f"word '{' '.join(left.split())}' is longer than the declared depth {depth}")
                 if letters in weights:
-                    raise ValueError(f"duplicate entry for '{' '.join(tokens)}'")
+                    raise ValueError(f"duplicate entry for '{' '.join(left.split())}'")
                 value_text = right.strip()
                 if value_text not in parsed:
                     parsed[value_text] = _parse_rational(value_text)
                 weights[letters] = parsed[value_text]
+                known[left] = letters
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None
 

@@ -97,6 +97,15 @@ def test_a_report_refuses_certificates_over_two_alphabets():
     assert report.lines() == ["VIOLATION period-preservation a", "VIOLATION period-preservation b"]
 
 
+def test_a_report_refuses_an_empty_certificate():
+    """A certificate is one word or a pair; one with no word has no alphabet
+    to read and no line to print."""
+    for certificates, position in [(((),), 0), ([[]], 0), ((AB.word("a"), ()), 1),
+                                   (((AB.word("a"), AB.word("b")), (), ()), 1)]:
+        with pytest.raises(ValueError, match=f"^certificate {position} is empty: "):
+            diagnostics.ViolationReport("orbit-injectivity", 3, certificates)
+
+
 def test_square_image_breaks_period_preservation():
     a = Alphabet(("a",))
     report = check_period_preservation(SQUARING, full_shift_language(a, 1), 1)

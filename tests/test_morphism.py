@@ -3,6 +3,7 @@ essential-occurrence machinery with its candidate-length bound."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +61,21 @@ def test_construction_rejects_bad_morphisms():
 def test_letter_to_letter_flag():
     assert Morphism.identity(AB).is_letter_to_letter
     assert not SIGMA4.is_letter_to_letter
+
+
+def test_a_trusted_morphism_works_like_a_constructed_one():
+    """_trusted sets only the fields; the image letters the hot paths read
+    must still be there, and give what the public constructor's give."""
+    rng = random.Random(17)
+    for _ in range(50):
+        sigma = gen.random_morphism(rng, AB, CD)
+        trusted = Morphism._trusted(sigma.domain, sigma.codomain, sigma.images)
+        assert trusted == sigma and trusted._images == sigma._images
+        inputs = [(u.letters, Fraction(1, len(u))) for u in words_up_to(AB, 4)]
+        for w in words_up_to(AB, 4):
+            assert apply(trusted, w) == apply(sigma, w)
+        for max_len in (1, 3, 5):
+            assert _essential_sweep(trusted, inputs, max_len) == _essential_sweep(sigma, inputs, max_len)
 
 
 # ---------------------------------------------------------------- apply/compose

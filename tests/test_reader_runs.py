@@ -340,3 +340,93 @@ def test_each_run_is_one_handler_call(monkeypatch):
     assert calls == [[3, 6], [8, 9]]
     assert table.total_mass == 2 and len(table._weights) == 4
     assert Word(table.alphabet, (0, 1)) in table.values
+
+
+# parse_measure reuses the letters of an entry's prefix: an entry
+# `head + " " + last` whose head is the word text of an earlier entry, spelled
+# the same way, maps only its last token.  The texts below respell, reorder and
+# break seeded tables so that heads are known, unknown or spelled differently.
+
+def _respelled_measure_text(rng):
+    alph = gen.alphabet(rng.randint(1, 3))
+    heads, body = [], []
+    for line in render_measure(gen.random_orbit_table(rng, alph, rng.randint(1, 4))).splitlines():
+        (heads if line.startswith("!") else body).append(line)
+    depth = int(heads[1].split()[1])
+    split = [line.partition("\t")[::2] for line in body]
+    if rng.random() < 0.5:  # doubled spaces inside some words
+        split = [(w.replace(" ", "  ", 1) if rng.random() < 0.3 else w, v) for w, v in split]
+    if rng.random() < 0.5:  # a head with a trailing space: the word text ends in one
+        split = [(w + " " if rng.random() < 0.3 else w, v) for w, v in split]
+    if rng.random() < 0.3:
+        rng.shuffle(split)
+    if rng.random() < 0.3:  # missing prefixes
+        split = [p for p in split if rng.random() < 0.7]
+    long_words = [i for i, (w, _) in enumerate(split) if len(w.split()) >= 2]
+    if long_words and rng.random() < 0.3:  # an unknown last token after a known head
+        i = rng.choice(long_words)
+        split[i] = (split[i][0].rstrip().rpartition(" ")[0] + " " + rng.choice(["zz", "h", "#x"]), split[i][1])
+    deepest = [i for i, (w, _) in enumerate(split) if len(w.split()) == depth]
+    if deepest and rng.random() < 0.2:  # one token too many after a known head
+        i = rng.choice(deepest)
+        split[i] = (split[i][0] + " " + rng.choice(alph.symbols), split[i][1])
+    if split and rng.random() < 0.2:  # the same word again, spelled another way
+        i = rng.randrange(len(split))
+        split.insert(rng.randint(i + 1, len(split)), (split[i][0].replace(" ", "  ") + " ", "1"))
+    return "\n".join(heads + [f"{w}\t{v}" for w, v in split]) + "\n"
+
+
+def _reused_lookups(text, symbols):
+    """Index lookups when each entry whose head is an earlier entry's word
+    text maps only its last token, and any other entry maps all of its tokens."""
+    known, lookups = set(), 0
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and line[0] not in "#!":
+            word = line.partition("\t")[0]
+            head, _, last = word.rpartition(" ")
+            lookups += 1 if head in known and last in symbols else len(word.split())
+            known.add(word)
+    return lookups
+
+
+class _CountingIndices(dict):
+    """An alphabet's token-to-index map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, token):
+        self.lookups += 1
+        return super().__getitem__(token)
+
+
+def test_entries_reuse_their_prefix_letters_as_single_lines_did(monkeypatch):
+    maps = []
+
+    def counting_alphabet(name, fields):
+        alphabet = _alphabet_header(name, fields)
+        alphabet.__dict__["_indices"] = indices = _CountingIndices(alphabet._indices)
+        maps.append(indices)
+        return alphabet
+
+    monkeypatch.setattr(textio, "_alphabet_header", counting_alphabet)
+    rng = random.Random(18)
+    outcomes, reused = Counter(), 0
+    for _ in range(1500):
+        text = _respelled_measure_text(rng)
+        maps.clear()
+        got, expected = _outcome(parse_measure, text), _outcome(_parse_measure_per_line, text)
+        assert got == expected, text
+        outcomes[got[0] if got[0] == "value" else got[2].split(" ")[0]] += 1
+        if got[0] == "value":
+            (indices,) = maps
+            assert indices.lookups == _reused_lookups(text, indices), text
+            reused += indices.lookups < _reused_lookups(text, ())  # () knows no token
+    assert outcomes["value"] >= 600 and reused >= 300, (outcomes, reused)
+    for message in ("symbol", "word", "duplicate"):
+        assert outcomes[message] >= 50, outcomes
+    # A head with a trailing space is known only as spelled: "a b " is an entry,
+    # so "a b  a" maps one token, but "a b" is not, so "a b b" maps all three.
+    text = "!alphabet a b\n!depth 3\n!mass 1\na\t1\na b \t1\na b  a\t1\nb\t1\na b b\t1\n"
+    assert _outcome(parse_measure, text) == _outcome(_parse_measure_per_line, text)
+    assert maps[-1].lookups == _reused_lookups(text, {"a", "b"}) == 1 + 2 + 1 + 1 + 3
