@@ -16,31 +16,54 @@ from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
 from .words import Word, _lyndon_counts, _lyndon_words, _Record, _root_rotation
 
+# The number of words in a certificate of each kind.
+_WORDS = {"period-preservation": 1, "orbit-injectivity": 2}
+
 
 class ViolationReport(_Record):
     """Certificates found by one bounded check.
 
     kind is "period-preservation" (each certificate a single primitive word
     whose image is a proper power) or "orbit-injectivity" (each certificate a
-    pair of primitive non-conjugate words whose image orbits coincide).
+    pair of primitive non-conjugate words whose image orbits coincide); any
+    other kind, or a certificate of the wrong number of words, is refused.
     Certificates always re-verify against the defining condition.  They are
     kept as letter tuples over _domain, the first word's alphabet, which every
-    word must share; an empty certificate is refused.  certificates is built
-    on first use.
+    word must share; an empty certificate is refused.  The words sit in
+    _groups, and _placed gives, in order, the (group, member) of each
+    certificate's first word: a period certificate is that word alone, an
+    orbit certificate pairs it with each later member of its group.  So a
+    collision group of k orbits is kept as k words, not k(k-1)/2 pairs.
+    _letters and certificates are built on first use.
     """
 
     __match_args__ = ("kind", "bound", "_domain", "_letters")
 
     def __init__(self, kind: str, bound: int, certificates: tuple) -> None:
+        if kind not in _WORDS:
+            raise ValueError(f"unknown kind {kind!r}: a report is {' or '.join(map(repr, _WORDS))}")
         parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]
         if () in parts:
             raise ValueError(f"certificate {parts.index(())} is empty: a certificate holds a word or a pair")
+        for index, part in enumerate(parts):
+            if len(part) != _WORDS[kind]:
+                raise ValueError(f"certificate {index} has {len(part)} words: "
+                                 f"a {kind} certificate has {_WORDS[kind]}")
         domain = parts[0][0].alphabet if parts else None
         for w in (w for p in parts for w in p):
             if w.alphabet != domain:
                 raise ValueError(f"certificate '{w}' is not over [{domain}], the first's alphabet")
+        # Each certificate is a group of its own.
         self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates), _domain=domain,
-                             _letters=tuple(tuple(w.letters for w in p) for p in parts))
+                             _groups=tuple(tuple(w.letters for w in p) for p in parts),
+                             _placed=tuple((g, 0) for g in range(len(parts))))
+
+    @cached_property
+    def _letters(self) -> tuple:
+        groups = self._groups
+        if self.kind == "period-preservation":
+            return tuple((groups[g][i],) for g, i in self._placed)
+        return tuple((groups[g][i], right) for g, i in self._placed for right in groups[g][i + 1 :])
 
     @cached_property
     def certificates(self) -> tuple:
@@ -48,14 +71,21 @@ class ViolationReport(_Record):
         return tuple(w[0] if len(w) == 1 else w for w in words)
 
     def __bool__(self) -> bool:
-        return bool(self._letters)
+        return bool(self._placed)
 
     def lines(self) -> list[str]:
         return list(self._lines())
 
-    def _lines(self) -> Iterator[str]:  # lines(), one at a time
+    def _lines(self) -> Iterator[str]:  # lines(), one at a time; each word's text is joined once
         symbols, head = self._domain.symbols if self._domain else (), f"VIOLATION {self.kind} "
-        return (head + " ".join([symbols[i] for part in c for i in part]) for c in self._letters)
+        texts = [[" ".join([symbols[i] for i in word]) for word in group] for group in self._groups]
+        for g, i in self._placed:
+            if self.kind == "period-preservation":
+                yield head + texts[g][i]
+                continue
+            left = head + texts[g][i] + " "
+            for right in texts[g][i + 1 :]:
+                yield left + right
 
     def render(self) -> str:
         return "\n".join([f"BOUND {self.bound}"] + self.lines())
@@ -119,7 +149,7 @@ def _reports(
     for rep in _primitive_representatives(sigma, language, bound):
         key, exponent = _root_rotation(_image_letters(sigma._images, rep))
         if exponent >= 2:
-            powers.append(rep)
+            powers.append((rep,))
             count += 1
         group = groups.setdefault(key, [])
         count += len(group)
@@ -130,11 +160,16 @@ def _reports(
             )
         placed.append((group, len(group)))
         group.append(rep)
-    pairs = tuple((g[i], right) for g, i in placed for right in g[i + 1 :])
-    found = (("period-preservation", tuple((r,) for r in powers)), ("orbit-injectivity", pairs))
+    # Only groups of two or more orbits owe pairs, and only their members with a later one start one.
+    colliding = [group for group in groups.values() if len(group) > 1]
+    number = {id(group): g for g, group in enumerate(colliding)}
+    firsts = tuple((number[id(group)], i) for group, i in placed if i < len(group) - 1)
     # An empty report has no domain, as one from the public constructor.
-    return tuple(ViolationReport._trusted(kind, bound, sigma.domain if letters else None, letters)
-                 for kind, letters in found)
+    period = ViolationReport._trusted("period-preservation", bound, sigma.domain if powers else None,
+                                      _groups=tuple(powers), _placed=tuple((g, 0) for g in range(len(powers))))
+    orbit = ViolationReport._trusted("orbit-injectivity", bound, sigma.domain if firsts else None,
+                                     _groups=tuple(map(tuple, colliding)), _placed=firsts)
+    return period, orbit
 
 
 def check_period_preservation(

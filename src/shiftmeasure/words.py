@@ -21,10 +21,11 @@ class _Record:
     dataclass's are: equal only within one class, hashed as a tuple."""
 
     @classmethod
-    def _trusted(cls, *fields: object):
-        """A record from already checked fields in __match_args__ order: no check, no copy."""
+    def _trusted(cls, *fields: object, **stored: object):
+        """A record from already checked fields in __match_args__ order, and other stored
+        attributes by name: no check, no copy.  A field left out is built on first use."""
         record = object.__new__(cls)
-        record.__dict__.update(zip(cls.__match_args__, fields))
+        record.__dict__.update(zip(cls.__match_args__, fields), **stored)
         return record
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -211,10 +212,11 @@ def _root_rotation(letters: tuple) -> tuple[tuple, int]:
     n, doubled = len(letters), letters + letters
     i, j, k = 0, 1, 0
     while j < n and k < n:
-        if doubled[i + k] == doubled[j + k]:
+        x, y = doubled[i + k], doubled[j + k]
+        if x == y:
             k += 1
-        elif doubled[i + k] > doubled[j + k]:
-            i, j, k = j, max(j + 1, i + k + 1), 0
+        elif x > y:
+            i, j, k = j, (j + 1 if j > i + k else i + k + 1), 0
         else:
             j, k = j + k + 1, 0
     p = j - i if k == n else n

@@ -289,6 +289,37 @@ def test_check_writes_a_report_at_the_budget_in_bounded_memory(files, tmp_path):
     assert peak_mib < 128, peak_mib
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_check_memory_follows_the_representatives(files, tmp_path):
+    """The collapse at bound 13 has 1,377 representatives in one collision
+    group and owes 947,376 pairs: the report keeps the group, not the pairs,
+    and joins each word's text once, so the child peaks far below the 84 MiB
+    that one tuple per pair took, and the bytes are the ones CI pins."""
+    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
+    out = tmp_path / "collapse.out"
+    script = (
+        "import sys\n"
+        "from shiftmeasure.cli import main\n"
+        f"code = main(['check', {sigma!r}, '--bound', '13'])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    with open(out, "wb") as handle:
+        proc = subprocess.run([sys.executable, "-c", script], stdout=handle,
+                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    digest = hashlib.sha256()
+    with open(out, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == "8fb98d6f73ef0245a92138f3aba562dcd095ae3d87283c36851aa07f98300390"
+    peak_mib = int(proc.stderr) / 1024
+    assert peak_mib < 40, peak_mib
+
+
 def test_check_into_a_closed_pipe_is_an_io_failure(files):
     """A reader that stops after one line closes stdout: exit 2 with one
     error line, no traceback, and nothing from the flush at exit.  A report

@@ -69,13 +69,23 @@ def test_collapse_certificates():
 
 def test_a_report_built_from_words_equals_the_checks_report():
     """The public constructor takes Word certificates, as the checks' reports
-    give them back: the rebuilt report is equal and renders the same lines."""
-    for sigma in (COLLAPSE, THUE_MORSE, SQUARING):
-        for report in diagnostics._reports(sigma, None, 4):
+    give them back: the rebuilt report is equal, hashes the same and renders
+    the same lines.  The checks keep an orbit report as collision groups and
+    the constructor keeps each pair as a group of two; the collapse's one
+    group holds every orbit, so its pairs' order is not forced by their first
+    words alone."""
+    language = full_shift_language(AB, 7)
+    for sigma, lang, bound in [(COLLAPSE, None, 4), (THUE_MORSE, None, 4), (SQUARING, None, 4),
+                               (COLLAPSE, None, 8), (THUE_MORSE, None, 6), (SQUARING, None, 6),
+                               (COLLAPSE, language, 7), (THUE_MORSE, language, 5)]:
+        for report in diagnostics._reports(sigma, lang, bound):
             rebuilt = diagnostics.ViolationReport(report.kind, report.bound, report.certificates)
             assert rebuilt == report and bool(rebuilt) == bool(report)
+            assert hash(rebuilt) == hash(report) and repr(rebuilt) == repr(report)
             assert rebuilt.certificates == report.certificates
-            assert rebuilt.render() == report.render()
+            assert rebuilt.lines() == report.lines() and rebuilt.render() == report.render()
+    orbit = diagnostics._reports(COLLAPSE, None, 8)[1]
+    assert len(orbit._groups) == 1 and len(orbit.lines()) == 71 * 70 // 2
     empty = diagnostics.ViolationReport("period-preservation", 3, ())
     assert not empty and empty.certificates == () and empty.render() == "BOUND 3"
 
@@ -104,6 +114,31 @@ def test_a_report_refuses_an_empty_certificate():
                                    (((AB.word("a"), AB.word("b")), (), ()), 1)]:
         with pytest.raises(ValueError, match=f"^certificate {position} is empty: "):
             diagnostics.ViolationReport("orbit-injectivity", 3, certificates)
+
+
+def test_a_report_refuses_an_unknown_kind():
+    """A report prints its kind on every line, so a kind no check makes would
+    print lines that read as another command's."""
+    for kind in ("bogus", "period", ""):
+        with pytest.raises(ValueError, match=f"^unknown kind {kind!r}: "):
+            diagnostics.ViolationReport(kind, 3, ())
+
+
+def test_a_report_refuses_a_certificate_of_the_wrong_shape():
+    """A period certificate is one word and an orbit certificate two: a pair
+    in a period report would print as the line of the two-letter word."""
+    a, b, ab = AB.word("a"), AB.word("b"), AB.word("ab")
+    for kind, certificates, position, count in [
+        ("period-preservation", ((a, b),), 0, 2),
+        ("period-preservation", (ab, (a, b, ab)), 1, 3),
+        ("orbit-injectivity", (a,), 0, 1),
+        ("orbit-injectivity", ((a, b), (b,)), 1, 1),
+        ("orbit-injectivity", ((a, b), (a, b, ab)), 1, 3),
+    ]:
+        with pytest.raises(ValueError, match=f"^certificate {position} has {count} words: a {kind} "):
+            diagnostics.ViolationReport(kind, 3, certificates)
+    report = diagnostics.ViolationReport("period-preservation", 3, ((ab,),))
+    assert report.lines() == ["VIOLATION period-preservation a b"]
 
 
 def test_square_image_breaks_period_preservation():
