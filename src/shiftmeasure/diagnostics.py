@@ -26,7 +26,8 @@ class ViolationReport(_Record):
     kind is "period-preservation" (each certificate a single primitive word
     whose image is a proper power) or "orbit-injectivity" (each certificate a
     pair of primitive non-conjugate words whose image orbits coincide); any
-    other kind, or a certificate of the wrong number of words, is refused.
+    other kind, a certificate of the wrong number of words, or one that holds
+    anything but Words, is refused.
     Certificates always re-verify against the defining condition.  They are
     kept as letter tuples over _domain, the first word's alphabet, which every
     word must share; an empty certificate is refused.  The words sit in
@@ -49,6 +50,9 @@ class ViolationReport(_Record):
             if len(part) != _WORDS[kind]:
                 raise ValueError(f"certificate {index} has {len(part)} words: "
                                  f"a {kind} certificate has {_WORDS[kind]}")
+            for item in part:
+                if not isinstance(item, Word):
+                    raise ValueError(f"certificate {index} holds {item!r}, which is not a Word")
         domain = parts[0][0].alphabet if parts else None
         for w in (w for p in parts for w in p):
             if w.alphabet != domain:

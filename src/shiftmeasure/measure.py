@@ -177,11 +177,13 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
         raise ValueError(f"depth {depth} is over the table budget: its keys for an orbit of "
                          f"period {period} hold {letters} letters, more than {TABLE_BUDGET}")
     stream = root.letters * (-(-depth // period) + 1)
-    weights: dict[tuple[int, ...], Fraction] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for offset in range(period):
         for length in range(1, depth + 1):
             v = stream[offset : offset + length]
-            weights[v] = weights.get(v, Fraction(0)) + exponent
+            counts[v] = counts.get(v, 0) + exponent
+    exact = {n: Fraction(n) for n in set(counts.values())}  # one Fraction per distinct count
+    weights = {v: exact[n] for v, n in counts.items()}
     return MeasureTable._trusted(w.alphabet, depth, weights, Fraction(len(w)))
 
 

@@ -278,7 +278,7 @@ def _window(sigma: Morphism, words: Iterable[tuple[int, ...]], max_len: int) -> 
     sumless test |u| <= required_input_depth(sigma, max_len), so that one runs first."""
     lengths, deepest = [len(img) for img in sigma._images], required_input_depth(sigma, max_len)
     return [u for u in words if len(u) <= deepest
-            and (len(u) < 3 or sum([lengths[x] for x in u[1:-1]]) <= max_len - 2)]
+            and (len(u) < 3 or sum(map(lengths.__getitem__, u[1:-1])) <= max_len - 2)]
 
 
 def _essential_sweep(
@@ -304,7 +304,8 @@ def _essential_sweep(
         end = len(image)
         last_start = end - len(images[letters[-1]])
         for s in range(len(images[letters[0]])):
-            for e in range(max(last_start, s) + 1, min(end, s + max_len) + 1):
+            stop = s + max_len if s + max_len < end else end
+            for e in range((last_start if last_start > s else s) + 1, stop + 1):
                 factor = image[s:e]
                 sums[factor] = get(factor, 0) + weight
     return sums

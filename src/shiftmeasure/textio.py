@@ -247,10 +247,36 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def render_measure(m: MeasureTable) -> str:
+    """The table's text: three headers, then one entry per support word in
+    canonical order (length, then letters), as parse_measure reads it.
+
+    The order comes from two C-level sorts: by letters, then stably by
+    length.  A word's text is its prefix's text, a space and its last
+    symbol, whenever the prefix is in the table (it always is in a
+    consistent one, as mu(u) <= mu(u[:-1])), and the full join otherwise;
+    only the previous length's texts are kept.  Each distinct value object
+    is formatted once, by id: the table holds every value while this runs,
+    so no id is reused, and a table shares few value objects.
+    """
     lines = [f"!alphabet {m.alphabet}", f"!depth {m.depth}", f"!mass {m.total_mass}"]
     symbols, weights = m.alphabet.symbols, m._weights
-    for u in sorted(weights, key=lambda u: (len(u), u)):
-        lines.append(f"{' '.join([symbols[i] for i in u])}\t{weights[u]}")
+    order = sorted(weights)
+    order.sort(key=len)
+    values: dict[int, str] = {}
+    previous: dict[tuple[int, ...], str] = {}
+    texts: dict[tuple[int, ...], str] = {}
+    length = 0
+    for u in order:
+        if len(u) != length:
+            previous, texts, length = texts, {}, len(u)
+        head = previous.get(u[:-1])
+        text = texts[u] = (" ".join([symbols[i] for i in u]) if head is None
+                           else head + " " + symbols[u[-1]])
+        value = weights[u]
+        value_text = values.get(id(value))
+        if value_text is None:
+            value_text = values[id(value)] = str(value)
+        lines.append(text + "\t" + value_text)
     return "\n".join(lines) + "\n"
 
 

@@ -68,7 +68,8 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     credits every essential occurrence of length <= out_depth to its factor,
     so all targets are evaluated together on _scaled numerators.  The other
     support words only have essential occurrences longer than out_depth.
-    Words the sweep never reaches are zero.
+    Words the sweep never reaches are zero.  The total mass is summed on the
+    same numerators: one-letter words are always in the window.
     """
     if out_depth < 1:
         raise ValueError("output depth must be >= 1")
@@ -78,10 +79,14 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth)}
     den, support = _scaled(kept)
     swept = _essential_sweep(sigma, support.items(), out_depth)
-    if support is not kept:  # int sums: one Fraction per distinct sum
+    if support is kept:  # over the cap: the sums are Fractions
+        mass = _transferred_mass(sigma, m)
+    else:  # int sums: one Fraction per distinct sum
         exact = {n: Fraction(n, den) for n in set(swept.values())}
         swept = {t: exact[n] for t, n in swept.items()}
-    return MeasureTable._trusted(sigma.codomain, out_depth, swept, _transferred_mass(sigma, m))
+        mass = Fraction(sum([len(img) * support.get((i,), 0)
+                             for i, img in enumerate(sigma._images)]), den)
+    return MeasureTable._trusted(sigma.codomain, out_depth, swept, mass)
 
 
 def subdivision_measure(

@@ -141,6 +141,22 @@ def test_a_report_refuses_a_certificate_of_the_wrong_shape():
     assert report.lines() == ["VIOLATION period-preservation a b"]
 
 
+def test_a_report_refuses_a_certificate_item_that_is_not_a_word():
+    """A certificate holds Words: a str, an int or a pair that mixes a Word
+    with a str has no alphabet to read, and is refused by index and item."""
+    a = AB.word("a")
+    for kind, certificates, position, item in [
+        ("period-preservation", (("a",),), 0, "'a'"),
+        ("period-preservation", (a, "b"), 1, "'b'"),
+        ("orbit-injectivity", ((1, 2),), 0, "1"),
+        ("orbit-injectivity", ((a, AB.word("b")), (a, "b")), 1, "'b'"),
+        ("orbit-injectivity", (("a", a),), 0, "'a'"),
+    ]:
+        message = f"^certificate {position} holds {item}, which is not a Word$"
+        with pytest.raises(ValueError, match=message):
+            diagnostics.ViolationReport(kind, 3, certificates)
+
+
 def test_square_image_breaks_period_preservation():
     a = Alphabet(("a",))
     report = check_period_preservation(SQUARING, full_shift_language(a, 1), 1)

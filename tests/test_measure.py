@@ -258,6 +258,9 @@ def test_characteristic_matches_counting_oracle():
         expected = _characteristic_oracle(w, depth)
         got = {"".join(word.tokens): int(v) for word, v in m.values.items()}
         assert got == expected
+        values = list(m._weights.values())
+        assert all(type(v) is Fraction for v in values)
+        assert len({id(v) for v in values}) == len(set(values))  # one object per distinct count
         assert m.total_mass == len(w)
         assert validate(m) == []
 

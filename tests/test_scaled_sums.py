@@ -89,6 +89,7 @@ def _assert_same_violations(m):
 def _assert_same_transfer(sigma, m, out_depth):
     got = transfer_table(sigma, m, out_depth)
     assert got == _transfer_table_on_fractions(sigma, m, out_depth)
+    assert got.total_mass == _transferred_mass(sigma, m)  # on the ints, or over the cap
     assert all(type(v) is Fraction for v in got._weights.values())
     assert type(got.total_mass) is Fraction
     return got

@@ -217,6 +217,73 @@ def test_parse_measure_checks_each_entry_once_without_words(monkeypatch):
     assert parse_measure(rendered) == m
 
 
+def _plain_render(m):
+    """render_measure as it was: one lambda-keyed sort, every word joined and
+    every value formatted on its own."""
+    lines = [f"!alphabet {m.alphabet}", f"!depth {m.depth}", f"!mass {m.total_mass}"]
+    symbols, weights = m.alphabet.symbols, m._weights
+    for u in sorted(weights, key=lambda u: (len(u), u)):
+        lines.append(f"{' '.join([symbols[i] for i in u])}\t{weights[u]}")
+    return "\n".join(lines) + "\n"
+
+
+def _respaced(text):
+    """The entry lines reversed, each with its first space doubled: no entry's
+    prefix text comes before it, so parse_measure maps every token."""
+    head, entries = text.splitlines()[:3], text.splitlines()[3:]
+    return "\n".join(head + [line.replace(" ", "  ", 1) for line in reversed(entries)]) + "\n"
+
+
+def test_render_measure_equals_the_plain_render():
+    """Prefix texts and per-object value texts give the plain render's bytes
+    for any insertion order, with prefixes or whole lengths missing, and with
+    equal values as one shared object or as distinct objects."""
+    rng = random.Random(73)
+    compared = differences = entries = 0
+    for size in (1, 2, 3, 4) * 12:
+        alph, depth = gen.alphabet(size), rng.randint(1, 5)
+        m = (gen.random_orbit_table(rng, alph, depth) if rng.random() < 0.5
+             else gen.perturbed_table(rng, alph, depth))
+        items = sorted(m._weights.items(), key=lambda item: (len(item[0]), item[0]))
+        shuffled = rng.sample(items, len(items))
+        gap = rng.randint(1, depth)
+        orders = [items, items[::-1], shuffled,
+                  [item for item in shuffled if rng.random() < 0.8],  # about a fifth missing
+                  [item for item in items if len(item[0]) != gap]]  # one length missing
+        tables = [parse_measure(_respaced(render_measure(m)))]
+        for order in orders:
+            shared: dict = {}
+            for weights in ({u: shared.setdefault(v, v) for u, v in order},
+                            {u: Fraction(v.numerator, v.denominator) for u, v in order}):
+                tables.append(MeasureTable._trusted(alph, depth, weights, m.total_mass))
+        for table in tables:
+            compared += 1
+            entries += len(table._weights)
+            differences += render_measure(table) != _plain_render(table)
+    assert differences == 0
+    assert compared == 48 * 11 and entries > 3000
+
+
+def test_render_measure_formats_each_value_object_once():
+    """Equal values held as one object are formatted once; an equal value
+    held as another object is formatted for itself."""
+    formatted = []
+
+    class Counted(Fraction):
+        def __str__(self):
+            formatted.append(self)
+            return super().__str__()
+
+    half, third, twin = Counted(1, 2), Counted(1, 3), Counted(1, 2)
+    words = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    m = MeasureTable._trusted(AB, 2, dict(zip(words, [half, half, third, twin, third, half])),
+                              Fraction(1))
+    text = render_measure(m)
+    assert [id(v) for v in formatted] == [id(half), id(third), id(twin)]
+    assert text == "!alphabet a b\n!depth 2\n!mass 1\na\t1/2\nb\t1/2\na a\t1/3\na b\t1/2\n" \
+                   "b a\t1/3\nb b\t1/2\n"
+
+
 def test_measure_parse_keeps_consistency_to_the_validator():
     """Well-formed text always parses; semantic defects are validate()'s job."""
     from shiftmeasure import validate
