@@ -14,7 +14,8 @@ from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
-from .words import Word, _lyndon_counts, _lyndon_words, _Record, _root_rotation
+from .words import (Word, _canonical, _lyndon_counts, _lyndon_words, _Record, _require_count,
+                    _require_word, _root_rotation)
 
 # The number of words in a certificate of each kind.
 _WORDS = {"period-preservation": 1, "orbit-injectivity": 2}
@@ -26,11 +27,10 @@ class ViolationReport(_Record):
     kind is "period-preservation" (each certificate a single primitive word
     whose image is a proper power) or "orbit-injectivity" (each certificate a
     pair of primitive non-conjugate words whose image orbits coincide); any
-    other kind, a certificate of the wrong number of words, or one that holds
-    anything but Words, is refused.
+    other kind, or a certificate of the wrong number of words, is refused.
     Certificates always re-verify against the defining condition.  They are
     kept as letter tuples over _domain, the first word's alphabet, which every
-    word must share; an empty certificate is refused.  The words sit in
+    word must share.  The words sit in
     _groups, and _placed gives, in order, the (group, member) of each
     certificate's first word: a period certificate is that word alone, an
     orbit certificate pairs it with each later member of its group.  So a
@@ -44,19 +44,13 @@ class ViolationReport(_Record):
         if kind not in _WORDS:
             raise ValueError(f"unknown kind {kind!r}: a report is {' or '.join(map(repr, _WORDS))}")
         parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]
-        if () in parts:
-            raise ValueError(f"certificate {parts.index(())} is empty: a certificate holds a word or a pair")
+        domain = None
         for index, part in enumerate(parts):
             if len(part) != _WORDS[kind]:
                 raise ValueError(f"certificate {index} has {len(part)} words: "
                                  f"a {kind} certificate has {_WORDS[kind]}")
-            for item in part:
-                if not isinstance(item, Word):
-                    raise ValueError(f"certificate {index} holds {item!r}, which is not a Word")
-        domain = parts[0][0].alphabet if parts else None
-        for w in (w for p in parts for w in p):
-            if w.alphabet != domain:
-                raise ValueError(f"certificate '{w}' is not over [{domain}], the first's alphabet")
+            for w in part:  # the first word fixes the alphabet of the others
+                domain = _require_word(w, domain, f"certificate {index}").alphabet
         # Each certificate is a group of its own.
         self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates), _domain=domain,
                              _groups=tuple(tuple(w.letters for w in p) for p in parts),
@@ -116,8 +110,7 @@ def _primitive_representatives(
     representative need not itself lie in the language.
     """
     if language is None:
-        if bound < 1:
-            raise ValueError(f"bound {bound} must be >= 1")
+        _require_count(bound, "bound")
         size = len(sigma.domain)
         count = 0
         # Over one letter no Lyndon word is longer than 1, whatever the bound.
@@ -136,7 +129,7 @@ def _primitive_representatives(
         raise ValueError(f"bound {bound} outside 1..{language.maxlen}")
     scans = (_root_rotation(x) for x in language._words if len(x) <= bound)
     representatives = {key for key, exponent in scans if exponent == 1}
-    return sorted(representatives, key=lambda letters: (len(letters), letters))
+    return _canonical(representatives)
 
 
 def _reports(
@@ -217,8 +210,7 @@ def prolongation_split(
         raise ValueError("the prolongation split requires a letter-to-letter morphism")
     if language.alphabet != sigma.domain:
         raise ValueError("language alphabet must be the domain of the morphism")
-    if n < 0:
-        raise ValueError("prolongation length must be >= 0")
+    _require_count(n, "prolongation length", 0)
     total_len = len(w) + 2 * n
     if total_len > language.maxlen:
         raise DepthError(total_len, language.maxlen)

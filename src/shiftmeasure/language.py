@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .measure import characteristic_measure
 from .morphism import Morphism, _essential_sweep, _require_depth, _window
-from .words import Alphabet, Word, _Record
+from .words import Alphabet, Word, _Record, _require_count, _require_word
 
 
 class FactorLanguage(_Record):
@@ -25,8 +25,7 @@ class FactorLanguage(_Record):
 
     def __init__(self, alphabet: Alphabet, maxlen: int, words: frozenset[Word]) -> None:
         words = frozenset(words)
-        if maxlen < 1:
-            raise ValueError("maxlen must be >= 1")
+        _require_count(maxlen, "maxlen")
         bad = [w for w in words if w.alphabet != alphabet or not 1 <= len(w) <= maxlen]
         if bad:
             w = min(bad, key=lambda w: (len(w), w.letters, w.tokens, w.alphabet != alphabet))
@@ -58,13 +57,10 @@ class FactorLanguage(_Record):
 def factorial_closure(alphabet: Alphabet, words: Iterable[Word], n: int) -> FactorLanguage:
     """Language of all non-empty factors (length <= n) of the given words: those of each
     length-n window, one outer letter dropped at a time up to a factor already kept."""
-    if n < 1:
-        raise ValueError("maxlen must be >= 1")
+    _require_count(n, "maxlen")
     closed: set[tuple[int, ...]] = set()
     for w in words:
-        if w.alphabet != alphabet:
-            raise ValueError(f"word '{w}' is not over the given alphabet")
-        x = w.letters
+        x = _require_word(w, alphabet, "word").letters
         todo = [x[i : i + n] for i in range(max(len(x) - n, 0) + 1)]
         while todo:
             if (x := todo.pop()) and x not in closed:
@@ -77,15 +73,13 @@ def periodic_orbit_language(w: Word, n: int) -> FactorLanguage:
     """All factors up to length n of the biinfinite periodic word over w: its measure's support."""
     if len(w) == 0:
         raise ValueError("the empty word generates no periodic orbit")
-    if n < 1:
-        raise ValueError("maxlen must be >= 1")
+    _require_count(n, "maxlen")
     return FactorLanguage._trusted(w.alphabet, n, frozenset(characteristic_measure(w, n)._weights))
 
 
 def full_shift_language(alphabet: Alphabet, n: int) -> FactorLanguage:
     """Every non-empty word up to length n."""
-    if n < 1:
-        raise ValueError("maxlen must be >= 1")
+    _require_count(n, "maxlen")
     ws = (itertools.product(range(len(alphabet)), repeat=k) for k in range(1, n + 1))
     return FactorLanguage._trusted(alphabet, n, frozenset(itertools.chain(*ws)))
 
@@ -110,8 +104,7 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     """
     if language.alphabet != sigma.domain:
         raise ValueError("language alphabet must be the domain of the morphism")
-    if n < 1:
-        raise ValueError("maxlen must be >= 1")
+    _require_count(n, "maxlen")
     _require_depth(sigma, n, language.maxlen)
     swept = _essential_sweep(sigma, ((u, 1) for u in _window(sigma, language._words, n)), n)
     return FactorLanguage._trusted(sigma.codomain, n, frozenset(swept))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
-from .words import Alphabet, Word, _Record, primitive_root
+from .words import Alphabet, Word, _canonical, _Record, _require_count, _require_word, primitive_root
 
 Rational = Union[Fraction, int]
 TABLE_BUDGET = 10**7  # work budget: the most letters a characteristic table's keys may hold
@@ -38,15 +38,13 @@ class MeasureTable(_Record):
 
     def __init__(self, alphabet: Alphabet, depth: int, values: Mapping[Word, Rational],
                  total_mass: Rational) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
+        _require_count(depth, "depth")
         mass = _as_fraction(total_mass, "total mass")
         if mass < 0:
             raise ValueError("total mass must be nonnegative")
         weights: dict[tuple[int, ...], Fraction] = {}
         for word, raw in values.items():
-            if word.alphabet != alphabet:
-                raise ValueError(f"word '{word}' is not over the table alphabet")
+            _require_word(word, alphabet, "word")
             if not 1 <= len(word) <= depth:
                 raise ValueError(f"word '{word}' has length outside 1..{depth}")
             value = raw if type(raw) is Fraction else _as_fraction(raw, f"value of '{word}'")
@@ -62,8 +60,7 @@ class MeasureTable(_Record):
 
     def value(self, w: Word) -> Fraction:
         """Weight of the cylinder of w; the empty word gives the total mass."""
-        if w.alphabet != self.alphabet:
-            raise ValueError("word is not over the table alphabet")
+        _require_word(w, self.alphabet, "word")
         if len(w) == 0:
             return self.total_mass
         if len(w) > self.depth:
@@ -146,7 +143,7 @@ def _violations(m: MeasureTable) -> Iterator[Violation]:
             left[suffix] = left.get(suffix, zero) - v
             right[prefix] = right.get(prefix, zero) - v
     broken = {u for u, b in left.items() if b}.union([u for u, b in right.items() if b])
-    for u in sorted(broken, key=lambda u: (len(u), u)):
+    for u in _canonical(broken):
         expected = weights.get(u, zero)
         for kind, balance in (("left-extension", left.get(u)), ("right-extension", right.get(u))):
             if balance:
@@ -169,8 +166,7 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
     """
     if len(w) == 0:
         raise ValueError("the empty word has no characteristic measure")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _require_count(depth, "depth")
     root, exponent = primitive_root(w)
     period = len(root)
     if (letters := period * depth * (depth + 1) // 2) > TABLE_BUDGET:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .words import Alphabet, Word, _Record
+from .words import Alphabet, Word, _Record, _require_count, _require_word
 
 
 class Morphism(_Record):
@@ -33,8 +33,7 @@ class Morphism(_Record):
         if len(images) != len(domain):
             raise ValueError("need exactly one image per domain letter")
         for token, image in zip(domain.symbols, images):
-            if image.alphabet != codomain:
-                raise ValueError(f"image of {token!r} is not a word over the codomain")
+            _require_word(image, codomain, f"image of {token!r}")
             if len(image) == 0:
                 raise ValueError(f"erasing morphism: image of {token!r} is empty")
         self.__dict__.update(domain=domain, codomain=codomain, images=images)
@@ -79,9 +78,8 @@ class Morphism(_Record):
 
 def apply(sigma: Morphism, w: Word) -> Word:
     """The image word sigma(x_1)...sigma(x_n); the empty word maps to itself."""
-    if w.alphabet != sigma.domain:
-        raise ValueError("word is not over the domain of the morphism")
-    return Word(sigma.codomain, _image_letters(sigma._images, w.letters))
+    letters = _require_word(w, sigma.domain, "word").letters
+    return Word(sigma.codomain, _image_letters(sigma._images, letters))
 
 
 def _image_letters(images: Sequence[tuple[int, ...]], letters: Iterable[int]) -> tuple[int, ...]:
@@ -175,8 +173,7 @@ class DepthError(ValueError):
 def required_input_depth(sigma: Morphism, out_len: int) -> int:
     """Smallest input depth that determines every transferred weight on
     words up to the given output length."""
-    if out_len < 0:
-        raise ValueError("output length must be >= 0")
+    _require_count(out_len, "output length", 0)
     return 1 if out_len <= 1 else (out_len - 2) // norms(sigma)[1] + 2
 
 
@@ -201,8 +198,7 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
     if extra:
         raise ValueError(f"subdivision lengths for letters outside the alphabet: {extra}")
     for token in alphabet.symbols:
-        if lengths[token] < 1:
-            raise ValueError(f"subdivision length of {token!r} must be >= 1")
+        _require_count(lengths[token], f"subdivision length of {token!r}")
     sub_tokens = tuple(
         f"{token}.{k}" for token in alphabet.symbols for k in range(1, lengths[token] + 1)
     )
@@ -250,12 +246,10 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
     inside the first letter block and ends inside the last.  For |w| = 1 this
     is every occurrence.
     """
+    _require_word(w, sigma.domain, "word")
+    _require_word(target, sigma.codomain, "target")
     if len(w) == 0 or len(target) == 0:
         raise ValueError("essential occurrences are undefined for empty words")
-    if w.alphabet != sigma.domain:
-        raise ValueError("word is not over the domain of the morphism")
-    if target.alphabet != sigma.codomain:
-        raise ValueError("target is not over the codomain of the morphism")
     return _essential_count(sigma._images, w.letters, target.letters)
 
 

@@ -15,7 +15,7 @@ from typing import Any, Callable
 from .language import FactorLanguage, factorial_closure
 from .measure import MeasureTable
 from .morphism import Morphism
-from .words import Alphabet, Word, _check_token
+from .words import Alphabet, Word, _canonical, _check_token
 
 
 class ParseError(Exception):
@@ -250,18 +250,17 @@ def render_measure(m: MeasureTable) -> str:
     """The table's text: three headers, then one entry per support word in
     canonical order (length, then letters), as parse_measure reads it.
 
-    The order comes from two C-level sorts: by letters, then stably by
-    length.  A word's text is its prefix's text, a space and its last
-    symbol, whenever the prefix is in the table (it always is in a
-    consistent one, as mu(u) <= mu(u[:-1])), and the full join otherwise;
+    The order is words._canonical's, from two C-level sorts.  A word's text
+    is its prefix's text, a space and its last symbol, whenever the prefix
+    is in the table (it always is in a consistent one, as mu(u) <=
+    mu(u[:-1])), and the full join otherwise;
     only the previous length's texts are kept.  Each distinct value object
     is formatted once, by id: the table holds every value while this runs,
     so no id is reused, and a table shares few value objects.
     """
     lines = [f"!alphabet {m.alphabet}", f"!depth {m.depth}", f"!mass {m.total_mass}"]
     symbols, weights = m.alphabet.symbols, m._weights
-    order = sorted(weights)
-    order.sort(key=len)
+    order = _canonical(weights)
     values: dict[int, str] = {}
     previous: dict[tuple[int, ...], str] = {}
     texts: dict[tuple[int, ...], str] = {}
@@ -303,7 +302,7 @@ def parse_language(text: str) -> FactorLanguage:
 def render_language(language: FactorLanguage) -> str:
     lines = [f"!alphabet {language.alphabet}", f"!maxlen {language.maxlen}"]
     symbols = language.alphabet.symbols
-    for x in sorted(language._words, key=lambda x: (len(x), x)):
+    for x in _canonical(language._words):
         lines.append(" ".join([symbols[i] for i in x]))
     return "\n".join(lines) + "\n"
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .measure import MeasureTable, _scaled
+from .measure import MeasureTable, _scaled, _unscaled
 from .morphism import (
     Morphism,
     _essential_count,
@@ -29,7 +29,7 @@ from .morphism import (
     subdivision_morphism,
 )
 from .morphism import DepthError, required_input_depth  # noqa: F401  still importable from here
-from .words import Word
+from .words import Word, _require_count, _require_word
 
 
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
@@ -48,8 +48,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
-    if target.alphabet != sigma.codomain:
-        raise ValueError("target word must be over the codomain of the morphism")
+    _require_word(target, sigma.codomain, "target")
     _require_depth(sigma, len(target), m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
@@ -71,21 +70,17 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     Words the sweep never reaches are zero.  The total mass is summed on the
     same numerators: one-letter words are always in the window.
     """
-    if out_depth < 1:
-        raise ValueError("output depth must be >= 1")
+    _require_count(out_depth, "output depth")
     if m.alphabet != sigma.domain:
         raise ValueError("table alphabet must be the domain of the morphism")
     _require_depth(sigma, out_depth, m.depth)
     kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth)}
     den, support = _scaled(kept)
     swept = _essential_sweep(sigma, support.items(), out_depth)
-    if support is kept:  # over the cap: the sums are Fractions
-        mass = _transferred_mass(sigma, m)
-    else:  # int sums: one Fraction per distinct sum
+    if support is not kept:  # int sums: one Fraction per distinct sum
         exact = {n: Fraction(n, den) for n in set(swept.values())}
         swept = {t: exact[n] for t, n in swept.items()}
-        mass = Fraction(sum([len(img) * support.get((i,), 0)
-                             for i, img in enumerate(sigma._images)]), den)
+    mass = _unscaled(sum([len(img) * support.get((i,), 0) for i, img in enumerate(sigma._images)]), den)
     return MeasureTable._trusted(sigma.codomain, out_depth, swept, mass)
 
 
@@ -98,8 +93,7 @@ def subdivision_measure(
     contains it as a factor weighs, or zero when no such word exists.  Total
     mass is sum of lengths[a] * m(a).
     """
-    if out_depth < 1:
-        raise ValueError("output depth must be >= 1")
+    _require_count(out_depth, "output depth")
     pi = subdivision_morphism(m.alphabet, lengths)
     required = _require_depth(pi, out_depth, m.depth)
     images, weights, seen = pi._images, {}, set()

@@ -112,6 +112,8 @@ def _check_token(token: str) -> None:
     and one starting with ``!`` a header, and ``->`` separates a morphism
     rule's letter from its image.
     """
+    if not isinstance(token, str):
+        raise TypeError(f"symbol token must be a str, not {type(token).__name__}")
     if not token or any(ch.isspace() for ch in token):
         raise ValueError(f"invalid symbol token: {token!r}")
     if token.startswith(("#", "!")) or token == "->":
@@ -154,20 +156,43 @@ class Word(_Record):
         return len(self.letters)
 
     def __add__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word(self.alphabet, self.letters + _require_word(other, self.alphabet, "word").letters)
 
     def __str__(self) -> str:
         return " ".join(self.tokens)
 
 
+def _require_count(n: object, what: str, least: int = 1) -> int:
+    """n, an int of at least least: the one check of every depth, length and bound argument."""
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, not {type(n).__name__}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return n
+
+
+def _require_word(w: object, alphabet: Alphabet | None, what: str) -> Word:
+    """w, a Word over alphabet (over any one when alphabet is None): the one Word argument check."""
+    if type(w) is not Word:
+        raise TypeError(f"{what} must be a Word, not {type(w).__name__}")
+    if alphabet is not None and w.alphabet != alphabet:
+        raise ValueError(f"{what} '{w}' is not over [{alphabet}]")
+    return w
+
+
+def _canonical(keys: Iterable[tuple]) -> list[tuple]:
+    """Letter tuples in canonical order, by length and then letters, from two C-level sorts."""
+    order = sorted(keys)
+    order.sort(key=len)
+    return order
+
+
 def count_occurrences(w: Word, u: Word) -> int:
     """Number of (possibly overlapping) start positions of u inside w."""
+    _require_word(w, None, "word")
+    _require_word(u, w.alphabet, "pattern")
     if len(u) == 0:
         raise ValueError("occurrence counting is undefined for the empty word")
-    if w.alphabet != u.alphabet:
-        raise ValueError("words must share an alphabet")
     target = u.letters
     m = len(target)
     return sum(1 for i in range(len(w) - m + 1) if w.letters[i : i + m] == target)
@@ -231,8 +256,7 @@ def is_rotation(w1: Word, w2: Word) -> bool:
 
 def factors(w: Word, n: int) -> set[Word]:
     """All distinct non-empty factors of w of length at most n."""
-    if n < 0:
-        raise ValueError("factor length bound must be >= 0")
+    _require_count(n, "factor length bound", 0)
     out: set[Word] = set()
     for length in range(1, min(n, len(w)) + 1):
         for i in range(len(w) - length + 1):
@@ -242,8 +266,7 @@ def factors(w: Word, n: int) -> set[Word]:
 
 def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of exactly the given length, in lexicographic order."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    _require_count(length, "length", 0)
     for combo in itertools.product(range(len(alphabet)), repeat=length):
         yield Word(alphabet, combo)
 

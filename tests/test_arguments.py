@@ -1,0 +1,125 @@
+"""The argument contract of the count and Word arguments: a value of the right
+type that breaks a rule is a ValueError, a value of the wrong type a
+TypeError, and nothing else escapes."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftmeasure import (
+    Alphabet,
+    FactorLanguage,
+    MeasureTable,
+    Morphism,
+    ViolationReport,
+    apply,
+    characteristic_measure,
+    check_period_preservation,
+    count_occurrences,
+    essential_occurrences,
+    factorial_closure,
+    factors,
+    full_shift_language,
+    image_language,
+    iter_words,
+    periodic_orbit_language,
+    prolongation_split,
+    required_input_depth,
+    subdivision_measure,
+    subdivision_morphism,
+    transfer_eval,
+    transfer_table,
+)
+
+AB = Alphabet(("a", "b"))
+CD = Alphabet(("c", "d"))
+SIGMA = Morphism.from_images(AB, CD, {"a": "cd", "b": "c"})
+COLLAPSE = Morphism.from_images(AB, ("c",), {"a": "c", "b": "c"})
+TABLE = characteristic_measure(AB.word("aab"), 3)
+LANGUAGE = full_shift_language(AB, 3)
+
+# Each callable takes the one drawn argument; its other arguments are valid and small.
+COUNTS = {
+    "MeasureTable depth": lambda x: MeasureTable(AB, x, {}, 1),
+    "characteristic_measure depth": lambda x: characteristic_measure(AB.word("ab"), x),
+    "FactorLanguage maxlen": lambda x: FactorLanguage(AB, x, frozenset()),
+    "factorial_closure maxlen": lambda x: factorial_closure(AB, [AB.word("ab")], x),
+    "periodic_orbit_language maxlen": lambda x: periodic_orbit_language(AB.word("ab"), x),
+    "full_shift_language maxlen": lambda x: full_shift_language(AB, x),
+    "image_language maxlen": lambda x: image_language(SIGMA, LANGUAGE, x),
+    "transfer_table output depth": lambda x: transfer_table(SIGMA, TABLE, x),
+    "subdivision_measure output depth": lambda x: subdivision_measure({"a": 2, "b": 1}, TABLE, x),
+    "required_input_depth output length": lambda x: required_input_depth(SIGMA, x),
+    "subdivision_morphism length": lambda x: subdivision_morphism(AB, {"a": x, "b": 1}),
+    "check_period_preservation bound": lambda x: check_period_preservation(SIGMA, None, x),
+    "prolongation_split length": lambda x: prolongation_split(COLLAPSE, LANGUAGE, AB.word("a"), x),
+    "factors bound": lambda x: factors(AB.word("abb"), x),
+    "iter_words length": lambda x: list(iter_words(AB, x)),
+}
+WORDS = {
+    "Word.__add__": lambda x: AB.word("a") + x,
+    "count_occurrences word": lambda x: count_occurrences(x, AB.word("a")),
+    "count_occurrences pattern": lambda x: count_occurrences(AB.word("ab"), x),
+    "MeasureTable key": lambda x: MeasureTable(AB, 2, {x: 1}, 1),
+    "MeasureTable.value": lambda x: TABLE.value(x),
+    "Morphism image": lambda x: Morphism(AB, CD, (x, CD.word("c"))),
+    "apply": lambda x: apply(SIGMA, x),
+    "essential_occurrences word": lambda x: essential_occurrences(SIGMA, x, CD.word("c")),
+    "essential_occurrences target": lambda x: essential_occurrences(SIGMA, AB.word("ab"), x),
+    "transfer_eval target": lambda x: transfer_eval(SIGMA, TABLE, x),
+    "factorial_closure word": lambda x: factorial_closure(AB, [AB.word("a"), x], 2),
+    "ViolationReport period certificate": lambda x: ViolationReport("period-preservation", 3, (x,)),
+    "ViolationReport orbit item": lambda x: ViolationReport("orbit-injectivity", 3, ((AB.word("a"), x),)),
+}
+CALLS = {**COUNTS, **WORDS}
+
+SMALL_WORDS = st.sampled_from([AB, CD]).flatmap(
+    lambda alphabet: st.lists(st.sampled_from(alphabet.symbols), max_size=3).map(alphabet.word))
+MIXED = st.one_of(
+    st.integers(min_value=-3, max_value=4),
+    st.booleans(),
+    st.floats(min_value=-3, max_value=5),
+    st.sampled_from([float("nan"), float("inf")]),
+    st.fractions(min_value=-3, max_value=5, max_denominator=4),
+    st.text(alphabet="ab ", max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(min_value=-1, max_value=2), st.sampled_from("ab"), SMALL_WORDS),
+             max_size=3).map(tuple),
+    SMALL_WORDS,
+)
+
+
+@pytest.mark.parametrize("name", CALLS)
+@settings(max_examples=40, deadline=None)
+@given(MIXED)
+def test_a_count_or_word_argument_raises_only_value_or_type_errors(name, x):
+    try:
+        CALLS[name](x)
+    except (ValueError, TypeError):
+        pass
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MeasureTable(AB, 2.5, {}, 1), TypeError, "depth must be an int, not float"),
+    (lambda: MeasureTable(AB, 0, {}, 1), ValueError, "depth must be >= 1"),
+    (lambda: required_input_depth(SIGMA, 2.5), TypeError, "output length must be an int, not float"),
+    (lambda: required_input_depth(SIGMA, -1), ValueError, "output length must be >= 0"),
+    (lambda: full_shift_language(AB, True), TypeError, "maxlen must be an int, not bool"),
+    (lambda: transfer_table(SIGMA, TABLE, Fraction(2)), TypeError,
+     "output depth must be an int, not Fraction"),
+    (lambda: check_period_preservation(SIGMA, None, 0), ValueError, "bound must be >= 1"),
+    (lambda: MeasureTable(AB, 2, {"a": 1}, 1), TypeError, "word must be a Word, not str"),
+    (lambda: essential_occurrences(SIGMA, "a", CD.word("c")), TypeError, "word must be a Word, not str"),
+    (lambda: apply(SIGMA, "ab"), TypeError, "word must be a Word, not str"),
+    (lambda: apply(SIGMA, CD.word("cd")), ValueError, "word 'c d' is not over [a b]"),
+    (lambda: Morphism(AB, CD, (CD.word("c"), AB.word("a"))), ValueError, "image of 'b' 'a' is not over [c d]"),
+    (lambda: ViolationReport("period-preservation", 3, (5,)), TypeError, "'int' object is not iterable"),
+], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
+        "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply", "foreign-image",
+        "int-certificate"])
+def test_argument_checks_raise_one_error_form(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -95,13 +95,13 @@ def test_a_report_refuses_certificates_over_two_alphabets():
     word over another one, alone or in a pair, would be read with the wrong
     symbols and make the report equal to one it is not."""
     cd = Alphabet(("c", "d"))
-    for kind, certificates, foreign in [
-        ("period-preservation", (AB.word("a"), cd.word("d")), "d"),
-        ("period-preservation", (AB.word("a"), Alphabet(("b", "a")).word("b")), "b"),
-        ("orbit-injectivity", ((AB.word("a"), AB.word("b")), (AB.word("a"), cd.word("c"))), "c"),
-        ("orbit-injectivity", ((AB.word("ab"), cd.word("cd")),), "c d"),
+    for kind, certificates, position, foreign in [
+        ("period-preservation", (AB.word("a"), cd.word("d")), 1, "d"),
+        ("period-preservation", (AB.word("a"), Alphabet(("b", "a")).word("b")), 1, "b"),
+        ("orbit-injectivity", ((AB.word("a"), AB.word("b")), (AB.word("a"), cd.word("c"))), 1, "c"),
+        ("orbit-injectivity", ((AB.word("ab"), cd.word("cd")),), 0, "c d"),
     ]:
-        with pytest.raises(ValueError, match=f"^certificate '{foreign}' is not over \\[a b\\], "):
+        with pytest.raises(ValueError, match=f"^certificate {position} '{foreign}' is not over \\[a b\\]$"):
             diagnostics.ViolationReport(kind, 3, certificates)
     report = diagnostics.ViolationReport("period-preservation", 3, (AB.word("a"), AB.word("b")))
     assert report.lines() == ["VIOLATION period-preservation a", "VIOLATION period-preservation b"]
@@ -109,11 +109,15 @@ def test_a_report_refuses_certificates_over_two_alphabets():
 
 def test_a_report_refuses_an_empty_certificate():
     """A certificate is one word or a pair; one with no word has no alphabet
-    to read and no line to print."""
-    for certificates, position in [(((),), 0), ([[]], 0), ((AB.word("a"), ()), 1),
-                                   (((AB.word("a"), AB.word("b")), (), ()), 1)]:
-        with pytest.raises(ValueError, match=f"^certificate {position} is empty: "):
-            diagnostics.ViolationReport("orbit-injectivity", 3, certificates)
+    to read and no line to print, and is refused by its count of words."""
+    for kind, certificates, position in [
+        ("orbit-injectivity", ((),), 0),
+        ("orbit-injectivity", [[]], 0),
+        ("period-preservation", (AB.word("a"), ()), 1),
+        ("orbit-injectivity", ((AB.word("a"), AB.word("b")), (), ()), 1),
+    ]:
+        with pytest.raises(ValueError, match=f"^certificate {position} has 0 words: "):
+            diagnostics.ViolationReport(kind, 3, certificates)
 
 
 def test_a_report_refuses_an_unknown_kind():
@@ -143,17 +147,18 @@ def test_a_report_refuses_a_certificate_of_the_wrong_shape():
 
 def test_a_report_refuses_a_certificate_item_that_is_not_a_word():
     """A certificate holds Words: a str, an int or a pair that mixes a Word
-    with a str has no alphabet to read, and is refused by index and item."""
+    with a str has no alphabet to read, and is refused as a wrong type, by
+    index and the item's type."""
     a = AB.word("a")
     for kind, certificates, position, item in [
-        ("period-preservation", (("a",),), 0, "'a'"),
-        ("period-preservation", (a, "b"), 1, "'b'"),
-        ("orbit-injectivity", ((1, 2),), 0, "1"),
-        ("orbit-injectivity", ((a, AB.word("b")), (a, "b")), 1, "'b'"),
-        ("orbit-injectivity", (("a", a),), 0, "'a'"),
+        ("period-preservation", (("a",),), 0, "str"),
+        ("period-preservation", (a, "b"), 1, "str"),
+        ("orbit-injectivity", ((1, 2),), 0, "int"),
+        ("orbit-injectivity", ((a, AB.word("b")), (a, "b")), 1, "str"),
+        ("orbit-injectivity", (("a", a),), 0, "str"),
     ]:
-        message = f"^certificate {position} holds {item}, which is not a Word$"
-        with pytest.raises(ValueError, match=message):
+        message = f"^certificate {position} must be a Word, not {item}$"
+        with pytest.raises(TypeError, match=message):
             diagnostics.ViolationReport(kind, 3, certificates)
 
 

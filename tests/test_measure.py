@@ -64,7 +64,7 @@ def test_floats_are_rejected():
     [
         (1, {AB.word("a"): 0.5}, 1, TypeError, "value of 'a' must be exact, got a float"),
         (1, {AB.word("a"): -1}, 1, ValueError, "negative value for 'a'"),
-        (1, {ABC.word("a"): 1}, 1, ValueError, "word 'a' is not over the table alphabet"),
+        (1, {ABC.word("a"): 1}, 1, ValueError, "word 'a' is not over [a b]"),
         (1, {AB.word("ab"): 1}, 1, ValueError, "word 'a b' has length outside 1..1"),
         (0, {}, 0, ValueError, "depth must be >= 1"),
     ],

@@ -245,7 +245,7 @@ def test_essential_occurrences_errors():
         essential_occurrences(SIGMA4, AB.word("a"), CD.epsilon())
     with pytest.raises(ValueError):
         essential_occurrences(SIGMA4, CD.word("c"), CD.word("c"))
-    with pytest.raises(ValueError, match="^target is not over the codomain of the morphism$"):
+    with pytest.raises(ValueError, match="^target 'a' is not over \\[c d\\]$"):
         essential_occurrences(SIGMA4, AB.word("a"), AB.word("a"))
 
 

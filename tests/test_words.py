@@ -20,7 +20,7 @@ from shiftmeasure import (
     primitive_root,
     rotations,
 )
-from shiftmeasure.words import _lyndon_counts, _lyndon_words, _root_rotation
+from shiftmeasure.words import _canonical, _lyndon_counts, _lyndon_words, _root_rotation
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -70,6 +70,14 @@ def test_alphabet_rejects_bad_input():
         with pytest.raises(ValueError):
             Alphabet(("a", token))
     assert Alphabet(("a#", "a!", "-", ">", "-->", "->a")).symbols[-1] == "->a"
+
+
+def test_alphabet_refuses_a_token_that_is_not_a_str():
+    """A token is text: a tuple, bytes or None is the wrong type, refused before
+    any of the text rules are read."""
+    for tokens, kind in [((("a",),), "tuple"), ((b"a",), "bytes"), (("a", None), "NoneType")]:
+        with pytest.raises(TypeError, match=f"^symbol token must be a str, not {kind}$"):
+            Alphabet(tokens)
 
 
 def test_alphabet_order_is_significant():
@@ -288,6 +296,19 @@ def test_iter_words_order_and_count():
     assert list(iter_words(AB, 0)) == [AB.epsilon()]
     with pytest.raises(ValueError, match="^length must be >= 0$"):
         next(iter_words(AB, -1))
+
+
+def test_canonical_is_the_length_then_letters_order():
+    """_canonical's two sorts give the (length, letters) key order, () first."""
+    rng = random.Random(20)
+    cases = [set(), {()}, {(1,), (0,), ()}, {(0, 1), (1,), (0, 0, 0), (2,), ()}]
+    for size in (1, 2, 3):
+        for _ in range(60):
+            cases.append({tuple(rng.randrange(size) for _ in range(rng.randrange(5)))
+                          for _ in range(rng.randrange(16))})
+    for keys in cases:
+        assert _canonical(keys) == sorted(keys, key=lambda u: (len(u), u))
+        assert _canonical(dict.fromkeys(keys, 1)) == sorted(keys, key=lambda u: (len(u), u))
 
 
 def test_sort_key_orders_by_length_then_alphabet():
