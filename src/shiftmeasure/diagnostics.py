@@ -15,7 +15,7 @@ from typing import Iterator
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
 from .words import (Word, _canonical, _lyndon_counts, _lyndon_words, _Record, _require_count,
-                    _require_word, _root_rotation)
+                    _require_over, _require_word, _root_rotation)
 
 # The number of words in a certificate of each kind.
 _WORDS = {"period-preservation": 1, "orbit-injectivity": 2}
@@ -52,7 +52,7 @@ class ViolationReport(_Record):
             for w in part:  # the first word fixes the alphabet of the others
                 domain = _require_word(w, domain, f"certificate {index}").alphabet
         # Each certificate is a group of its own.
-        self.__dict__.update(kind=kind, bound=bound, certificates=tuple(certificates), _domain=domain,
+        self.__dict__.update(kind=kind, bound=bound, _domain=domain,
                              _groups=tuple(tuple(w.letters for w in p) for p in parts),
                              _placed=tuple((g, 0) for g in range(len(parts))))
 
@@ -123,10 +123,7 @@ def _primitive_representatives(
                     f"more than {FULL_SHIFT_BUDGET}"
                 )
         return _lyndon_words(size, bound)
-    if language.alphabet != sigma.domain:
-        raise ValueError("language alphabet must be the domain of the morphism")
-    if not 1 <= bound <= language.maxlen:
-        raise ValueError(f"bound {bound} outside 1..{language.maxlen}")
+    _require_count(bound, "bound", 1, _require_over(language, FactorLanguage, sigma.domain, "language").maxlen)
     scans = (_root_rotation(x) for x in language._words if len(x) <= bound)
     representatives = {key for key, exponent in scans if exponent == 1}
     return _canonical(representatives)
@@ -176,7 +173,8 @@ def check_period_preservation(
 
     Image primitivity is a rotation invariant, so one representative per
     class is checked and reported.  language None means the full shift over
-    the domain up to the bound, which is never built as a language.  More than
+    the domain up to the bound, which is never built as a language; a language
+    must be over the domain, and the bound an int from 1 to its maxlen.  More than
     CERTIFICATE_BUDGET certificates from the two checks together is an error.
     """
     return _reports(sigma, language, bound)[0]
@@ -208,8 +206,7 @@ def prolongation_split(
     """
     if not sigma.is_letter_to_letter:
         raise ValueError("the prolongation split requires a letter-to-letter morphism")
-    if language.alphabet != sigma.domain:
-        raise ValueError("language alphabet must be the domain of the morphism")
+    _require_over(language, FactorLanguage, sigma.domain, "language")
     _require_count(n, "prolongation length", 0)
     total_len = len(w) + 2 * n
     if total_len > language.maxlen:

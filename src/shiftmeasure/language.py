@@ -12,9 +12,9 @@ import itertools
 from functools import cached_property
 from typing import Iterable
 
-from .measure import characteristic_measure
+from . import measure
 from .morphism import Morphism, _essential_sweep, _require_depth, _window
-from .words import Alphabet, Word, _Record, _require_count, _require_word
+from .words import Alphabet, Word, _Record, _require_count, _require_over, _require_word
 
 
 class FactorLanguage(_Record):
@@ -24,13 +24,12 @@ class FactorLanguage(_Record):
     __match_args__ = ("alphabet", "maxlen", "_words")
 
     def __init__(self, alphabet: Alphabet, maxlen: int, words: frozenset[Word]) -> None:
-        words = frozenset(words)
+        words = frozenset([_require_word(w, None, "word") for w in words])
         _require_count(maxlen, "maxlen")
         bad = [w for w in words if w.alphabet != alphabet or not 1 <= len(w) <= maxlen]
         if bad:
             w = min(bad, key=lambda w: (len(w), w.letters, w.tokens, w.alphabet != alphabet))
-            if w.alphabet != alphabet:
-                raise ValueError(f"word '{w}' is not over the language alphabet")
+            _require_word(w, alphabet, "word")
             raise ValueError(f"word '{w}' has length outside 1..{maxlen}")
         letters = frozenset([w.letters for w in words])
         # Factor closure is equivalent to closure under dropping one outer letter.
@@ -74,23 +73,29 @@ def periodic_orbit_language(w: Word, n: int) -> FactorLanguage:
     if len(w) == 0:
         raise ValueError("the empty word generates no periodic orbit")
     _require_count(n, "maxlen")
-    return FactorLanguage._trusted(w.alphabet, n, frozenset(characteristic_measure(w, n)._weights))
+    return FactorLanguage._trusted(w.alphabet, n, frozenset(measure.characteristic_measure(w, n)._weights))
 
 
 def full_shift_language(alphabet: Alphabet, n: int) -> FactorLanguage:
-    """Every non-empty word up to length n."""
+    """Every non-empty word up to length n.  More than measure.TABLE_BUDGET letters in
+    the words, the sum of k * |A|^k, is refused at the first length past it, before any is built."""
     _require_count(n, "maxlen")
-    ws = (itertools.product(range(len(alphabet)), repeat=k) for k in range(1, n + 1))
+    size, letters, budget = len(alphabet), 0, measure.TABLE_BUDGET
+    for k in range(1, n + 1):
+        if (letters := letters + k * size**k) > budget:
+            raise ValueError(f"maxlen {n} is over the table budget: its words of length <= {k} "
+                             f"hold {letters} letters, more than {budget}")
+    ws = (itertools.product(range(size), repeat=k) for k in range(1, n + 1))
     return FactorLanguage._trusted(alphabet, n, frozenset(itertools.chain(*ws)))
 
 
 def union(first: FactorLanguage, second: FactorLanguage) -> FactorLanguage:
     """Union truncated to the smaller cap; closure survives truncation."""
-    if first.alphabet != second.alphabet:
-        raise ValueError("languages must share one alphabet")
+    alphabet = _require_over(first, FactorLanguage, None, "language").alphabet
+    _require_over(second, FactorLanguage, alphabet, "language")
     n = min(first.maxlen, second.maxlen)
     ws = frozenset([x for x in first._words | second._words if len(x) <= n])
-    return FactorLanguage._trusted(first.alphabet, n, ws)
+    return FactorLanguage._trusted(alphabet, n, ws)
 
 
 def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorLanguage:
@@ -102,8 +107,7 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     language is factor-closed, so any factor of an image is an essential
     occurrence over some factor of the input and nothing is lost.
     """
-    if language.alphabet != sigma.domain:
-        raise ValueError("language alphabet must be the domain of the morphism")
+    _require_over(language, FactorLanguage, sigma.domain, "language")
     _require_count(n, "maxlen")
     _require_depth(sigma, n, language.maxlen)
     swept = _essential_sweep(sigma, ((u, 1) for u in _window(sigma, language._words, n)), n)
@@ -111,7 +115,6 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
 
 
 def complexity(language: FactorLanguage, k: int) -> int:
-    """Number of language words of length exactly k."""
-    if not 1 <= k <= language.maxlen:
-        raise ValueError(f"length {k} outside 1..{language.maxlen}")
+    """Number of language words of length exactly k, an int from 1 to the language's maxlen."""
+    _require_count(k, "length", 1, _require_over(language, FactorLanguage, None, "language").maxlen)
     return sum(1 for x in language._words if len(x) == k)

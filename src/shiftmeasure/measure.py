@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
-from .words import Alphabet, Word, _canonical, _Record, _require_count, _require_word, primitive_root
+from .words import (Alphabet, Word, _canonical, _Record, _require_count, _require_over, _require_word,
+                    primitive_root)
 
 Rational = Union[Fraction, int]
 TABLE_BUDGET = 10**7  # work budget: the most letters a characteristic table's keys may hold
@@ -125,7 +126,7 @@ def validate(m: MeasureTable) -> list[Violation]:
     canonical word order (length, then letters; left before right at each
     word), then the level sums by length.
     """
-    return list(_violations(m))
+    return list(_violations(_require_over(m, MeasureTable, None, "table")))
 
 
 def _violations(m: MeasureTable) -> Iterator[Violation]:
@@ -189,16 +190,14 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
     The result is truncated to the smallest depth among the terms; masses
     combine with the same coefficients.
     """
-    term_list = list(terms)
+    term_list = [(c, t) for c, t in terms]
     if not term_list:
         raise ValueError("at least one term is required")
-    alphabet = term_list[0][1].alphabet
-    depth = min(table.depth for _, table in term_list)
+    alphabet = _require_over(term_list[0][1], MeasureTable, None, "term").alphabet
+    depth = min(_require_over(t, MeasureTable, alphabet, "term").depth for _, t in term_list)
     weights: dict[tuple[int, ...], Fraction] = {}
     mass = Fraction(0)
     for coefficient, table in term_list:
-        if table.alphabet != alphabet:
-            raise ValueError("all terms must share one alphabet")
         lam = _as_fraction(coefficient, "coefficient")
         if lam < 0:
             raise ValueError("coefficients must be nonnegative")
@@ -219,10 +218,10 @@ class FrequencyVector(_Record):
 
 
 def frequency_vector(m: MeasureTable) -> FrequencyVector:
-    letters = range(len(m.alphabet))
+    letters = range(len(_require_over(m, MeasureTable, None, "table").alphabet))
     return FrequencyVector(m.alphabet, tuple(m._weights.get((i,), Fraction(0)) for i in letters))
 
 
 def support_words(m: MeasureTable) -> set[Word]:
     """All stored words of strictly positive weight."""
-    return set(m.values)
+    return set(_require_over(m, MeasureTable, None, "table").values)

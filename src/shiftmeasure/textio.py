@@ -15,7 +15,7 @@ from typing import Any, Callable
 from .language import FactorLanguage, factorial_closure
 from .measure import MeasureTable
 from .morphism import Morphism
-from .words import Alphabet, Word, _canonical, _check_token
+from .words import Alphabet, Word, _canonical, _check_token, _require_over
 
 
 class ParseError(Exception):
@@ -258,8 +258,8 @@ def render_measure(m: MeasureTable) -> str:
     is formatted once, by id: the table holds every value while this runs,
     so no id is reused, and a table shares few value objects.
     """
+    symbols, weights = _require_over(m, MeasureTable, None, "table").alphabet.symbols, m._weights
     lines = [f"!alphabet {m.alphabet}", f"!depth {m.depth}", f"!mass {m.total_mass}"]
-    symbols, weights = m.alphabet.symbols, m._weights
     order = _canonical(weights)
     values: dict[int, str] = {}
     previous: dict[tuple[int, ...], str] = {}
@@ -300,8 +300,8 @@ def parse_language(text: str) -> FactorLanguage:
 
 
 def render_language(language: FactorLanguage) -> str:
+    symbols = _require_over(language, FactorLanguage, None, "language").alphabet.symbols
     lines = [f"!alphabet {language.alphabet}", f"!maxlen {language.maxlen}"]
-    symbols = language.alphabet.symbols
     for x in _canonical(language._words):
         lines.append(" ".join([symbols[i] for i in x]))
     return "\n".join(lines) + "\n"

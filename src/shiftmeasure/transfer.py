@@ -29,7 +29,7 @@ from .morphism import (
     subdivision_morphism,
 )
 from .morphism import DepthError, required_input_depth  # noqa: F401  still importable from here
-from .words import Word, _require_count, _require_word
+from .words import Word, _require_count, _require_over, _require_word
 
 
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
@@ -46,8 +46,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     imaged, and the weights with a nonzero count are summed as Fractions.  The
     empty target yields the total transferred mass.
     """
-    if m.alphabet != sigma.domain:
-        raise ValueError("table alphabet must be the domain of the morphism")
+    _require_over(m, MeasureTable, sigma.domain, "table")
     _require_word(target, sigma.codomain, "target")
     _require_depth(sigma, len(target), m.depth)
     if len(target) == 0:
@@ -71,8 +70,7 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     same numerators: one-letter words are always in the window.
     """
     _require_count(out_depth, "output depth")
-    if m.alphabet != sigma.domain:
-        raise ValueError("table alphabet must be the domain of the morphism")
+    _require_over(m, MeasureTable, sigma.domain, "table")
     _require_depth(sigma, out_depth, m.depth)
     kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth)}
     den, support = _scaled(kept)
@@ -94,7 +92,7 @@ def subdivision_measure(
     mass is sum of lengths[a] * m(a).
     """
     _require_count(out_depth, "output depth")
-    pi = subdivision_morphism(m.alphabet, lengths)
+    pi = subdivision_morphism(_require_over(m, MeasureTable, None, "table").alphabet, lengths)
     required = _require_depth(pi, out_depth, m.depth)
     images, weights, seen = pi._images, {}, set()
     for u in m._weights:
@@ -118,8 +116,7 @@ def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTab
     """
     if not alpha.is_letter_to_letter:
         raise ValueError("push-forward requires a letter-to-letter morphism")
-    if m.alphabet != alpha.domain:
-        raise ValueError("table alphabet must be the domain of the morphism")
+    _require_over(m, MeasureTable, alpha.domain, "table")
     letter = [img[0] for img in alpha._images]
     weights: dict[tuple[int, ...], Fraction] = {}
     for u, weight in m._weights.items():

@@ -162,12 +162,14 @@ class Word(_Record):
         return " ".join(self.tokens)
 
 
-def _require_count(n: object, what: str, least: int = 1) -> int:
-    """n, an int of at least least: the one check of every depth, length and bound argument."""
+def _require_count(n: object, what: str, least: int = 1, most: int | None = None) -> int:
+    """n, an int from least to most (no top when None): the one check of every depth, length and bound."""
     if type(n) is not int:
         raise TypeError(f"{what} must be an int, not {type(n).__name__}")
     if n < least:
         raise ValueError(f"{what} must be >= {least}")
+    if most is not None and n > most:
+        raise ValueError(f"{what} must be <= {most}")
     return n
 
 
@@ -178,6 +180,15 @@ def _require_word(w: object, alphabet: Alphabet | None, what: str) -> Word:
     if alphabet is not None and w.alphabet != alphabet:
         raise ValueError(f"{what} '{w}' is not over [{alphabet}]")
     return w
+
+
+def _require_over(x: object, kind: type, alphabet: Alphabet | None, what: str):
+    """x, a kind (a table or language) over alphabet (over any one when None): the one check of each."""
+    if type(x) is not kind:
+        raise TypeError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")
+    if alphabet is not None and x.alphabet != alphabet:
+        raise ValueError(f"{what} over [{x.alphabet}] is not over [{alphabet}]")
+    return x
 
 
 def _canonical(keys: Iterable[tuple]) -> list[tuple]:

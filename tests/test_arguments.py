@@ -1,6 +1,6 @@
-"""The argument contract of the count and Word arguments: a value of the right
-type that breaks a rule is a ValueError, a value of the wrong type a
-TypeError, and nothing else escapes."""
+"""The argument contract of the count, Word, table and language arguments: a
+value of the right type that breaks a rule is a ValueError, a value of the
+wrong type a TypeError, and nothing else escapes."""
 
 from fractions import Fraction
 
@@ -17,20 +17,31 @@ from shiftmeasure import (
     apply,
     characteristic_measure,
     check_period_preservation,
+    check_periodic_orbit_injectivity,
+    complexity,
     count_occurrences,
     essential_occurrences,
     factorial_closure,
     factors,
+    frequency_vector,
     full_shift_language,
     image_language,
     iter_words,
+    linear_combination,
     periodic_orbit_language,
     prolongation_split,
+    pushforward_letter_to_letter,
+    render_language,
+    render_measure,
     required_input_depth,
     subdivision_measure,
     subdivision_morphism,
+    support_words,
     transfer_eval,
     transfer_table,
+    transfer_via_decomposition,
+    union,
+    validate,
 )
 
 AB = Alphabet(("a", "b"))
@@ -39,6 +50,8 @@ SIGMA = Morphism.from_images(AB, CD, {"a": "cd", "b": "c"})
 COLLAPSE = Morphism.from_images(AB, ("c",), {"a": "c", "b": "c"})
 TABLE = characteristic_measure(AB.word("aab"), 3)
 LANGUAGE = full_shift_language(AB, 3)
+CD_TABLE = characteristic_measure(CD.word("cd"), 3)
+CD_LANGUAGE = full_shift_language(CD, 3)
 
 # Each callable takes the one drawn argument; its other arguments are valid and small.
 COUNTS = {
@@ -54,6 +67,8 @@ COUNTS = {
     "required_input_depth output length": lambda x: required_input_depth(SIGMA, x),
     "subdivision_morphism length": lambda x: subdivision_morphism(AB, {"a": x, "b": 1}),
     "check_period_preservation bound": lambda x: check_period_preservation(SIGMA, None, x),
+    "check_period_preservation language bound": lambda x: check_period_preservation(SIGMA, LANGUAGE, x),
+    "complexity length": lambda x: complexity(LANGUAGE, x),
     "prolongation_split length": lambda x: prolongation_split(COLLAPSE, LANGUAGE, AB.word("a"), x),
     "factors bound": lambda x: factors(AB.word("abb"), x),
     "iter_words length": lambda x: list(iter_words(AB, x)),
@@ -74,6 +89,32 @@ WORDS = {
     "ViolationReport orbit item": lambda x: ViolationReport("orbit-injectivity", 3, ((AB.word("a"), x),)),
 }
 CALLS = {**COUNTS, **WORDS}
+# Each table or language argument: (its type, the alphabet it must be over or None for any, the call).
+RECORDS = {
+    "transfer_eval table": (MeasureTable, AB, lambda x: transfer_eval(SIGMA, x, CD.word("c"))),
+    "transfer_table table": (MeasureTable, AB, lambda x: transfer_table(SIGMA, x, 2)),
+    "transfer_via_decomposition table": (MeasureTable, AB, lambda x: transfer_via_decomposition(SIGMA, x, 2)),
+    "pushforward_letter_to_letter table": (
+        MeasureTable, AB, lambda x: pushforward_letter_to_letter(COLLAPSE, x)),
+    # The lengths fix the alphabet: a foreign table misses its lengths.
+    "subdivision_measure table": (MeasureTable, AB, lambda x: subdivision_measure({"a": 2, "b": 1}, x, 2)),
+    "linear_combination term": (MeasureTable, AB, lambda x: linear_combination([(1, TABLE), (2, x)])),
+    "validate table": (MeasureTable, None, validate),
+    "frequency_vector table": (MeasureTable, None, frequency_vector),
+    "support_words table": (MeasureTable, None, support_words),
+    "render_measure table": (MeasureTable, None, render_measure),
+    "image_language language": (FactorLanguage, AB, lambda x: image_language(SIGMA, x, 2)),
+    "union first": (FactorLanguage, AB, lambda x: union(x, LANGUAGE)),
+    "union second": (FactorLanguage, AB, lambda x: union(LANGUAGE, x)),
+    "check_period_preservation language": (
+        FactorLanguage, AB, lambda x: check_period_preservation(SIGMA, x, 2)),
+    "check_periodic_orbit_injectivity language": (
+        FactorLanguage, AB, lambda x: check_periodic_orbit_injectivity(SIGMA, x, 2)),
+    "prolongation_split language": (
+        FactorLanguage, AB, lambda x: prolongation_split(COLLAPSE, x, AB.word("a"), 1)),
+    "complexity language": (FactorLanguage, None, lambda x: complexity(x, 2)),
+    "render_language language": (FactorLanguage, None, render_language),
+}
 
 SMALL_WORDS = st.sampled_from([AB, CD]).flatmap(
     lambda alphabet: st.lists(st.sampled_from(alphabet.symbols), max_size=3).map(alphabet.word))
@@ -101,6 +142,41 @@ def test_a_count_or_word_argument_raises_only_value_or_type_errors(name, x):
         pass
 
 
+@pytest.mark.parametrize("name", RECORDS)
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(MIXED, st.sampled_from([TABLE, CD_TABLE, LANGUAGE, CD_LANGUAGE])))
+def test_a_table_or_language_argument_raises_only_value_or_type_errors(name, x):
+    try:
+        RECORDS[name][2](x)
+    except (ValueError, TypeError):
+        pass
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_table_or_language_argument_is_refused_by_type_and_by_alphabet(name):
+    kind, alphabet, call = RECORDS[name]
+    right, wrong = (TABLE, LANGUAGE) if kind is MeasureTable else (LANGUAGE, TABLE)
+    call(right)
+    for x in ("t", None, 5, AB.word("a"), wrong):
+        if x is None and "check" in name:
+            continue  # no language is the full shift
+        with pytest.raises(TypeError):
+            call(x)
+    foreign = CD_TABLE if kind is MeasureTable else CD_LANGUAGE
+    if alphabet is None:
+        call(foreign)
+    else:
+        with pytest.raises(ValueError):
+            call(foreign)
+
+
+def test_linear_combination_refuses_a_term_that_is_not_a_pair():
+    for terms, error in [([()], ValueError), ([(1,)], ValueError), ([(1, TABLE, 2)], ValueError),
+                         ([5], TypeError), ([(1, 5)], TypeError), ([(1, TABLE), (1, LANGUAGE)], TypeError)]:
+        with pytest.raises(error):
+            linear_combination(terms)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: MeasureTable(AB, 2.5, {}, 1), TypeError, "depth must be an int, not float"),
     (lambda: MeasureTable(AB, 0, {}, 1), ValueError, "depth must be >= 1"),
@@ -116,9 +192,19 @@ def test_a_count_or_word_argument_raises_only_value_or_type_errors(name, x):
     (lambda: apply(SIGMA, CD.word("cd")), ValueError, "word 'c d' is not over [a b]"),
     (lambda: Morphism(AB, CD, (CD.word("c"), AB.word("a"))), ValueError, "image of 'b' 'a' is not over [c d]"),
     (lambda: ViolationReport("period-preservation", 3, (5,)), TypeError, "'int' object is not iterable"),
+    (lambda: transfer_table(SIGMA, "t", 2), TypeError, "table must be a MeasureTable, not str"),
+    (lambda: transfer_table(SIGMA, CD_TABLE, 2), ValueError, "table over [c d] is not over [a b]"),
+    (lambda: union(LANGUAGE, CD_LANGUAGE), ValueError, "language over [c d] is not over [a b]"),
+    (lambda: complexity(LANGUAGE, 2.0), TypeError, "length must be an int, not float"),
+    (lambda: complexity(LANGUAGE, 4), ValueError, "length must be <= 3"),
+    (lambda: check_period_preservation(SIGMA, LANGUAGE, 0), ValueError, "bound must be >= 1"),
+    (lambda: check_period_preservation(SIGMA, LANGUAGE, 9), ValueError, "bound must be <= 3"),
+    (lambda: FactorLanguage(AB, 2, {"a"}), TypeError, "word must be a Word, not str"),
+    (lambda: linear_combination([(1, 5)]), TypeError, "term must be a MeasureTable, not int"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply", "foreign-image",
-        "int-certificate"])
+        "int-certificate", "str-table", "foreign-table", "foreign-union", "float-complexity",
+        "over-complexity", "zero-language-bound", "over-language-bound", "str-language-word", "int-term"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:
         call()

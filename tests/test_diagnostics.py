@@ -90,6 +90,20 @@ def test_a_report_built_from_words_equals_the_checks_report():
     assert not empty and empty.certificates == () and empty.render() == "BOUND 3"
 
 
+def test_a_reports_certificates_are_its_words_not_its_input():
+    """certificates is rebuilt from the kept words, whatever iterable held them:
+    a generator is read once, a list item is a tuple, and a one-word period
+    certificate is the word itself."""
+    a, b, ab = AB.word("a"), AB.word("b"), AB.word("ab")
+    orbit = diagnostics.ViolationReport("orbit-injectivity", 3, (pair for pair in [(a, b), (a, ab)]))
+    assert orbit and len(orbit.lines()) == 2 and orbit.certificates == ((a, b), (a, ab))
+    listed = diagnostics.ViolationReport("orbit-injectivity", 3, [[a, b]])
+    assert listed.certificates == ((a, b),) and type(listed.certificates[0]) is tuple
+    period = diagnostics.ViolationReport("period-preservation", 3, [(a,)])
+    assert period.certificates == (a,)
+    assert period == diagnostics.ViolationReport("period-preservation", 3, [a])
+
+
 def test_a_report_refuses_certificates_over_two_alphabets():
     """Certificates are kept as letters over the first word's alphabet, so a
     word over another one, alone or in a pair, would be read with the wrong
@@ -506,5 +520,5 @@ def test_prolongation_split_errors():
     thin = factorial_closure(AB, [AB.word("aaa")], 3)
     with pytest.raises(ValueError):
         prolongation_split(COLLAPSE, thin, AB.word("b"), 1)
-    with pytest.raises(ValueError, match="^language alphabet must be the domain of the morphism$"):
+    with pytest.raises(ValueError, match=r"^language over \[b a\] is not over \[a b\]$"):
         prolongation_split(COLLAPSE, full_shift_language(Alphabet(("b", "a")), 3), AB.word("a"), 1)

@@ -11,6 +11,7 @@ import pytest
 
 import gen
 import shiftmeasure
+from shiftmeasure import measure
 from shiftmeasure import (
     Alphabet,
     DepthError,
@@ -102,6 +103,22 @@ def test_full_shift_language_counts():
     assert complexity(language, 3) == 8
     with pytest.raises(ValueError, match="^maxlen must be >= 1$"):
         full_shift_language(AB, 0)
+
+
+def test_full_shift_language_is_refused_past_the_table_budget(monkeypatch):
+    """The words' letters, the sum of k * |A|^k, are counted against the budget
+    read at call time, and counting stops at the first length past it."""
+    monkeypatch.setattr(measure, "TABLE_BUDGET", 34)
+    assert len(full_shift_language(AB, 3)) == 14  # 2 + 8 + 24 = 34 letters
+    with pytest.raises(ValueError, match="^maxlen 4 is over the table budget: its words of length <= 4 "
+                                         "hold 98 letters, more than 34$"):
+        full_shift_language(AB, 4)
+
+
+def test_full_shift_language_refuses_a_huge_maxlen_before_building_anything():
+    with pytest.raises(ValueError, match="^maxlen 10{30} is over the table budget: its words of length "
+                                         "<= 19 hold 18874370 letters, more than 10000000$"):
+        full_shift_language(AB, 10**30)
 
 
 def test_union_truncates_to_common_cap():
@@ -291,5 +308,5 @@ def test_constructor_errors_do_not_depend_on_the_hash_seed():
     assert outputs == {
         "language is not factor-closed at 'b c'\n"
         "word 'a b' has length outside 1..1\n"
-        "word 'c' is not over the language alphabet\n"
+        "word 'c' is not over [a b c]\n"
     }
