@@ -232,10 +232,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv as the full parser does.  A named command's own parser,
     built as the full parser builds its subparser, parses the rest; the full
-    parser is built only when argv names no command or has arguments over."""
+    parser is built only when argv names no command or has arguments over.
+    Its help formatters, one per argument, share one terminal width lookup."""
     if argv and argv[0] in _COMMANDS:
-        parser = _add_command(argparse.ArgumentParser(prog=f"shiftmeasure {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
+        import shutil  # on first parse, as argparse imports it: not at start-up
+
+        width = shutil.get_terminal_size().columns - 2
+        parser = argparse.ArgumentParser(
+            prog=f"shiftmeasure {argv[0]}",
+            formatter_class=lambda prog: argparse.HelpFormatter(prog, width=width))
+        args, extras = _add_command(parser, argv[0]).parse_known_args(argv[1:])
         if not extras:
             return args
     return _build_parser().parse_args(argv)

@@ -177,7 +177,7 @@ def parse_measure(text: str) -> MeasureTable:
     rpartition and one lookup.
     """
     weights: dict[tuple[int, ...], Fraction] = {}
-    parsed: dict[str, Fraction] = {}  # by value text: a table repeats few distinct values
+    parsed: dict[str, Fraction] = {}  # by raw value text: a table repeats few distinct values
     known: dict[str, tuple[int, ...]] = {}  # by word text: always tuple(map(index, text.split()))
 
     def entries(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
@@ -205,10 +205,10 @@ def parse_measure(text: str) -> MeasureTable:
                         f"word '{' '.join(left.split())}' is longer than the declared depth {depth}")
                 if letters in weights:
                     raise ValueError(f"duplicate entry for '{' '.join(left.split())}'")
-                value_text = right.strip()
-                if value_text not in parsed:
-                    parsed[value_text] = _parse_rational(value_text)
-                weights[letters] = parsed[value_text]
+                value = parsed.get(right)
+                if value is None:
+                    value = parsed[right] = _parse_rational(right.strip())
+                weights[letters] = value
                 known[left] = letters
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None

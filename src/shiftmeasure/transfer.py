@@ -4,7 +4,7 @@ The direct route sums essential occurrences against the stored support of
 the input table.  A whole table is one sweep on int numerators over a common
 denominator: each support word is imaged once and every essential occurrence
 is credited to its target.  One target adds its few terms as Fractions: only
-the support words whose first letter block can start it are imaged.  Both
+the support words whose first and last letter blocks fit it are imaged.  Both
 read only the support words in the length window.  The decomposition route
 reweights the table along the subdivision part of the canonical decomposition
 and pushes the result through the letter-to-letter part, on Fraction.  The
@@ -42,9 +42,12 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word: the sum of m(u) * ess(u, target).
 
     A pruned count, not a sweep: of the support words in the target length's
-    _window, only those whose first letter block can start the target are
-    imaged, and the weights with a nonzero count are summed as Fractions.  The
-    empty target yields the total transferred mass.
+    _window, only those whose first and last letter blocks fit the target are
+    imaged.  The first block must agree with the target on their overlap; for
+    |u| >= 2 an essential occurrence puts 1 to |target| - 1 of its letters in
+    the last block, and they are a prefix of sigma(u_n).  The weights with a
+    nonzero count are summed as Fractions.  The empty target yields the total
+    transferred mass.
     """
     _require_over(m, MeasureTable, sigma.domain, "table")
     _require_word(target, sigma.codomain, "target")
@@ -52,11 +55,14 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     if len(target) == 0:
         return _transferred_mass(sigma, m)
     pattern, images = target.letters, sigma._images
-    starts = [any(img[s : s + len(pattern)] == pattern[: len(img) - s] for s in range(len(img)))
+    n = len(pattern)
+    starts = [any(img[s : s + n] == pattern[: len(img) - s] for s in range(len(img)))
               for img in images]
-    counts = {u: n for u in _window(sigma, (u for u in m._weights if starts[u[0]]), len(pattern))
-              if (n := _essential_count(images, u, pattern))}
-    return sum([n * m._weights[u] for u, n in counts.items()], Fraction(0))
+    ends = [any(img[:k] == pattern[n - k :] for k in range(1, min(len(img), n - 1) + 1))
+            for img in images]
+    fitting = (u for u in m._weights if starts[u[0]] and (len(u) == 1 or ends[u[-1]]))
+    counts = {u: c for u in _window(sigma, fitting, n) if (c := _essential_count(images, u, pattern))}
+    return sum([c * m._weights[u] for u, c in counts.items()], Fraction(0))
 
 
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:
@@ -129,6 +135,7 @@ def transfer_via_decomposition(
     sigma: Morphism, m: MeasureTable, out_depth: int
 ) -> MeasureTable:
     """Transfer computed as subdivision reweighting followed by push-forward."""
+    _require_over(m, MeasureTable, sigma.domain, "table")
     decomposition = canonical_decomposition(sigma)
     subdivided = subdivision_measure(decomposition.lengths, m, out_depth)
     return pushforward_letter_to_letter(decomposition.alpha, subdivided)

@@ -114,7 +114,7 @@ def _check_token(token: str) -> None:
     """
     if not isinstance(token, str):
         raise TypeError(f"symbol token must be a str, not {type(token).__name__}")
-    if not token or any(ch.isspace() for ch in token):
+    if token.split() != [token]:  # empty, or holding whitespace
         raise ValueError(f"invalid symbol token: {token!r}")
     if token.startswith(("#", "!")) or token == "->":
         raise ValueError(

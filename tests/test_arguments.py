@@ -194,6 +194,8 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: ViolationReport("period-preservation", 3, (5,)), TypeError, "'int' object is not iterable"),
     (lambda: transfer_table(SIGMA, "t", 2), TypeError, "table must be a MeasureTable, not str"),
     (lambda: transfer_table(SIGMA, CD_TABLE, 2), ValueError, "table over [c d] is not over [a b]"),
+    (lambda: transfer_via_decomposition(SIGMA, CD_TABLE, 2), ValueError,
+     "table over [c d] is not over [a b]"),
     (lambda: union(LANGUAGE, CD_LANGUAGE), ValueError, "language over [c d] is not over [a b]"),
     (lambda: complexity(LANGUAGE, 2.0), TypeError, "length must be an int, not float"),
     (lambda: complexity(LANGUAGE, 4), ValueError, "length must be <= 3"),
@@ -203,7 +205,7 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: linear_combination([(1, 5)]), TypeError, "term must be a MeasureTable, not int"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply", "foreign-image",
-        "int-certificate", "str-table", "foreign-table", "foreign-union", "float-complexity",
+        "int-certificate", "str-table", "foreign-table", "foreign-decomposition-table", "foreign-union", "float-complexity",
         "over-complexity", "zero-language-bound", "over-language-bound", "str-language-word", "int-term"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:

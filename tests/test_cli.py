@@ -626,6 +626,21 @@ def _command_argvs(name):
         lambda shuffled: [name, *itertools.chain.from_iterable(shuffled)])
 
 
+def test_a_command_parser_formats_at_the_terminal_width(monkeypatch):
+    # A command's parser reads the terminal width once per parse: its help and
+    # usage errors are those of a parser whose every formatter reads it.
+    outcomes = {}
+    for columns in ("50", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name in cli._COMMANDS:
+            old = cli._add_command(argparse.ArgumentParser(prog=f"shiftmeasure {name}"), name)
+            for argv in ([name, "-h"], [name]):
+                expected = _argparse_outcome(lambda a: old.parse_args(a[1:]), argv)
+                assert _argparse_outcome(cli._parse_args, argv) == expected, (columns, argv)
+                outcomes[columns, *argv] = expected
+    assert outcomes["50", "eval", "-h"] != outcomes["200", "eval", "-h"]  # the widths wrap differently
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(cli._COMMANDS)).flatmap(_command_argvs))
 def test_a_command_parser_parses_as_the_full_parser(argv):

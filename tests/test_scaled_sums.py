@@ -323,13 +323,30 @@ def test_eval_matches_the_fraction_sums_on_every_kind_of_target():
                 seen["deep support"] += deep
                 seen["nonzero over the cap"] += bool(value) and over_cap
     assert min(seen.values()) >= 100, seen
+    # Two cases where no last block narrows the search: a collapse gives every
+    # letter one image, and a one-letter target has no proper suffix to end on.
+    collapse = Morphism.from_images(gen.alphabet(2), ("c",), {"a": "c", "b": "c"})
+    cases = [(collapse, [Word(collapse.codomain, (0,) * k) for k in range(1, 6)])]
+    for _ in range(20):
+        sigma = gen.random_morphism(rng, gen.alphabet(3), gen.alphabet(rng.randint(1, 3), 3))
+        cases.append((sigma, [Word(sigma.codomain, (x,)) for x in range(len(sigma.codomain))]))
+    nonzero = Counter()
+    for sigma, targets in cases:
+        depth = required_input_depth(sigma, max(len(t) for t in targets)) + 1
+        for m in _seeded_tables(rng, sigma.domain, depth):
+            for target in targets:
+                value = transfer_eval(sigma, m, target)
+                assert value == _transfer_eval_on_fractions(sigma, m, target)
+                nonzero[sigma is collapse] += value != 0
+    assert nonzero[True] >= 20 and nonzero[False] >= 100, nonzero
 
 
 def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monkeypatch):
     """No sweep: each support word whose middle image leaves room for the
-    target (|sigma(u_2 ... u_{n-1})| <= |target| - 2, or |u| = 1) and whose
-    first block agrees with the target on their overlap is imaged once, and
-    no other."""
+    target (|sigma(u_2 ... u_{n-1})| <= |target| - 2, or |u| = 1), whose
+    first block agrees with the target on their overlap and, for |u| >= 2,
+    whose last block starts with a proper suffix of the target is imaged
+    once, and no other."""
     rng = random.Random(85)
     cases = []
     for _ in range(60):
@@ -350,7 +367,7 @@ def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monke
 
     monkeypatch.setattr(transfer, "_essential_sweep", forbidden)
     monkeypatch.setattr(morphism, "_image_letters", recording)
-    pruned = roomless = 0
+    pruned = roomless = endless = 0
     for sigma, m, target, expected in cases:
         imaged.clear()
         assert transfer_eval(sigma, m, target) == expected
@@ -360,13 +377,20 @@ def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monke
             return any(all(img[s + i] == t[i] for i in range(min(len(t), len(img) - s)))
                        for s in range(len(img)))
 
+        def can_end(img):  # t = x y with x and y non-empty and y a prefix of img
+            return any(t[i:] == img[: len(t) - i] for i in range(max(1, len(t) - len(img)), len(t)))
+
         def has_room(u):
             return len(u) == 1 or sum(len(sigma.images[x]) for x in u[1:-1]) <= len(t) - 2
 
+        def fits(u):
+            return has_room(u) and can_start(sigma.images[u[0]].letters)
+
         required = required_input_depth(sigma, len(t))
-        wanted = [u for u in m._weights if has_room(u) and can_start(sigma.images[u[0]].letters)]
+        wanted = [u for u in m._weights if fits(u) and (len(u) == 1 or can_end(sigma.images[u[-1]].letters))]
         assert sorted(imaged) == sorted(wanted)
         assert all(len(u) <= required for u in wanted)
         pruned += sum(1 for u in m._weights if len(u) <= required) - len(wanted)
         roomless += sum(1 for u in m._weights if len(u) <= required and not has_room(u))
-    assert pruned >= 150 and roomless >= 50, (pruned, roomless)
+        endless += sum(1 for u in m._weights if fits(u)) - len(wanted)
+    assert pruned >= 150 and roomless >= 50 and endless >= 50, (pruned, roomless, endless)

@@ -190,6 +190,9 @@ def test_measure_entry_errors_keep_their_messages():
         # A value text seen before is reported again where it recurs.
         (head + "a\t1/2\nb\tx\na b\tx\n", 5, "not a rational value: 'x'"),
         (head + "a\t1/2\nb\t1/2\nb a\t1/0\n", 6, "not a rational value: '1/0'"),
+        # A raw value text is stripped when first seen; the message shows it stripped.
+        (head + "a\tx\nb\t x \n", 4, "not a rational value: 'x'"),
+        (head + "a\t1\nb\t x \n", 5, "not a rational value: 'x'"),
     ]
     for text, line, message in cases:
         with pytest.raises(ParseError) as err:
@@ -197,6 +200,9 @@ def test_measure_entry_errors_keep_their_messages():
         assert (err.value.line, err.value.message) == (line, message), text
     m = parse_measure(head + "a\t0\nb\t0.0\na b\t00\nb b\t1\nb a\t1\n")
     assert {str(w): v for w, v in m.values.items()} == {"b b": 1, "b a": 1}
+    m = parse_measure(head + "a\t1/2\nb\t 1/2\na b\t1/2 \nb a\t 0 \nb b\t0\n")
+    assert {str(w): v for w, v in m.values.items()} == {"a": Fraction(1, 2), "b": Fraction(1, 2),
+                                                        "a b": Fraction(1, 2)}
 
 
 def test_parse_measure_checks_each_entry_once_without_words(monkeypatch):

@@ -69,6 +69,10 @@ def test_alphabet_rejects_bad_input():
     for token in ("#", "# a", "#a", "!", "!depth", "->"):
         with pytest.raises(ValueError):
             Alphabet(("a", token))
+    # str.split() splits on any Unicode whitespace: em space, file separator, ideographic space.
+    for token in ("a\u2003b", "a\x1cb", "\u3000"):
+        with pytest.raises(ValueError, match="^invalid symbol token: "):
+            Alphabet(("a", token))
     assert Alphabet(("a#", "a!", "-", ">", "-->", "->a")).symbols[-1] == "->a"
 
 
