@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import measure
-from .morphism import Morphism, _essential_sweep, _require_depth, _window
+from .morphism import Morphism, _essential_sweep, _window
 from .words import Alphabet, Word, _Record, _require_count, _require_over, _require_word
 
 
@@ -24,6 +24,7 @@ class FactorLanguage(_Record):
     __match_args__ = ("alphabet", "maxlen", "_words")
 
     def __init__(self, alphabet: Alphabet, maxlen: int, words: frozenset[Word]) -> None:
+        _require_over(alphabet, Alphabet, None, "alphabet")
         words = frozenset([_require_word(w, None, "word") for w in words])
         _require_count(maxlen, "maxlen")
         bad = [w for w in words if w.alphabet != alphabet or not 1 <= len(w) <= maxlen]
@@ -56,6 +57,7 @@ class FactorLanguage(_Record):
 def factorial_closure(alphabet: Alphabet, words: Iterable[Word], n: int) -> FactorLanguage:
     """Language of all non-empty factors (length <= n) of the given words: those of each
     length-n window, one outer letter dropped at a time up to a factor already kept."""
+    _require_over(alphabet, Alphabet, None, "alphabet")
     _require_count(n, "maxlen")
     closed: set[tuple[int, ...]] = set()
     for w in words:
@@ -80,7 +82,7 @@ def full_shift_language(alphabet: Alphabet, n: int) -> FactorLanguage:
     """Every non-empty word up to length n.  More than measure.TABLE_BUDGET letters in
     the words, the sum of k * |A|^k, is refused at the first length past it, before any is built."""
     _require_count(n, "maxlen")
-    size, letters, budget = len(alphabet), 0, measure.TABLE_BUDGET
+    size, letters, budget = len(_require_over(alphabet, Alphabet, None, "alphabet")), 0, measure.TABLE_BUDGET
     for k in range(1, n + 1):
         if (letters := letters + k * size**k) > budget:
             raise ValueError(f"maxlen {n} is over the table budget: its words of length <= {k} "
@@ -109,8 +111,7 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     """
     _require_over(language, FactorLanguage, sigma.domain, "language")
     _require_count(n, "maxlen")
-    _require_depth(sigma, n, language.maxlen)
-    swept = _essential_sweep(sigma, ((u, 1) for u in _window(sigma, language._words, n)), n)
+    swept = _essential_sweep(sigma, ((u, 1) for u in _window(sigma, language._words, n, language.maxlen)), n)
     return FactorLanguage._trusted(sigma.codomain, n, frozenset(swept))
 
 

@@ -39,6 +39,7 @@ class MeasureTable(_Record):
 
     def __init__(self, alphabet: Alphabet, depth: int, values: Mapping[Word, Rational],
                  total_mass: Rational) -> None:
+        _require_over(alphabet, Alphabet, None, "alphabet")
         _require_count(depth, "depth")
         mass = _as_fraction(total_mass, "total mass")
         if mass < 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .words import Alphabet, Word, _Record, _require_count, _require_word
+from .words import Alphabet, Word, _Record, _require_count, _require_over, _require_word
 
 
 class Morphism(_Record):
@@ -30,7 +30,8 @@ class Morphism(_Record):
 
     def __init__(self, domain: Alphabet, codomain: Alphabet, images: tuple[Word, ...]) -> None:
         images = tuple(images)
-        if len(images) != len(domain):
+        _require_over(codomain, Alphabet, None, "codomain")
+        if len(images) != len(_require_over(domain, Alphabet, None, "domain")):
             raise ValueError("need exactly one image per domain letter")
         for token, image in zip(domain.symbols, images):
             _require_word(image, codomain, f"image of {token!r}")
@@ -115,7 +116,8 @@ class IncidenceMatrix(_Record):
     def __init__(self, row_alphabet: Alphabet, col_alphabet: Alphabet,
                  entries: tuple[tuple[int, ...], ...]) -> None:
         entries = tuple(tuple(row) for row in entries)
-        if len(entries) != len(row_alphabet):
+        _require_over(col_alphabet, Alphabet, None, "column alphabet")
+        if len(entries) != len(_require_over(row_alphabet, Alphabet, None, "row alphabet")):
             raise ValueError("need one row per codomain letter")
         for row in entries:
             if len(row) != len(col_alphabet):
@@ -191,7 +193,7 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
     Image letter sets are pairwise disjoint, so images of distinct words
     overlap only in the forced tiling way.
     """
-    missing = [t for t in alphabet.symbols if t not in lengths]
+    missing = [t for t in _require_over(alphabet, Alphabet, None, "alphabet").symbols if t not in lengths]
     if missing:
         raise ValueError(f"missing subdivision lengths for letters: {missing}")
     extra = [t for t in lengths if t not in alphabet]
@@ -266,11 +268,12 @@ def _essential_count(images: Sequence[tuple[int, ...]], letters: tuple[int, ...]
     return count
 
 
-def _window(sigma: Morphism, words: Iterable[tuple[int, ...]], max_len: int) -> list:
-    """The letter tuples u that can have an essential occurrence of length <= max_len.  For
-    |u| >= 2 each covers sigma(u_2 ... u_{n-1}) and a letter on each side; this implies the
-    sumless test |u| <= required_input_depth(sigma, max_len), so that one runs first."""
-    lengths, deepest = [len(img) for img in sigma._images], required_input_depth(sigma, max_len)
+def _window(sigma: Morphism, words: Iterable[tuple[int, ...]], max_len: int, depth: int) -> list:
+    """The letter tuples u that can have an essential occurrence of length <= max_len, or
+    DepthError when depth, the words' table depth or language maxlen, is below the bound
+    required_input_depth(sigma, max_len).  For |u| >= 2 each covers sigma(u_2 ... u_{n-1})
+    and a letter on each side; this implies the sumless test |u| <= that bound, run first."""
+    lengths, deepest = [len(img) for img in sigma._images], _require_depth(sigma, max_len, depth)
     return [u for u in words if len(u) <= deepest
             and (len(u) < 3 or sum(map(lengths.__getitem__, u[1:-1])) <= max_len - 2)]
 

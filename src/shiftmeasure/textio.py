@@ -44,6 +44,7 @@ def _read_format(
     is an error at the last content line.  Returns the headers and their lines
     by name, and the last content line.
     """
+    _require_over(text, str, None, "text")
     headers: dict[str, Any] = {}
     lines: dict[str, int] = {}
     run: list[tuple[int, str]] = []
@@ -309,9 +310,10 @@ def render_language(language: FactorLanguage) -> str:
 
 def _tokens(text: str, compact: bool) -> list[str]:
     """Whitespace-separated tokens, or single characters in compact mode."""
+    _require_over(text, str, None, "text")
     return list(text.strip()) if compact else text.split()
 
 
 def parse_word(alphabet: Alphabet, text: str, compact: bool = False) -> Word:
     """Parse a word from tokens, or from single characters in compact mode."""
-    return alphabet.word(_tokens(text, compact))
+    return _require_over(alphabet, Alphabet, None, "alphabet").word(_tokens(text, compact))

@@ -51,7 +51,6 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """
     _require_over(m, MeasureTable, sigma.domain, "table")
     _require_word(target, sigma.codomain, "target")
-    _require_depth(sigma, len(target), m.depth)
     if len(target) == 0:
         return _transferred_mass(sigma, m)
     pattern, images = target.letters, sigma._images
@@ -61,7 +60,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     ends = [any(img[:k] == pattern[n - k :] for k in range(1, min(len(img), n - 1) + 1))
             for img in images]
     fitting = (u for u in m._weights if starts[u[0]] and (len(u) == 1 or ends[u[-1]]))
-    counts = {u: c for u in _window(sigma, fitting, n) if (c := _essential_count(images, u, pattern))}
+    counts = {u: c for u in _window(sigma, fitting, n, m.depth) if (c := _essential_count(images, u, pattern))}
     return sum([c * m._weights[u] for u, c in counts.items()], Fraction(0))
 
 
@@ -77,8 +76,7 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     """
     _require_count(out_depth, "output depth")
     _require_over(m, MeasureTable, sigma.domain, "table")
-    _require_depth(sigma, out_depth, m.depth)
-    kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth)}
+    kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth, m.depth)}
     den, support = _scaled(kept)
     swept = _essential_sweep(sigma, support.items(), out_depth)
     if support is not kept:  # int sums: one Fraction per distinct sum

@@ -40,7 +40,7 @@ class _Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self is other or self._fields() == other._fields()
 
     def __hash__(self) -> int:
         return hash(self._fields())
@@ -70,14 +70,6 @@ class Alphabet(_Record):
                 raise ValueError(f"duplicate symbol token: {token!r}")
             indices[token] = len(indices)
         self.__dict__.update(symbols=symbols, _indices=indices)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Alphabet:
-            return NotImplemented
-        return self is other or self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash((self.symbols,))
 
     def index(self, token: str) -> int:
         try:
@@ -129,20 +121,11 @@ class Word(_Record):
 
     def __init__(self, alphabet: Alphabet, letters: tuple[int, ...]) -> None:
         letters = tuple(letters)
-        size = len(alphabet)
+        size = len(_require_over(alphabet, Alphabet, None, "alphabet"))
         for i in letters:
             if not 0 <= i < size:
                 raise ValueError(f"letter index {i} out of range for alphabet [{alphabet}]")
         self.__dict__.update(alphabet=alphabet, letters=letters)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Word:
-            return NotImplemented
-        a, b = self.alphabet, other.alphabet
-        return self.letters == other.letters and (a is b or a == b)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -183,9 +166,10 @@ def _require_word(w: object, alphabet: Alphabet | None, what: str) -> Word:
 
 
 def _require_over(x: object, kind: type, alphabet: Alphabet | None, what: str):
-    """x, a kind (a table or language) over alphabet (over any one when None): the one check of each."""
+    """x, a kind (a table, language, alphabet or text) over alphabet (any when None): the one check."""
     if type(x) is not kind:
-        raise TypeError(f"{what} must be a {kind.__name__}, not {type(x).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{what} must be {article} {kind.__name__}, not {type(x).__name__}")
     if alphabet is not None and x.alphabet != alphabet:
         raise ValueError(f"{what} over [{x.alphabet}] is not over [{alphabet}]")
     return x
@@ -276,10 +260,14 @@ def factors(w: Word, n: int) -> set[Word]:
 
 
 def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
-    """All words of exactly the given length, in lexicographic order."""
-    _require_count(length, "length", 0)
-    for combo in itertools.product(range(len(alphabet)), repeat=length):
-        yield Word(alphabet, combo)
+    """All words of exactly the given length, in lexicographic order.  A length over
+    measure.TABLE_BUDGET letters is refused at the call, before any word is built."""
+    from .measure import TABLE_BUDGET  # read at call time; measure imports this module
+    size = len(_require_over(alphabet, Alphabet, None, "alphabet"))
+    if _require_count(length, "length", 0) > TABLE_BUDGET:
+        raise ValueError(f"length {length} is over the table budget: each word holds "
+                         f"{length} letters, more than {TABLE_BUDGET}")
+    return (Word._trusted(alphabet, combo) for combo in itertools.product(range(size), repeat=length))
 
 
 def _lyndon_words(size: int, n: int) -> list[tuple[int, ...]]:

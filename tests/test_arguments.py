@@ -1,6 +1,6 @@
-"""The argument contract of the count, Word, table and language arguments: a
-value of the right type that breaks a rule is a ValueError, a value of the
-wrong type a TypeError, and nothing else escapes."""
+"""The argument contract of the count, Word, table, language, alphabet and text
+arguments: a value of the right type that breaks a rule is a ValueError, a value
+of the wrong type a TypeError, and nothing else escapes."""
 
 from fractions import Fraction
 
@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from shiftmeasure import (
     Alphabet,
     FactorLanguage,
+    IncidenceMatrix,
     MeasureTable,
     Morphism,
     ViolationReport,
+    Word,
     apply,
     characteristic_measure,
     check_period_preservation,
@@ -28,6 +30,10 @@ from shiftmeasure import (
     image_language,
     iter_words,
     linear_combination,
+    parse_language,
+    parse_measure,
+    parse_morphism,
+    parse_word,
     periodic_orbit_language,
     prolongation_split,
     pushforward_letter_to_letter,
@@ -115,6 +121,21 @@ RECORDS = {
     "complexity language": (FactorLanguage, None, lambda x: complexity(x, 2)),
     "render_language language": (FactorLanguage, None, render_language),
 }
+# Each alphabet argument; the other arguments are valid and small, and over AB where it is.
+ALPHABETS = {
+    "Word alphabet": lambda x: Word(x, (0,)),
+    "MeasureTable alphabet": lambda x: MeasureTable(x, 1, {}, 1),
+    "FactorLanguage alphabet": lambda x: FactorLanguage(x, 1, frozenset()),
+    "factorial_closure alphabet": lambda x: factorial_closure(x, [AB.word("ab")], 2),
+    "full_shift_language alphabet": lambda x: full_shift_language(x, 2),
+    "iter_words alphabet": lambda x: list(iter_words(x, 2)),
+    "Morphism domain": lambda x: Morphism(x, CD, (CD.word("c"), CD.word("dc"))),
+    "Morphism codomain": lambda x: Morphism(AB, x, (AB.word("a"), AB.word("ba"))),
+    "subdivision_morphism alphabet": lambda x: subdivision_morphism(x, {"a": 2, "b": 1}),
+    "IncidenceMatrix row alphabet": lambda x: IncidenceMatrix(x, CD, ((1, 0), (0, 1))),
+    "IncidenceMatrix column alphabet": lambda x: IncidenceMatrix(AB, x, ((1, 0), (0, 1))),
+    "parse_word alphabet": lambda x: parse_word(x, "a b"),
+}
 
 SMALL_WORDS = st.sampled_from([AB, CD]).flatmap(
     lambda alphabet: st.lists(st.sampled_from(alphabet.symbols), max_size=3).map(alphabet.word))
@@ -150,6 +171,25 @@ def test_a_table_or_language_argument_raises_only_value_or_type_errors(name, x):
         RECORDS[name][2](x)
     except (ValueError, TypeError):
         pass
+
+
+@pytest.mark.parametrize("name", ALPHABETS)
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(MIXED, st.sampled_from([AB, CD, TABLE, LANGUAGE])))
+def test_an_alphabet_argument_raises_only_value_or_type_errors(name, x):
+    try:
+        ALPHABETS[name](x)
+    except (ValueError, TypeError):
+        pass
+
+
+@pytest.mark.parametrize("name", ALPHABETS)
+def test_an_alphabet_argument_is_refused_by_type(name):
+    call = ALPHABETS[name]
+    call(AB)
+    for x in ("t", None, 5, AB.word("a"), TABLE):
+        with pytest.raises(TypeError, match=" must be an Alphabet, not "):
+            call(x)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -203,10 +243,35 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: check_period_preservation(SIGMA, LANGUAGE, 9), ValueError, "bound must be <= 3"),
     (lambda: FactorLanguage(AB, 2, {"a"}), TypeError, "word must be a Word, not str"),
     (lambda: linear_combination([(1, 5)]), TypeError, "term must be a MeasureTable, not int"),
+    (lambda: Word("ab", (0,)), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: MeasureTable("ab", 1, {}, 1), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: FactorLanguage("ab", 1, frozenset()), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: factorial_closure(("a", "b"), [], 1), TypeError, "alphabet must be an Alphabet, not tuple"),
+    (lambda: full_shift_language("ab", 2), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: iter_words(None, 2), TypeError, "alphabet must be an Alphabet, not NoneType"),
+    (lambda: Morphism("ab", CD, (CD.word("c"), CD.word("d"))), TypeError,
+     "domain must be an Alphabet, not str"),
+    (lambda: Morphism(AB, "cd", (CD.word("c"), CD.word("d"))), TypeError,
+     "codomain must be an Alphabet, not str"),
+    (lambda: subdivision_morphism("ab", {"a": 1, "b": 1}), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: IncidenceMatrix(5, AB, ()), TypeError, "row alphabet must be an Alphabet, not int"),
+    (lambda: IncidenceMatrix(AB, "ab", ((1, 0), (0, 1))), TypeError,
+     "column alphabet must be an Alphabet, not str"),
+    (lambda: parse_word("ab", "a"), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: parse_word(AB, None), TypeError, "text must be a str, not NoneType"),
+    (lambda: parse_measure(None), TypeError, "text must be a str, not NoneType"),
+    (lambda: parse_morphism(b"a -> a"), TypeError, "text must be a str, not bytes"),
+    (lambda: parse_language(["!alphabet a"]), TypeError, "text must be a str, not list"),
+    (lambda: iter_words(AB, 10**30), ValueError, "length 1000000000000000000000000000000 is over the "
+     "table budget: each word holds 1000000000000000000000000000000 letters, more than 10000000"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply", "foreign-image",
         "int-certificate", "str-table", "foreign-table", "foreign-decomposition-table", "foreign-union", "float-complexity",
-        "over-complexity", "zero-language-bound", "over-language-bound", "str-language-word", "int-term"])
+        "over-complexity", "zero-language-bound", "over-language-bound", "str-language-word", "int-term",
+        "str-word-alphabet", "str-table-alphabet", "str-language-alphabet", "tuple-closure-alphabet",
+        "str-full-shift-alphabet", "none-iter-words-alphabet", "str-domain", "str-codomain",
+        "str-subdivision-alphabet", "int-row-alphabet", "str-column-alphabet", "str-parse-word-alphabet",
+        "none-word-text", "none-measure-text", "bytes-morphism-text", "list-language-text", "huge-iter-words"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -115,3 +115,15 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls):
         assert type(copied) is cls and copied == record and repr(copied) == repr(record)
         assert _hash(copied) == _hash(record)
 
+
+
+def test_equal_records_over_distinct_equal_objects_compare_and_hash_by_fields():
+    """Equality past the identity shortcut: an Alphabet against an equal copy,
+    and Words over two equal but distinct Alphabet objects."""
+    copy_ab = Alphabet(("a", "b"))
+    assert copy_ab is not AB and copy_ab == AB and not copy_ab != AB
+    assert hash(copy_ab) == hash(AB) == hash((("a", "b"),))
+    w, same = Word(AB, (0, 1)), Word(copy_ab, (0, 1))
+    assert w.alphabet is not same.alphabet and w == same and not w != same
+    assert hash(w) == hash(same) == hash((AB, (0, 1)))
+    assert w != Word(copy_ab, (1, 0)) and w != Word(AC, (0, 1))

@@ -333,7 +333,7 @@ def test_image_language_sweeps_the_window_words(monkeypatch):
     for sigma, m, out_depth in _sweep_cases(64, 30):
         language = FactorLanguage(sigma.domain, m.depth, frozenset(support_words(m)))
         image_language(sigma, language, out_depth)
-        window = _window(sigma, language._words, out_depth)
+        window = _window(sigma, language._words, out_depth, language.maxlen)
         assert sorted(received.pop()) == sorted(window)
         required = required_input_depth(sigma, out_depth)
         narrower += len(window) < sum(1 for u in language._words if len(u) <= required)

@@ -20,6 +20,7 @@ from shiftmeasure import (
     primitive_root,
     rotations,
 )
+from shiftmeasure import measure
 from shiftmeasure.words import _canonical, _lyndon_counts, _lyndon_words, _root_rotation
 
 AB = Alphabet(("a", "b"))
@@ -300,6 +301,16 @@ def test_iter_words_order_and_count():
     assert list(iter_words(AB, 0)) == [AB.epsilon()]
     with pytest.raises(ValueError, match="^length must be >= 0$"):
         next(iter_words(AB, -1))
+
+
+def test_iter_words_refuses_a_length_over_the_table_budget_at_the_call(monkeypatch):
+    """A length over measure.TABLE_BUDGET letters, read at call time, is refused
+    when iter_words is called, before any word is built."""
+    monkeypatch.setattr(measure, "TABLE_BUDGET", 3)
+    assert len(list(iter_words(AB, 3))) == 8
+    with pytest.raises(ValueError, match="^length 4 is over the table budget: each word holds "
+                                         "4 letters, more than 3$"):
+        iter_words(AB, 4)
 
 
 def test_canonical_is_the_length_then_letters_order():
