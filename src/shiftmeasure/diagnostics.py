@@ -138,6 +138,7 @@ def _reports(
     the least rotation of the image root) in that order, so pairing each with
     the later members of its group yields the pairs already sorted.  More than
     CERTIFICATE_BUDGET certificates is an error raised before any is built."""
+    _require_over(sigma, Morphism, None, "morphism")
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     powers, placed, count = [], [], 0
     for rep in _primitive_representatives(sigma, language, bound):
@@ -204,7 +205,7 @@ def prolongation_split(
     prolongation is ambiguous (in A) when its group holds a middle other than
     w, unambiguous (in U) otherwise.  Only for letter-to-letter morphisms.
     """
-    if not sigma.is_letter_to_letter:
+    if not _require_over(sigma, Morphism, None, "morphism").is_letter_to_letter:
         raise ValueError("the prolongation split requires a letter-to-letter morphism")
     _require_over(language, FactorLanguage, sigma.domain, "language")
     _require_count(n, "prolongation length", 0)

@@ -109,7 +109,7 @@ def image_language(sigma: Morphism, language: FactorLanguage, n: int) -> FactorL
     language is factor-closed, so any factor of an image is an essential
     occurrence over some factor of the input and nothing is lost.
     """
-    _require_over(language, FactorLanguage, sigma.domain, "language")
+    _require_over(language, FactorLanguage, _require_over(sigma, Morphism, None, "morphism").domain, "language")
     _require_count(n, "maxlen")
     swept = _essential_sweep(sigma, ((u, 1) for u in _window(sigma, language._words, n, language.maxlen)), n)
     return FactorLanguage._trusted(sigma.codomain, n, frozenset(swept))

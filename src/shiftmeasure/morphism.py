@@ -4,9 +4,10 @@ A morphism is fixed by one non-empty image word per domain letter.  Besides
 application and composition this module provides the incidence matrix, the
 canonical decomposition into a subdivision morphism followed by a
 letter-to-letter morphism, the essential-occurrence count that drives
-cylinder evaluation of transferred measures with the one-pass sweep that sums
-it over many input words and targets at once, and the input-depth bound (per
-word, _window) that the transfer, the image language and candidate_lengths share.
+cylinder evaluation of transferred measures, with the list of one target's
+essential preimages (_parses) and the one-pass sweep that sums it over many
+input words and targets at once, and the input-depth bound (per word,
+_window) that the transfer, the image language and candidate_lengths share.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Morphism(_Record):
 
 def apply(sigma: Morphism, w: Word) -> Word:
     """The image word sigma(x_1)...sigma(x_n); the empty word maps to itself."""
-    letters = _require_word(w, sigma.domain, "word").letters
+    letters = _require_word(w, _require_over(sigma, Morphism, None, "morphism").domain, "word").letters
     return Word(sigma.codomain, _image_letters(sigma._images, letters))
 
 
@@ -97,7 +98,8 @@ def _image_letters(images: Sequence[tuple[int, ...]], letters: Iterable[int]) ->
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """The morphism w -> outer(inner(w)); requires codomain(inner) = domain(outer)."""
-    if inner.codomain != outer.domain:
+    _require_over(outer, Morphism, None, "outer morphism")
+    if _require_over(inner, Morphism, None, "inner morphism").codomain != outer.domain:
         raise ValueError(
             "cannot compose: codomain of the inner morphism differs from the domain of the outer one"
         )
@@ -151,13 +153,14 @@ class IncidenceMatrix(_Record):
 
 def incidence_matrix(sigma: Morphism) -> IncidenceMatrix:
     """Count every codomain letter in every image."""
+    _require_over(sigma, Morphism, None, "morphism")
     counts = tuple(tuple(img.count(b) for img in sigma._images) for b in range(len(sigma.codomain)))
     return IncidenceMatrix(sigma.codomain, sigma.domain, counts)
 
 
 def norms(sigma: Morphism) -> tuple[int, int]:
     """(longest image length, shortest image length)."""
-    lengths = [len(img) for img in sigma._images]
+    lengths = [len(img) for img in _require_over(sigma, Morphism, None, "morphism")._images]
     return max(lengths), min(lengths)
 
 
@@ -176,6 +179,7 @@ def required_input_depth(sigma: Morphism, out_len: int) -> int:
     """Smallest input depth that determines every transferred weight on
     words up to the given output length."""
     _require_count(out_len, "output length", 0)
+    _require_over(sigma, Morphism, None, "morphism")
     return 1 if out_len <= 1 else (out_len - 2) // norms(sigma)[1] + 2
 
 
@@ -233,6 +237,7 @@ class SubdivisionData(_Record):
 
 def canonical_decomposition(sigma: Morphism) -> SubdivisionData:
     """Split sigma into its subdivision part and its letter-to-letter part."""
+    _require_over(sigma, Morphism, None, "morphism")
     lengths = {t: len(img) for t, img in zip(sigma.domain.symbols, sigma._images)}
     pi = subdivision_morphism(sigma.domain, lengths)
     alpha_images = tuple(Word(sigma.codomain, (b,)) for img in sigma._images for b in img)
@@ -248,7 +253,7 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
     inside the first letter block and ends inside the last.  For |w| = 1 this
     is every occurrence.
     """
-    _require_word(w, sigma.domain, "word")
+    _require_word(w, _require_over(sigma, Morphism, None, "morphism").domain, "word")
     _require_word(target, sigma.codomain, "target")
     if len(w) == 0 or len(target) == 0:
         raise ValueError("essential occurrences are undefined for empty words")
@@ -266,6 +271,30 @@ def _essential_count(images: Sequence[tuple[int, ...]], letters: tuple[int, ...]
         if image[s : s + m] == pattern:
             count += 1
     return count
+
+
+def _parses(sigma: Morphism, pattern: tuple[int, ...], depth: int, budget: int) -> list | None:
+    """Each u with an essential occurrence of the non-empty pattern, once per occurrence, or None when the
+    depth-first search would pop more than budget nodes; DepthError as in _window.  For |u| >= 2 the
+    pattern is a non-empty suffix of sigma(u_1) shorter than it, sigma(u_2 ... u_{n-1}) and a non-empty
+    prefix of sigma(u_n)."""
+    _require_depth(sigma, len(pattern), depth)
+    images, n = sigma._images, len(pattern)
+    found = [(a,) for a, img in enumerate(images)
+             for s in range(len(img) - n + 1) if img[s : s + n] == pattern]
+    stack = [((a,), k) for a, img in enumerate(images)
+             for k in range(1, min(len(img) + 1, n)) if img[-k:] == pattern[:k]]
+    while stack:
+        if (budget := budget - 1) < 0:
+            return None
+        u, p = stack.pop()
+        for b, img in enumerate(images):
+            if (q := p + len(img)) < n:
+                if pattern[p:q] == img:
+                    stack.append((u + (b,), q))
+            elif img[: n - p] == pattern[p:]:
+                found.append(u + (b,))
+    return found
 
 
 def _window(sigma: Morphism, words: Iterable[tuple[int, ...]], max_len: int, depth: int) -> list:
@@ -311,6 +340,7 @@ def _essential_sweep(
 def candidate_lengths(sigma: Morphism, target_len: int) -> tuple[int, int]:
     """Closed interval of |w| that can carry an essential occurrence of a
     target of the given length; only defined for target_len >= 2."""
+    _require_over(sigma, Morphism, None, "morphism")
     if target_len < 2:
         raise ValueError("the candidate-length bound applies to targets of length >= 2")
     return -(-target_len // norms(sigma)[0]), required_input_depth(sigma, target_len)

@@ -159,6 +159,7 @@ def parse_morphism(text: str) -> Morphism:
 
 
 def render_morphism(sigma: Morphism) -> str:
+    _require_over(sigma, Morphism, None, "morphism")
     lines = [f"!domain {sigma.domain}", f"!codomain {sigma.codomain}"]
     for token, image in zip(sigma.domain.symbols, sigma.images):
         lines.append(f"{token} -> {image}")

@@ -3,9 +3,9 @@
 The direct route sums essential occurrences against the stored support of
 the input table.  A whole table is one sweep on int numerators over a common
 denominator: each support word is imaged once and every essential occurrence
-is credited to its target.  One target adds its few terms as Fractions: only
-the support words whose first and last letter blocks fit it are imaged.  Both
-read only the support words in the length window.  The decomposition route
+is credited to its target.  One target sums, as Fractions, the weights of the
+essential preimages listed from its cuts into image blocks, or past a budget
+scans the support words whose end blocks fit it.  The decomposition route
 reweights the table along the subdivision part of the canonical decomposition
 and pushes the result through the letter-to-letter part, on Fraction.  The
 two routes produce identical tables and are kept separate as a structural
@@ -23,6 +23,7 @@ from .morphism import (
     _essential_count,
     _essential_sweep,
     _image_letters,
+    _parses,
     _require_depth,
     _window,
     canonical_decomposition,
@@ -41,20 +42,23 @@ def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
 def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word: the sum of m(u) * ess(u, target).
 
-    A pruned count, not a sweep: of the support words in the target length's
-    _window, only those whose first and last letter blocks fit the target are
-    imaged.  The first block must agree with the target on their overlap; for
-    |u| >= 2 an essential occurrence puts 1 to |target| - 1 of its letters in
-    the last block, and they are a prefix of sigma(u_n).  The weights with a
-    nonzero count are summed as Fractions.  The empty target yields the total
-    transferred mass.
+    _parses lists each u once per essential occurrence, from the target's cuts
+    into image blocks, and the weights are summed as Fractions.  Past its
+    budget of one node per support word (a collapse), the support is scanned:
+    of the words in the target length's _window, only those whose first and
+    last letter blocks fit the target are imaged.  The first block must agree
+    with the target on their overlap; for |u| >= 2 an essential occurrence
+    puts 1 to |target| - 1 of its letters in the last block, and they are a
+    prefix of sigma(u_n).  The empty target yields the total transferred mass.
     """
-    _require_over(m, MeasureTable, sigma.domain, "table")
+    _require_over(m, MeasureTable, _require_over(sigma, Morphism, None, "morphism").domain, "table")
     _require_word(target, sigma.codomain, "target")
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    pattern, images = target.letters, sigma._images
-    n = len(pattern)
+    pattern = target.letters
+    if (parses := _parses(sigma, pattern, m.depth, len(m._weights))) is not None:
+        return sum([m._weights.get(u, 0) for u in parses], Fraction(0))
+    images, n = sigma._images, len(pattern)
     starts = [any(img[s : s + n] == pattern[: len(img) - s] for s in range(len(img)))
               for img in images]
     ends = [any(img[:k] == pattern[n - k :] for k in range(1, min(len(img), n - 1) + 1))
@@ -75,7 +79,7 @@ def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureT
     same numerators: one-letter words are always in the window.
     """
     _require_count(out_depth, "output depth")
-    _require_over(m, MeasureTable, sigma.domain, "table")
+    _require_over(m, MeasureTable, _require_over(sigma, Morphism, None, "morphism").domain, "table")
     kept = {u: m._weights[u] for u in _window(sigma, m._weights, out_depth, m.depth)}
     den, support = _scaled(kept)
     swept = _essential_sweep(sigma, support.items(), out_depth)
@@ -118,7 +122,7 @@ def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTab
     Depth and total mass are preserved; each target word collects the
     weights of its preimage words.
     """
-    if not alpha.is_letter_to_letter:
+    if not _require_over(alpha, Morphism, None, "morphism").is_letter_to_letter:
         raise ValueError("push-forward requires a letter-to-letter morphism")
     _require_over(m, MeasureTable, alpha.domain, "table")
     letter = [img[0] for img in alpha._images]
@@ -133,7 +137,7 @@ def transfer_via_decomposition(
     sigma: Morphism, m: MeasureTable, out_depth: int
 ) -> MeasureTable:
     """Transfer computed as subdivision reweighting followed by push-forward."""
-    _require_over(m, MeasureTable, sigma.domain, "table")
+    _require_over(m, MeasureTable, _require_over(sigma, Morphism, None, "morphism").domain, "table")
     decomposition = canonical_decomposition(sigma)
     subdivided = subdivision_measure(decomposition.lengths, m, out_depth)
     return pushforward_letter_to_letter(decomposition.alpha, subdivided)

@@ -1,6 +1,6 @@
-"""The argument contract of the count, Word, table, language, alphabet and text
-arguments: a value of the right type that breaks a rule is a ValueError, a value
-of the wrong type a TypeError, and nothing else escapes."""
+"""The argument contract of the count, Word, table, language, alphabet, text and
+morphism arguments: a value of the right type that breaks a rule is a ValueError,
+a value of the wrong type a TypeError, and nothing else escapes."""
 
 from fractions import Fraction
 
@@ -17,10 +17,13 @@ from shiftmeasure import (
     ViolationReport,
     Word,
     apply,
+    candidate_lengths,
+    canonical_decomposition,
     characteristic_measure,
     check_period_preservation,
     check_periodic_orbit_injectivity,
     complexity,
+    compose,
     count_occurrences,
     essential_occurrences,
     factorial_closure,
@@ -28,8 +31,10 @@ from shiftmeasure import (
     frequency_vector,
     full_shift_language,
     image_language,
+    incidence_matrix,
     iter_words,
     linear_combination,
+    norms,
     parse_language,
     parse_measure,
     parse_morphism,
@@ -39,6 +44,7 @@ from shiftmeasure import (
     pushforward_letter_to_letter,
     render_language,
     render_measure,
+    render_morphism,
     required_input_depth,
     subdivision_measure,
     subdivision_morphism,
@@ -136,6 +142,27 @@ ALPHABETS = {
     "IncidenceMatrix column alphabet": lambda x: IncidenceMatrix(AB, x, ((1, 0), (0, 1))),
     "parse_word alphabet": lambda x: parse_word(x, "a b"),
 }
+# Each Morphism argument: (a morphism the call accepts, the call); the other arguments are valid and small.
+MORPHISMS = {
+    "apply": (SIGMA, lambda x: apply(x, AB.word("ab"))),
+    "compose outer": (SIGMA, lambda x: compose(x, Morphism.identity(AB))),
+    "compose inner": (SIGMA, lambda x: compose(Morphism.identity(CD), x)),
+    "incidence_matrix": (SIGMA, incidence_matrix),
+    "norms": (SIGMA, norms),
+    "required_input_depth": (SIGMA, lambda x: required_input_depth(x, 1)),
+    "canonical_decomposition": (SIGMA, canonical_decomposition),
+    "essential_occurrences": (SIGMA, lambda x: essential_occurrences(x, AB.word("ab"), CD.word("c"))),
+    "candidate_lengths": (SIGMA, lambda x: candidate_lengths(x, 2)),
+    "transfer_eval": (SIGMA, lambda x: transfer_eval(x, TABLE, CD.word("dc"))),
+    "transfer_table": (SIGMA, lambda x: transfer_table(x, TABLE, 2)),
+    "transfer_via_decomposition": (SIGMA, lambda x: transfer_via_decomposition(x, TABLE, 2)),
+    "pushforward_letter_to_letter": (COLLAPSE, lambda x: pushforward_letter_to_letter(x, TABLE)),
+    "image_language": (SIGMA, lambda x: image_language(x, LANGUAGE, 2)),
+    "check_period_preservation": (SIGMA, lambda x: check_period_preservation(x, None, 3)),
+    "check_periodic_orbit_injectivity": (SIGMA, lambda x: check_periodic_orbit_injectivity(x, LANGUAGE, 2)),
+    "prolongation_split": (COLLAPSE, lambda x: prolongation_split(x, LANGUAGE, AB.word("a"), 1)),
+    "render_morphism": (SIGMA, render_morphism),
+}
 
 SMALL_WORDS = st.sampled_from([AB, CD]).flatmap(
     lambda alphabet: st.lists(st.sampled_from(alphabet.symbols), max_size=3).map(alphabet.word))
@@ -181,6 +208,25 @@ def test_an_alphabet_argument_raises_only_value_or_type_errors(name, x):
         ALPHABETS[name](x)
     except (ValueError, TypeError):
         pass
+
+
+@pytest.mark.parametrize("name", MORPHISMS)
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(MIXED, st.sampled_from([SIGMA, COLLAPSE, AB, TABLE, LANGUAGE])))
+def test_a_morphism_argument_raises_only_value_or_type_errors(name, x):
+    try:
+        MORPHISMS[name][1](x)
+    except (ValueError, TypeError):
+        pass
+
+
+@pytest.mark.parametrize("name", MORPHISMS)
+def test_a_morphism_argument_is_refused_by_type(name):
+    right, call = MORPHISMS[name]
+    call(right)
+    for x in ("t", None, 5, AB, AB.word("a"), TABLE, LANGUAGE):
+        with pytest.raises(TypeError, match=" must be a Morphism, not "):
+            call(x)
 
 
 @pytest.mark.parametrize("name", ALPHABETS)
@@ -230,6 +276,8 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: essential_occurrences(SIGMA, "a", CD.word("c")), TypeError, "word must be a Word, not str"),
     (lambda: apply(SIGMA, "ab"), TypeError, "word must be a Word, not str"),
     (lambda: apply(SIGMA, CD.word("cd")), ValueError, "word 'c d' is not over [a b]"),
+    (lambda: apply("ab", AB.word("a")), TypeError, "morphism must be a Morphism, not str"),
+    (lambda: compose(SIGMA, None), TypeError, "inner morphism must be a Morphism, not NoneType"),
     (lambda: Morphism(AB, CD, (CD.word("c"), AB.word("a"))), ValueError, "image of 'b' 'a' is not over [c d]"),
     (lambda: ViolationReport("period-preservation", 3, (5,)), TypeError, "'int' object is not iterable"),
     (lambda: transfer_table(SIGMA, "t", 2), TypeError, "table must be a MeasureTable, not str"),
@@ -265,7 +313,8 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: iter_words(AB, 10**30), ValueError, "length 1000000000000000000000000000000 is over the "
      "table budget: each word holds 1000000000000000000000000000000 letters, more than 10000000"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
-        "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply", "foreign-image",
+        "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply",
+        "str-morphism", "none-inner-morphism", "foreign-image",
         "int-certificate", "str-table", "foreign-table", "foreign-decomposition-table", "foreign-union", "float-complexity",
         "over-complexity", "zero-language-bound", "over-language-bound", "str-language-word", "int-term",
         "str-word-alphabet", "str-table-alphabet", "str-language-alphabet", "tuple-closure-alphabet",

@@ -3,6 +3,7 @@ essential-occurrence machinery with its candidate-length bound."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from shiftmeasure import (
     required_input_depth,
     subdivision_morphism,
 )
-from shiftmeasure.morphism import _essential_sweep, _window
+from shiftmeasure.morphism import _essential_sweep, _parses, _window
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -318,6 +319,36 @@ def test_window_keeps_exactly_the_words_with_a_short_essential_occurrence():
             assert max(map(len, kept)) <= required_input_depth(sigma, max_len)
             with pytest.raises(DepthError):  # the window owns the depth check
                 _window(sigma, inputs, max_len, required_input_depth(sigma, max_len) - 1)
+
+
+def test_parses_list_each_word_once_per_essential_occurrence():
+    """_parses(sigma, t, ...) holds each domain word u exactly
+    essential_occurrences(sigma, u, t) times, over every u up to one past the
+    input-depth bound, for the collapse a -> c, b -> c, the non-code a -> c,
+    b -> c c and random morphisms.  It owns the depth check, as _window does,
+    and below the budget its search needs it gives None, never a shorter list.
+    That budget counts popped nodes: the collapse pops one per word u of
+    length 1 to |t| - 1, 2^|t| - 2 in all."""
+    rng = random.Random(25)
+    collapse = Morphism.from_images(AB, ("c",), {"a": "c", "b": "c"})
+    morphisms = [collapse, Morphism.from_images(AB, ("c",), {"a": "c", "b": "cc"})]
+    for _ in range(30):
+        domain, codomain = gen.alphabet(rng.randint(1, 3)), gen.alphabet(rng.randint(1, 2), 2)
+        morphisms.append(gen.random_morphism(rng, domain, codomain))
+    searched = 0
+    for sigma in morphisms:
+        for target in words_up_to(sigma.codomain, 5):
+            t, required = target.letters, required_input_depth(sigma, len(target))
+            counts = Counter(_parses(sigma, t, required, 10**6))
+            for u in words_up_to(sigma.domain, required + 1):
+                assert counts[u.letters] == essential_occurrences(sigma, u, target), (sigma, u, target)
+            with pytest.raises(DepthError):
+                _parses(sigma, t, required - 1, 10**6)
+            least = next(b for b in itertools.count() if _parses(sigma, t, required, b) is not None)
+            assert Counter(_parses(sigma, t, required, least)) == counts
+            assert sigma is not collapse or least == 2 ** len(t) - 2
+            searched += least > 0
+    assert searched >= 500, searched
 
 
 # ---------------------------------------------------------------- candidate lengths

@@ -2,10 +2,10 @@
 
 validate and transfer_table sum a whole support as int numerators over the
 lcm of its denominators (measure._scaled), or as the Fractions themselves when
-that lcm is over the cap.  transfer_eval adds its few terms as Fractions.  The
-oracles below are their bodies as they were on Fraction (for transfer_eval,
-the sweep it replaced); both must give the same violations, tables and
-values, field by field, with Fraction values."""
+that lcm is over the cap.  transfer_eval adds its few terms as Fractions, on
+both of its paths.  The oracles below are their bodies as they were on
+Fraction (for transfer_eval, the sweep it replaced); both must give the same
+violations, tables and values, field by field, with Fraction values."""
 
 import itertools
 import random
@@ -296,11 +296,21 @@ def test_the_fallback_validate_adds_no_fraction_to_an_int(monkeypatch):
     assert reverse == []
 
 
-def test_eval_matches_the_fraction_sums_on_every_kind_of_target():
-    """transfer_eval's pruned count against the sweep it replaced, with targets
+def test_eval_matches_the_fraction_sums_on_every_kind_of_target(monkeypatch):
+    """transfer_eval, on its list of parses and on its pruned scan of the
+    support past the parse budget, against the sweep it replaced, with targets
     of length 1, of weight zero and longer than any image, tables deeper than
     the required depth, and nonzero values read from weights whose lcm is over
     the cap."""
+    paths = Counter()
+    real = transfer._parses
+
+    def counting(*args):
+        parses = real(*args)
+        paths["scan" if parses is None else "parses"] += 1
+        return parses
+
+    monkeypatch.setattr(transfer, "_parses", counting)
     rng = random.Random(84)
     seen = Counter()
     for _ in range(40):
@@ -339,10 +349,12 @@ def test_eval_matches_the_fraction_sums_on_every_kind_of_target():
                 assert value == _transfer_eval_on_fractions(sigma, m, target)
                 nonzero[sigma is collapse] += value != 0
     assert nonzero[True] >= 20 and nonzero[False] >= 100, nonzero
+    assert paths["parses"] >= 1500 and paths["scan"] >= 50, paths
 
 
 def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monkeypatch):
-    """No sweep: each support word whose middle image leaves room for the
+    """The scan past the parse budget, forced by withholding the parses, is no
+    sweep: each support word whose middle image leaves room for the
     target (|sigma(u_2 ... u_{n-1})| <= |target| - 2, or |u| = 1), whose
     first block agrees with the target on their overlap and, for |u| >= 2,
     whose last block starts with a proper suffix of the target is imaged
@@ -366,6 +378,7 @@ def test_eval_images_only_the_words_whose_first_block_can_start_the_target(monke
         return real(images, letters)
 
     monkeypatch.setattr(transfer, "_essential_sweep", forbidden)
+    monkeypatch.setattr(transfer, "_parses", lambda *args: None)
     monkeypatch.setattr(morphism, "_image_letters", recording)
     pruned = roomless = endless = 0
     for sigma, m, target, expected in cases:
