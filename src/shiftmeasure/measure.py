@@ -60,6 +60,15 @@ class MeasureTable(_Record):
     def values(self) -> dict[Word, Fraction]:
         return {Word(self.alphabet, u): v for u, v in self._weights.items()}
 
+    @cached_property
+    def _prefixes(self) -> Mapping | set:
+        """The keys with all their prefixes: _weights itself when each key's prefix one letter
+        shorter is a key, as in every Kirchhoff-consistent table."""
+        weights = self._weights
+        if all(u[:-1] in weights for u in weights if len(u) > 1):
+            return weights
+        return {u[:k] for u in weights for k in range(1, len(u) + 1)}
+
     def value(self, w: Word) -> Fraction:
         """Weight of the cylinder of w; the empty word gives the total mass."""
         _require_word(w, self.alphabet, "word")

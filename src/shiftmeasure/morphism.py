@@ -3,18 +3,18 @@
 A morphism is fixed by one non-empty image word per domain letter.  Besides
 application and composition this module provides the incidence matrix, the
 canonical decomposition into a subdivision morphism followed by a
-letter-to-letter morphism, the essential-occurrence count that drives
-cylinder evaluation of transferred measures, with the list of one target's
-essential preimages (_parses) and the one-pass sweep that sums it over many
-input words and targets at once, and the input-depth bound (per word,
-_window) that the transfer, the image language and candidate_lengths share.
+letter-to-letter morphism, the essential-occurrence count, the list of one
+target's essential preimages among a table's keys (_parses) and the
+one-pass sweep that sums it over many input words and targets at once, and
+the input-depth bound (per word, _window) that the transfer, the image
+language and candidate_lengths share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .words import Alphabet, Word, _Record, _require_count, _require_over, _require_word
 
@@ -228,6 +228,10 @@ class SubdivisionData(_Record):
     __match_args__ = ("subdivision_alphabet", "pi", "alpha")
 
     def __init__(self, subdivision_alphabet: Alphabet, pi: Morphism, alpha: Morphism) -> None:
+        _require_over(subdivision_alphabet, Alphabet, None, "subdivision alphabet")
+        if not (_require_over(pi, Morphism, None, "pi").codomain == subdivision_alphabet
+                == _require_over(alpha, Morphism, None, "alpha").domain):
+            raise ValueError("pi's codomain and alpha's domain must be the subdivision alphabet")
         self.__dict__.update(subdivision_alphabet=subdivision_alphabet, pi=pi, alpha=alpha)
 
     @property
@@ -257,43 +261,33 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
     _require_word(target, sigma.codomain, "target")
     if len(w) == 0 or len(target) == 0:
         raise ValueError("essential occurrences are undefined for empty words")
-    return _essential_count(sigma._images, w.letters, target.letters)
-
-
-def _essential_count(images: Sequence[tuple[int, ...]], letters: tuple[int, ...],
-                     pattern: tuple[int, ...]) -> int:
-    """essential_occurrences on letter tuples, unchecked."""
-    image = _image_letters(images, letters)
-    m = len(pattern)
+    images, letters, pattern = sigma._images, w.letters, target.letters
+    image, m = _image_letters(images, letters), len(pattern)
     prefix_end = len(image) - len(images[letters[-1]])
-    count = 0
-    for s in range(max(0, prefix_end - m + 1), min(len(images[letters[0]]), len(image) - m + 1)):
-        if image[s : s + m] == pattern:
-            count += 1
-    return count
+    starts = range(max(0, prefix_end - m + 1), min(len(images[letters[0]]), len(image) - m + 1))
+    return sum(1 for s in starts if image[s : s + m] == pattern)
 
 
-def _parses(sigma: Morphism, pattern: tuple[int, ...], depth: int, budget: int) -> list | None:
-    """Each u with an essential occurrence of the non-empty pattern, once per occurrence, or None when the
-    depth-first search would pop more than budget nodes; DepthError as in _window.  For |u| >= 2 the
-    pattern is a non-empty suffix of sigma(u_1) shorter than it, sigma(u_2 ... u_{n-1}) and a non-empty
-    prefix of sigma(u_n)."""
+def _parses(sigma: Morphism, pattern: tuple[int, ...], depth: int, keys: Container) -> list:
+    """Each u in the prefix-closed keys with an essential occurrence of the non-empty pattern, once
+    per occurrence; DepthError as in _window.  For |u| >= 2 the pattern is a non-empty suffix of
+    sigma(u_1) shorter than it, sigma(u_2 ... u_{n-1}) and a non-empty prefix of sigma(u_n).  The
+    depth-first search extends only words in keys, so it pops at most max |sigma(a)| nodes per key:
+    one per cut in the first block."""
     _require_depth(sigma, len(pattern), depth)
     images, n = sigma._images, len(pattern)
-    found = [(a,) for a, img in enumerate(images)
+    found = [(a,) for a, img in enumerate(images) if (a,) in keys
              for s in range(len(img) - n + 1) if img[s : s + n] == pattern]
-    stack = [((a,), k) for a, img in enumerate(images)
+    stack = [((a,), k) for a, img in enumerate(images) if (a,) in keys
              for k in range(1, min(len(img) + 1, n)) if img[-k:] == pattern[:k]]
     while stack:
-        if (budget := budget - 1) < 0:
-            return None
         u, p = stack.pop()
         for b, img in enumerate(images):
             if (q := p + len(img)) < n:
-                if pattern[p:q] == img:
-                    stack.append((u + (b,), q))
-            elif img[: n - p] == pattern[p:]:
-                found.append(u + (b,))
+                if pattern[p:q] == img and (v := u + (b,)) in keys:
+                    stack.append((v, q))
+            elif img[: n - p] == pattern[p:] and (v := u + (b,)) in keys:
+                found.append(v)
     return found
 
 

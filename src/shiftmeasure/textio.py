@@ -176,11 +176,13 @@ def parse_measure(text: str) -> MeasureTable:
     letters and maps only its last token.  Every table render_measure writes
     from a consistent measure lists each such prefix first, as mu(u) <=
     mu(u[:-1]); any other entry maps all of its tokens, after one
-    rpartition and one lookup.
+    rpartition and one lookup.  Only those others' prefixes are looked up
+    again to store the table's _prefixes, when it has no zero entry.
     """
     weights: dict[tuple[int, ...], Fraction] = {}
     parsed: dict[str, Fraction] = {}  # by raw value text: a table repeats few distinct values
     known: dict[str, tuple[int, ...]] = {}  # by word text: always tuple(map(index, text.split()))
+    unmatched: list[tuple[int, ...]] = []  # entries of 2 or more letters not read off a known prefix
 
     def entries(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
         alphabet, depth = headers.get("!alphabet"), headers.get("!depth")
@@ -202,6 +204,8 @@ def parse_measure(text: str) -> MeasureTable:
                         letters = tuple([*map(index, left.split())])
                     except KeyError:
                         alphabet.word(left.split())  # raises the error for the first unknown token
+                    if len(letters) > 1:
+                        unmatched.append(letters)
                 if len(letters) > depth:
                     raise ValueError(
                         f"word '{' '.join(left.split())}' is longer than the declared depth {depth}")
@@ -221,9 +225,12 @@ def parse_measure(text: str) -> MeasureTable:
         entries,
         required=True,
     )
+    stored = {}
     if not all(parsed.values()):  # zero entries were kept to catch their duplicates
         weights = {u: v for u, v in weights.items() if v}
-    return MeasureTable._trusted(headers["!alphabet"], headers["!depth"], weights, headers["!mass"])
+    elif all(u[:-1] in weights for u in unmatched):  # prefix-closed: the search's keys, as is
+        stored["_prefixes"] = weights
+    return MeasureTable._trusted(headers["!alphabet"], headers["!depth"], weights, headers["!mass"], **stored)
 
 
 # ASCII digits only: p, p/q with q > 0, or the decimal p.q.  Fraction()

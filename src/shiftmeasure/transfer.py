@@ -4,12 +4,12 @@ The direct route sums essential occurrences against the stored support of
 the input table.  A whole table is one sweep on int numerators over a common
 denominator: each support word is imaged once and every essential occurrence
 is credited to its target.  One target sums, as Fractions, the weights of the
-essential preimages listed from its cuts into image blocks, or past a budget
-scans the support words whose end blocks fit it.  The decomposition route
-reweights the table along the subdivision part of the canonical decomposition
-and pushes the result through the letter-to-letter part, on Fraction.  The
-two routes produce identical tables and are kept separate as a structural
-cross-check; both take the input-depth bound and DepthError from morphism.
+essential preimages listed from its cuts into image blocks.  The decomposition
+route reweights the table along the subdivision part of the canonical
+decomposition and pushes the result through the letter-to-letter part, on
+Fraction.  The two routes produce identical tables and are kept separate as a
+structural cross-check; both take the input-depth bound and DepthError from
+morphism.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Mapping
 from .measure import MeasureTable, _scaled, _unscaled
 from .morphism import (
     Morphism,
-    _essential_count,
     _essential_sweep,
     _image_letters,
     _parses,
@@ -43,29 +42,15 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     """Transferred weight of one codomain word: the sum of m(u) * ess(u, target).
 
     _parses lists each u once per essential occurrence, from the target's cuts
-    into image blocks, and the weights are summed as Fractions.  Past its
-    budget of one node per support word (a collapse), the support is scanned:
-    of the words in the target length's _window, only those whose first and
-    last letter blocks fit the target are imaged.  The first block must agree
-    with the target on their overlap; for |u| >= 2 an essential occurrence
-    puts 1 to |target| - 1 of its letters in the last block, and they are a
-    prefix of sigma(u_n).  The empty target yields the total transferred mass.
+    into image blocks, searching only the prefixes of m's keys, and the weights
+    are summed as Fractions.  The empty target yields the total transferred mass.
     """
     _require_over(m, MeasureTable, _require_over(sigma, Morphism, None, "morphism").domain, "table")
     _require_word(target, sigma.codomain, "target")
     if len(target) == 0:
         return _transferred_mass(sigma, m)
-    pattern = target.letters
-    if (parses := _parses(sigma, pattern, m.depth, len(m._weights))) is not None:
-        return sum([m._weights.get(u, 0) for u in parses], Fraction(0))
-    images, n = sigma._images, len(pattern)
-    starts = [any(img[s : s + n] == pattern[: len(img) - s] for s in range(len(img)))
-              for img in images]
-    ends = [any(img[:k] == pattern[n - k :] for k in range(1, min(len(img), n - 1) + 1))
-            for img in images]
-    fitting = (u for u in m._weights if starts[u[0]] and (len(u) == 1 or ends[u[-1]]))
-    counts = {u: c for u in _window(sigma, fitting, n, m.depth) if (c := _essential_count(images, u, pattern))}
-    return sum([c * m._weights[u] for u, c in counts.items()], Fraction(0))
+    weights = m._weights
+    return sum([weights.get(u, 0) for u in _parses(sigma, target.letters, m.depth, m._prefixes)], Fraction(0))
 
 
 def transfer_table(sigma: Morphism, m: MeasureTable, out_depth: int) -> MeasureTable:

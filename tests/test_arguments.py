@@ -14,6 +14,7 @@ from shiftmeasure import (
     IncidenceMatrix,
     MeasureTable,
     Morphism,
+    SubdivisionData,
     ViolationReport,
     Word,
     apply,
@@ -64,6 +65,8 @@ TABLE = characteristic_measure(AB.word("aab"), 3)
 LANGUAGE = full_shift_language(AB, 3)
 CD_TABLE = characteristic_measure(CD.word("cd"), 3)
 CD_LANGUAGE = full_shift_language(CD, 3)
+# A decomposition whose subdivision alphabet is AB: SIGMA's would not be over AB.
+PI, ALPHA = Morphism.identity(AB), Morphism.from_images(AB, CD, {"a": "c", "b": "d"})
 
 # Each callable takes the one drawn argument; its other arguments are valid and small.
 COUNTS = {
@@ -141,6 +144,7 @@ ALPHABETS = {
     "IncidenceMatrix row alphabet": lambda x: IncidenceMatrix(x, CD, ((1, 0), (0, 1))),
     "IncidenceMatrix column alphabet": lambda x: IncidenceMatrix(AB, x, ((1, 0), (0, 1))),
     "parse_word alphabet": lambda x: parse_word(x, "a b"),
+    "SubdivisionData subdivision alphabet": lambda x: SubdivisionData(x, PI, ALPHA),
 }
 # Each Morphism argument: (a morphism the call accepts, the call); the other arguments are valid and small.
 MORPHISMS = {
@@ -162,6 +166,8 @@ MORPHISMS = {
     "check_periodic_orbit_injectivity": (SIGMA, lambda x: check_periodic_orbit_injectivity(x, LANGUAGE, 2)),
     "prolongation_split": (COLLAPSE, lambda x: prolongation_split(x, LANGUAGE, AB.word("a"), 1)),
     "render_morphism": (SIGMA, render_morphism),
+    "SubdivisionData pi": (PI, lambda x: SubdivisionData(AB, x, ALPHA)),
+    "SubdivisionData alpha": (ALPHA, lambda x: SubdivisionData(AB, PI, x)),
 }
 
 SMALL_WORDS = st.sampled_from([AB, CD]).flatmap(
@@ -306,6 +312,10 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: IncidenceMatrix(AB, "ab", ((1, 0), (0, 1))), TypeError,
      "column alphabet must be an Alphabet, not str"),
     (lambda: parse_word("ab", "a"), TypeError, "alphabet must be an Alphabet, not str"),
+    (lambda: SubdivisionData(1, 2, 3), TypeError, "subdivision alphabet must be an Alphabet, not int"),
+    (lambda: SubdivisionData(AB, PI, 3), TypeError, "alpha must be a Morphism, not int"),
+    (lambda: SubdivisionData(CD, PI, ALPHA), ValueError,
+     "pi's codomain and alpha's domain must be the subdivision alphabet"),
     (lambda: parse_word(AB, None), TypeError, "text must be a str, not NoneType"),
     (lambda: parse_measure(None), TypeError, "text must be a str, not NoneType"),
     (lambda: parse_morphism(b"a -> a"), TypeError, "text must be a str, not bytes"),
@@ -320,6 +330,7 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
         "str-word-alphabet", "str-table-alphabet", "str-language-alphabet", "tuple-closure-alphabet",
         "str-full-shift-alphabet", "none-iter-words-alphabet", "str-domain", "str-codomain",
         "str-subdivision-alphabet", "int-row-alphabet", "str-column-alphabet", "str-parse-word-alphabet",
+        "int-subdivision-data", "int-subdivision-alpha", "foreign-subdivision-alphabet",
         "none-word-text", "none-measure-text", "bytes-morphism-text", "list-language-text", "huge-iter-words"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:

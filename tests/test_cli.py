@@ -550,9 +550,11 @@ def test_kirchhoff_lists_violations_with_exit_one(files, capsys):
 # argument errors), recorded with COLUMNS=80 from the top-level parser and
 # its subparsers.  Cases with an argument left over ("extra", "--bogus") are
 # the one error the top-level parser reports after a command has matched.
-ARGPARSE_GOLDENS = json.loads(
-    (Path(__file__).with_name("argparse_goldens.json")).read_text(encoding="utf-8")
-)
+# 3.13 prints the command choices on one usage line and widens the command
+# column of --help, so it has its own file, recorded on 3.13 with the same argvs.
+ARGPARSE_GOLDENS = json.loads(Path(__file__).with_name(
+    "argparse_goldens_3.13.json" if sys.version_info >= (3, 13) else "argparse_goldens.json"
+).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(

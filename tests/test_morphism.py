@@ -321,34 +321,64 @@ def test_window_keeps_exactly_the_words_with_a_short_essential_occurrence():
                 _window(sigma, inputs, max_len, required_input_depth(sigma, max_len) - 1)
 
 
+class _CountedImages(tuple):
+    """Image letter tuples that count how often they are iterated: _parses
+    walks them once per popped node, and a fixed number of times besides."""
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _parses_and_pops(sigma, t, depth, keys):
+    """_parses(sigma, t, depth, keys) and the number of nodes its search popped."""
+    images = _CountedImages(sigma._images)
+    counted = Morphism._trusted(sigma.domain, sigma.codomain, sigma.images, _images=images)
+    images.walks = 0
+    _parses(counted, t, depth, set())  # no key: nothing is pushed
+    fixed, images.walks = images.walks, 0
+    parses = _parses(counted, t, depth, keys)
+    return parses, images.walks - fixed
+
+
 def test_parses_list_each_word_once_per_essential_occurrence():
-    """_parses(sigma, t, ...) holds each domain word u exactly
-    essential_occurrences(sigma, u, t) times, over every u up to one past the
-    input-depth bound, for the collapse a -> c, b -> c, the non-code a -> c,
-    b -> c c and random morphisms.  It owns the depth check, as _window does,
-    and below the budget its search needs it gives None, never a shorter list.
-    That budget counts popped nodes: the collapse pops one per word u of
-    length 1 to |t| - 1, 2^|t| - 2 in all."""
+    """_parses(sigma, t, depth, keys) holds each domain word u in keys exactly
+    essential_occurrences(sigma, u, t) times, for the collapse a -> c, b -> c,
+    the non-code a -> c, b -> c c and random morphisms.  With every word up to
+    the input-depth bound as keys this is every u, up to one past the bound;
+    with the prefixes of a random key set it is those u alone.  It owns the
+    depth check, as _window does.  Its search extends only keys, so it pops
+    at most one node per key and cut in the first block, len(keys) times the
+    longest image, and no budget is needed; the collapse pops one per word u
+    of length 1 to |t| - 1 when every word is a key, 2^|t| - 2 in all."""
     rng = random.Random(25)
     collapse = Morphism.from_images(AB, ("c",), {"a": "c", "b": "c"})
     morphisms = [collapse, Morphism.from_images(AB, ("c",), {"a": "c", "b": "cc"})]
     for _ in range(30):
         domain, codomain = gen.alphabet(rng.randint(1, 3)), gen.alphabet(rng.randint(1, 2), 2)
         morphisms.append(gen.random_morphism(rng, domain, codomain))
-    searched = 0
+    searched = pruned = 0
     for sigma in morphisms:
+        longest = norms(sigma)[0]
         for target in words_up_to(sigma.codomain, 5):
             t, required = target.letters, required_input_depth(sigma, len(target))
-            counts = Counter(_parses(sigma, t, required, 10**6))
+            every = {u.letters for u in words_up_to(sigma.domain, required)}
+            parses, pops = _parses_and_pops(sigma, t, required, every)
+            counts = Counter(parses)
             for u in words_up_to(sigma.domain, required + 1):
                 assert counts[u.letters] == essential_occurrences(sigma, u, target), (sigma, u, target)
+            assert pops <= len(every) * longest
+            assert sigma is not collapse or pops == 2 ** len(t) - 2
             with pytest.raises(DepthError):
-                _parses(sigma, t, required - 1, 10**6)
-            least = next(b for b in itertools.count() if _parses(sigma, t, required, b) is not None)
-            assert Counter(_parses(sigma, t, required, least)) == counts
-            assert sigma is not collapse or least == 2 ** len(t) - 2
-            searched += least > 0
-    assert searched >= 500, searched
+                _parses(sigma, t, required - 1, every)
+            chosen = rng.sample(sorted(every), rng.randint(0, len(every)))
+            keys = {u[:k] for u in chosen for k in range(1, len(u) + 1)}
+            parses, pruned_pops = _parses_and_pops(sigma, t, required, keys)
+            assert Counter(parses) == Counter({u: c for u, c in counts.items() if u in keys})
+            assert pruned_pops <= len(keys) * longest
+            searched += pops > 0
+            pruned += pruned_pops < pops
+    assert searched >= 500 and pruned >= 150, (searched, pruned)
 
 
 # ---------------------------------------------------------------- candidate lengths

@@ -19,6 +19,7 @@ from shiftmeasure import (
     Word,
     characteristic_measure,
     full_shift_language,
+    iter_words,
     parse_language,
     parse_measure,
     parse_morphism,
@@ -27,6 +28,9 @@ from shiftmeasure import (
     render_language,
     render_measure,
     render_morphism,
+    required_input_depth,
+    transfer_eval,
+    transfer_table,
 )
 
 AB = Alphabet(("a", "b"))
@@ -238,6 +242,37 @@ def _respaced(text):
     prefix text comes before it, so parse_measure maps every token."""
     head, entries = text.splitlines()[:3], text.splitlines()[3:]
     return "\n".join(head + [line.replace(" ", "  ", 1) for line in reversed(entries)]) + "\n"
+
+
+def test_parse_measure_stores_its_weights_as_the_search_keys_when_prefix_closed():
+    """A file in which each entry's prefix one letter shorter is also an entry,
+    canonical or reversed and respaced, stores its weights dict as the table's
+    _prefixes, the keys transfer_eval searches.  A file with a zero entry stores
+    none and leaves the test to the property, and one that lists a b but not a
+    gets every prefix of its keys from it.  On each file eval equals
+    transfer's entry for every target up to the table's output depth."""
+    canonical = render_measure(characteristic_measure(AB.word("aabab"), 4))
+    files = {
+        "canonical": canonical,
+        "reversed": _respaced(canonical),
+        "zero entry": canonical + "b b\t0\n",
+        "a b without a": "!alphabet a b\n!depth 2\n!mass 2\nb\t1\na b\t1\nb a\t1\n",
+    }
+    tables = {name: parse_measure(text) for name, text in files.items()}
+    for name in ("canonical", "reversed"):
+        m = tables[name]
+        assert m == tables["canonical"] and vars(m)["_prefixes"] is m._weights
+    m = tables["zero entry"]
+    assert "_prefixes" not in vars(m) and m._prefixes is m._weights
+    m = tables["a b without a"]
+    assert "_prefixes" not in vars(m) and m._prefixes == {(0,), (1,), (0, 1), (1, 0)}
+    sigma = Morphism.from_images(AB, CD, {"a": "cd", "b": "ddc"})
+    for m in tables.values():
+        out_depth = max(k for k in range(1, 9) if required_input_depth(sigma, k) <= m.depth)
+        table = transfer_table(sigma, m, out_depth)
+        for k in range(1, out_depth + 1):
+            for target in iter_words(CD, k):
+                assert transfer_eval(sigma, m, target) == table.value(target), target
 
 
 def test_render_measure_equals_the_plain_render():

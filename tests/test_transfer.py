@@ -480,7 +480,7 @@ def test_subdivision_measure_matches_the_walked_cover():
 
 def test_the_decomposition_route_runs_without_the_direct_route(monkeypatch):
     """The cross-check stays independent: with the direct route's sweep,
-    count and window made to raise, the decomposition route still gives
+    parse list and window made to raise, the decomposition route still gives
     the table the direct route gives without them."""
     cases = list(_sweep_cases(63, 30))
     expected = [transfer_table(sigma, m, out_depth) for sigma, m, out_depth in cases]
@@ -489,7 +489,7 @@ def test_the_decomposition_route_runs_without_the_direct_route(monkeypatch):
         raise AssertionError("the decomposition route reached the direct route")
 
     for module in (transfer_module, morphism_module):
-        for name in ("_essential_sweep", "_essential_count", "_window"):
+        for name in ("_essential_sweep", "_parses", "_window"):
             monkeypatch.setattr(module, name, forbidden)
     for (sigma, m, out_depth), table in zip(cases, expected):
         assert transfer_via_decomposition(sigma, m, out_depth) == table
