@@ -1,8 +1,8 @@
 """Command-line interface: deterministic text in, deterministic text out.
 
 Exit codes: 0 success, 1 semantic finding (a violation was reported), 2
-parse or I/O failure, 3 precondition failure (for instance an input table
-that is too shallow for the requested depth).
+parse or I/O failure, 3 precondition failure (a PreconditionError, such as a
+table too shallow for the depth), 4 fault (any other exception: a traceback).
 
 An argv that names a command is parsed by a parser of that command alone;
 the full parser, with every command, is built only for help and for the
@@ -34,16 +34,14 @@ from .textio import (
     render_morphism,
 )
 from .transfer import transfer_eval, transfer_table
-from .words import Alphabet
+from .words import Alphabet, PreconditionError
 
 _T = TypeVar("_T")
 _BLOCK_LINES = 4096  # reports are written in blocks: memory follows the block, not the report
 
 
 class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """An input that cannot be read or parsed, or an output that cannot be written: exit 2."""
 
 
 def _write(path: str, text: str) -> None:
@@ -51,7 +49,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _Failure(2, f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _Failure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load(parse: Callable[[str], _T], path: str) -> _T:
@@ -59,11 +57,11 @@ def _load(parse: Callable[[str], _T], path: str) -> _T:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _Failure(2, f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _Failure(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return parse(text)
     except ParseError as exc:
-        raise _Failure(2, f"{path}:{exc.line}: {exc.message}") from exc
+        raise _Failure(f"{path}:{exc.line}: {exc.message}") from exc
 
 
 @contextlib.contextmanager
@@ -93,8 +91,8 @@ def _write_lines(lines: Iterator[str]) -> bool:
 def _parse_cli_word(alphabet: Alphabet, text: str, compact: bool):
     try:
         return parse_word(alphabet, text, compact=compact)
-    except ValueError as exc:
-        raise _Failure(2, f"bad word {text!r}: {exc}") from exc
+    except PreconditionError as exc:
+        raise _Failure(f"bad word {text!r}: {exc}") from exc
 
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
@@ -143,11 +141,11 @@ def _cmd_characteristic(args: argparse.Namespace) -> int:
     else:  # the word's tokens in order of first appearance
         tokens = list(dict.fromkeys(_tokens(args.word, args.compact)))
         if not tokens:
-            raise _Failure(2, "cannot infer an alphabet from an empty word")
+            raise _Failure("cannot infer an alphabet from an empty word")
     try:
         alphabet = Alphabet(tuple(tokens))
-    except ValueError as exc:
-        raise _Failure(2, str(exc)) from exc
+    except PreconditionError as exc:
+        raise _Failure(str(exc)) from exc
     word = _parse_cli_word(alphabet, args.word, args.compact)
     sys.stdout.write(render_measure(characteristic_measure(word, args.depth)))
     return 0
@@ -262,10 +260,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
-        return failure.code
-    except (ValueError, TypeError) as exc:  # DepthError included
+        return 2
+    except PreconditionError as exc:  # DepthError and the budgets included
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception:  # a fault, not a refusal
+        import traceback  # here: at start-up it would load linecache and tokenize
+
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

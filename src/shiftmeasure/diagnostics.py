@@ -14,8 +14,8 @@ from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
-from .words import (Word, _canonical, _lyndon_counts, _lyndon_words, _Record, _require_count,
-                    _require_over, _require_word, _root_rotation)
+from .words import (PreconditionError, Word, _canonical, _lyndon_counts, _lyndon_words, _Record,
+                    _require_count, _require_over, _require_word, _root_rotation)
 
 # The number of words in a certificate of each kind.
 _WORDS = {"period-preservation": 1, "orbit-injectivity": 2}
@@ -42,13 +42,13 @@ class ViolationReport(_Record):
 
     def __init__(self, kind: str, bound: int, certificates: tuple) -> None:
         if kind not in _WORDS:
-            raise ValueError(f"unknown kind {kind!r}: a report is {' or '.join(map(repr, _WORDS))}")
+            raise PreconditionError(f"unknown kind {kind!r}: a report is {' or '.join(map(repr, _WORDS))}")
         parts = [(c,) if isinstance(c, Word) else tuple(c) for c in certificates]
         domain = None
         for index, part in enumerate(parts):
             if len(part) != _WORDS[kind]:
-                raise ValueError(f"certificate {index} has {len(part)} words: "
-                                 f"a {kind} certificate has {_WORDS[kind]}")
+                raise PreconditionError(f"certificate {index} has {len(part)} words: "
+                                        f"a {kind} certificate has {_WORDS[kind]}")
             for w in part:  # the first word fixes the alphabet of the others
                 domain = _require_word(w, domain, f"certificate {index}").alphabet
         # Each certificate is a group of its own.
@@ -117,11 +117,10 @@ def _primitive_representatives(
         for k, lyndon in zip(range(1, bound + 1 if size > 1 else 2), _lyndon_counts(size)):
             count += lyndon
             if count > FULL_SHIFT_BUDGET:
-                raise ValueError(
+                raise PreconditionError(
                     f"bound {bound} is over the work budget: the full shift over {size} "
                     f"letters has {count} primitive orbits of period <= {k}, "
-                    f"more than {FULL_SHIFT_BUDGET}"
-                )
+                    f"more than {FULL_SHIFT_BUDGET}")
         return _lyndon_words(size, bound)
     _require_count(bound, "bound", 1, _require_over(language, FactorLanguage, sigma.domain, "language").maxlen)
     scans = (_root_rotation(x) for x in language._words if len(x) <= bound)
@@ -149,10 +148,9 @@ def _reports(
         group = groups.setdefault(key, [])
         count += len(group)
         if count > CERTIFICATE_BUDGET:
-            raise ValueError(
+            raise PreconditionError(
                 f"bound {bound} is over the certificate budget: the primitive orbits of period"
-                f" <= {len(rep)} give at least {count} certificates, more than {CERTIFICATE_BUDGET}"
-            )
+                f" <= {len(rep)} give at least {count} certificates, more than {CERTIFICATE_BUDGET}")
         placed.append((group, len(group)))
         group.append(rep)
     # Only groups of two or more orbits owe pairs, and only their members with a later one start one.
@@ -206,14 +204,14 @@ def prolongation_split(
     w, unambiguous (in U) otherwise.  Only for letter-to-letter morphisms.
     """
     if not _require_over(sigma, Morphism, None, "morphism").is_letter_to_letter:
-        raise ValueError("the prolongation split requires a letter-to-letter morphism")
+        raise PreconditionError("the prolongation split requires a letter-to-letter morphism")
     _require_over(language, FactorLanguage, sigma.domain, "language")
     _require_count(n, "prolongation length", 0)
     total_len = len(w) + 2 * n
     if total_len > language.maxlen:
         raise DepthError(total_len, language.maxlen)
     if w not in language:
-        raise ValueError(f"word '{w}' is not in the language")
+        raise PreconditionError(f"word '{w}' is not in the language")
     letter = [img[0] for img in sigma._images]
     middles: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     prolongations: dict[Word, tuple[int, ...]] = {}

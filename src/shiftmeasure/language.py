@@ -14,7 +14,8 @@ from typing import Iterable
 
 from . import measure
 from .morphism import Morphism, _essential_sweep, _window
-from .words import Alphabet, Word, _Record, _require_count, _require_over, _require_word
+from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_letters,
+                    _require_over, _require_word)
 
 
 class FactorLanguage(_Record):
@@ -31,13 +32,13 @@ class FactorLanguage(_Record):
         if bad:
             w = min(bad, key=lambda w: (len(w), w.letters, w.tokens, w.alphabet != alphabet))
             _require_word(w, alphabet, "word")
-            raise ValueError(f"word '{w}' has length outside 1..{maxlen}")
+            raise PreconditionError(f"word '{w}' has length outside 1..{maxlen}")
         letters = frozenset([w.letters for w in words])
         # Factor closure is equivalent to closure under dropping one outer letter.
         bad = [x for x in letters if len(x) >= 2 and not letters.issuperset((x[1:], x[:-1]))]
         if bad:
             x = min(bad, key=lambda x: (len(x), x))
-            raise ValueError(f"language is not factor-closed at '{Word(alphabet, x)}'")
+            raise PreconditionError(f"language is not factor-closed at '{Word(alphabet, x)}'")
         self.__dict__.update(alphabet=alphabet, maxlen=maxlen, _words=letters)
 
     @cached_property
@@ -73,20 +74,18 @@ def factorial_closure(alphabet: Alphabet, words: Iterable[Word], n: int) -> Fact
 def periodic_orbit_language(w: Word, n: int) -> FactorLanguage:
     """All factors up to length n of the biinfinite periodic word over w: its measure's support."""
     if len(w) == 0:
-        raise ValueError("the empty word generates no periodic orbit")
+        raise PreconditionError("the empty word generates no periodic orbit")
     _require_count(n, "maxlen")
     return FactorLanguage._trusted(w.alphabet, n, frozenset(measure.characteristic_measure(w, n)._weights))
 
 
 def full_shift_language(alphabet: Alphabet, n: int) -> FactorLanguage:
-    """Every non-empty word up to length n.  More than measure.TABLE_BUDGET letters in
+    """Every non-empty word up to length n.  More than TABLE_BUDGET letters in
     the words, the sum of k * |A|^k, is refused at the first length past it, before any is built."""
     _require_count(n, "maxlen")
-    size, letters, budget = len(_require_over(alphabet, Alphabet, None, "alphabet")), 0, measure.TABLE_BUDGET
+    size, letters = len(_require_over(alphabet, Alphabet, None, "alphabet")), 0
     for k in range(1, n + 1):
-        if (letters := letters + k * size**k) > budget:
-            raise ValueError(f"maxlen {n} is over the table budget: its words of length <= {k} "
-                             f"hold {letters} letters, more than {budget}")
+        letters = _require_letters(letters + k * size**k, f"maxlen {n}", f"its words of length <= {k} hold")
     ws = (itertools.product(range(size), repeat=k) for k in range(1, n + 1))
     return FactorLanguage._trusted(alphabet, n, frozenset(itertools.chain(*ws)))
 

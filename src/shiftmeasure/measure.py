@@ -17,17 +17,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
-from .words import (Alphabet, Word, _canonical, _Record, _require_count, _require_over, _require_word,
-                    primitive_root)
+from .words import (Alphabet, PreconditionError, Word, _canonical, _Record, _require_count, _require_letters,
+                    _require_over, _require_word, primitive_root)
 
 Rational = Union[Fraction, int]
-TABLE_BUDGET = 10**7  # work budget: the most letters a characteristic table's keys may hold
 
 
 def _as_fraction(value, what: str) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact, got a float")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # a str that is no rational, or one over 0
+        raise PreconditionError(f"{what} is not a rational: {value!r}") from None
 
 
 class MeasureTable(_Record):
@@ -43,15 +45,15 @@ class MeasureTable(_Record):
         _require_count(depth, "depth")
         mass = _as_fraction(total_mass, "total mass")
         if mass < 0:
-            raise ValueError("total mass must be nonnegative")
+            raise PreconditionError("total mass must be nonnegative")
         weights: dict[tuple[int, ...], Fraction] = {}
         for word, raw in values.items():
             _require_word(word, alphabet, "word")
             if not 1 <= len(word) <= depth:
-                raise ValueError(f"word '{word}' has length outside 1..{depth}")
+                raise PreconditionError(f"word '{word}' has length outside 1..{depth}")
             value = raw if type(raw) is Fraction else _as_fraction(raw, f"value of '{word}'")
             if value < 0:
-                raise ValueError(f"negative value for '{word}'")
+                raise PreconditionError(f"negative value for '{word}'")
             if value:
                 weights[word.letters] = value
         self.__dict__.update(alphabet=alphabet, depth=depth, _weights=weights, total_mass=mass)
@@ -75,7 +77,7 @@ class MeasureTable(_Record):
         if len(w) == 0:
             return self.total_mass
         if len(w) > self.depth:
-            raise ValueError(f"word length {len(w)} exceeds table depth {self.depth}")
+            raise PreconditionError(f"word length {len(w)} exceeds table depth {self.depth}")
         return self._weights.get(w.letters, Fraction(0))
 
 
@@ -176,13 +178,12 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
     in the keys, period * depth * (depth + 1) / 2, is refused before any is built.
     """
     if len(w) == 0:
-        raise ValueError("the empty word has no characteristic measure")
+        raise PreconditionError("the empty word has no characteristic measure")
     _require_count(depth, "depth")
     root, exponent = primitive_root(w)
     period = len(root)
-    if (letters := period * depth * (depth + 1) // 2) > TABLE_BUDGET:
-        raise ValueError(f"depth {depth} is over the table budget: its keys for an orbit of "
-                         f"period {period} hold {letters} letters, more than {TABLE_BUDGET}")
+    _require_letters(period * depth * (depth + 1) // 2, f"depth {depth}",
+                     f"its keys for an orbit of period {period} hold")
     stream = root.letters * (-(-depth // period) + 1)
     counts: dict[tuple[int, ...], int] = {}
     for offset in range(period):
@@ -202,7 +203,7 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
     """
     term_list = [(c, t) for c, t in terms]
     if not term_list:
-        raise ValueError("at least one term is required")
+        raise PreconditionError("at least one term is required")
     alphabet = _require_over(term_list[0][1], MeasureTable, None, "term").alphabet
     depth = min(_require_over(t, MeasureTable, alphabet, "term").depth for _, t in term_list)
     weights: dict[tuple[int, ...], Fraction] = {}
@@ -210,7 +211,7 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
     for coefficient, table in term_list:
         lam = _as_fraction(coefficient, "coefficient")
         if lam < 0:
-            raise ValueError("coefficients must be nonnegative")
+            raise PreconditionError("coefficients must be nonnegative")
         mass += lam * table.total_mass
         for u, value in table._weights.items():
             if lam and len(u) <= depth:

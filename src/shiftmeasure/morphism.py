@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
-from .words import Alphabet, Word, _Record, _require_count, _require_over, _require_word
+from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys,
+                    _require_over, _require_word)
 
 
 class Morphism(_Record):
@@ -33,11 +34,11 @@ class Morphism(_Record):
         images = tuple(images)
         _require_over(codomain, Alphabet, None, "codomain")
         if len(images) != len(_require_over(domain, Alphabet, None, "domain")):
-            raise ValueError("need exactly one image per domain letter")
+            raise PreconditionError("need exactly one image per domain letter")
         for token, image in zip(domain.symbols, images):
             _require_word(image, codomain, f"image of {token!r}")
             if len(image) == 0:
-                raise ValueError(f"erasing morphism: image of {token!r} is empty")
+                raise PreconditionError(f"erasing morphism: image of {token!r} is empty")
         self.__dict__.update(domain=domain, codomain=codomain, images=images)
 
     @cached_property
@@ -58,12 +59,7 @@ class Morphism(_Record):
         """
         dom = domain if isinstance(domain, Alphabet) else Alphabet(tuple(domain))
         cod = codomain if isinstance(codomain, Alphabet) else Alphabet(tuple(codomain))
-        missing = [t for t in dom.symbols if t not in images]
-        if missing:
-            raise ValueError(f"missing images for letters: {missing}")
-        extra = [t for t in images if t not in dom]
-        if extra:
-            raise ValueError(f"images given for letters outside the domain: {extra}")
+        _require_keys(images, dom, "images", "images given for letters outside the domain")
         return cls(dom, cod, tuple(cod.word(images[t]) for t in dom.symbols))
 
     @classmethod
@@ -100,9 +96,8 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """The morphism w -> outer(inner(w)); requires codomain(inner) = domain(outer)."""
     _require_over(outer, Morphism, None, "outer morphism")
     if _require_over(inner, Morphism, None, "inner morphism").codomain != outer.domain:
-        raise ValueError(
-            "cannot compose: codomain of the inner morphism differs from the domain of the outer one"
-        )
+        raise PreconditionError(
+            "cannot compose: codomain of the inner morphism differs from the domain of the outer one")
     return Morphism(inner.domain, outer.codomain, tuple(apply(outer, img) for img in inner.images))
 
 
@@ -120,12 +115,12 @@ class IncidenceMatrix(_Record):
         entries = tuple(tuple(row) for row in entries)
         _require_over(col_alphabet, Alphabet, None, "column alphabet")
         if len(entries) != len(_require_over(row_alphabet, Alphabet, None, "row alphabet")):
-            raise ValueError("need one row per codomain letter")
+            raise PreconditionError("need one row per codomain letter")
         for row in entries:
             if len(row) != len(col_alphabet):
-                raise ValueError("need one column per domain letter")
+                raise PreconditionError("need one column per domain letter")
             if any(entry < 0 for entry in row):
-                raise ValueError("entries must be nonnegative")
+                raise PreconditionError("entries must be nonnegative")
         self.__dict__.update(row_alphabet=row_alphabet, col_alphabet=col_alphabet, entries=entries)
 
     def column_sums(self) -> tuple[int, ...]:
@@ -133,21 +128,15 @@ class IncidenceMatrix(_Record):
 
     def __matmul__(self, other: "IncidenceMatrix") -> "IncidenceMatrix":
         if self.col_alphabet != other.row_alphabet:
-            raise ValueError("matrix alphabets do not chain")
-        inner = len(self.col_alphabet)
-        rows = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(inner))
-                for j in range(len(other.col_alphabet))
-            )
-            for i in range(len(self.row_alphabet))
-        )
+            raise PreconditionError("matrix alphabets do not chain")
+        columns = list(zip(*other.entries))
+        rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in self.entries)
         return IncidenceMatrix(self.row_alphabet, other.col_alphabet, rows)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; entries may be any exact numeric type."""
         if len(vector) != len(self.col_alphabet):
-            raise ValueError("vector length must match the column count")
+            raise PreconditionError("vector length must match the column count")
         return tuple(sum(row[j] * vector[j] for j in range(len(vector))) for row in self.entries)
 
 
@@ -164,13 +153,11 @@ def norms(sigma: Morphism) -> tuple[int, int]:
     return max(lengths), min(lengths)
 
 
-class DepthError(ValueError):
+class DepthError(PreconditionError):
     """An input table or language is too shallow for the requested output."""
 
     def __init__(self, required: int, actual: int):
-        super().__init__(
-            f"input depth {actual} is insufficient: depth >= {required} is required"
-        )
+        super().__init__(f"input depth {actual} is insufficient: depth >= {required} is required")
         self.required = required
         self.actual = actual
 
@@ -197,12 +184,8 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
     Image letter sets are pairwise disjoint, so images of distinct words
     overlap only in the forced tiling way.
     """
-    missing = [t for t in _require_over(alphabet, Alphabet, None, "alphabet").symbols if t not in lengths]
-    if missing:
-        raise ValueError(f"missing subdivision lengths for letters: {missing}")
-    extra = [t for t in lengths if t not in alphabet]
-    if extra:
-        raise ValueError(f"subdivision lengths for letters outside the alphabet: {extra}")
+    _require_keys(lengths, _require_over(alphabet, Alphabet, None, "alphabet"), "subdivision lengths",
+                  "subdivision lengths for letters outside the alphabet")
     for token in alphabet.symbols:
         _require_count(lengths[token], f"subdivision length of {token!r}")
     sub_tokens = tuple(
@@ -231,7 +214,7 @@ class SubdivisionData(_Record):
         _require_over(subdivision_alphabet, Alphabet, None, "subdivision alphabet")
         if not (_require_over(pi, Morphism, None, "pi").codomain == subdivision_alphabet
                 == _require_over(alpha, Morphism, None, "alpha").domain):
-            raise ValueError("pi's codomain and alpha's domain must be the subdivision alphabet")
+            raise PreconditionError("pi's codomain and alpha's domain must be the subdivision alphabet")
         self.__dict__.update(subdivision_alphabet=subdivision_alphabet, pi=pi, alpha=alpha)
 
     @property
@@ -260,7 +243,7 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
     _require_word(w, _require_over(sigma, Morphism, None, "morphism").domain, "word")
     _require_word(target, sigma.codomain, "target")
     if len(w) == 0 or len(target) == 0:
-        raise ValueError("essential occurrences are undefined for empty words")
+        raise PreconditionError("essential occurrences are undefined for empty words")
     images, letters, pattern = sigma._images, w.letters, target.letters
     image, m = _image_letters(images, letters), len(pattern)
     prefix_end = len(image) - len(images[letters[-1]])
@@ -336,5 +319,5 @@ def candidate_lengths(sigma: Morphism, target_len: int) -> tuple[int, int]:
     target of the given length; only defined for target_len >= 2."""
     _require_over(sigma, Morphism, None, "morphism")
     if target_len < 2:
-        raise ValueError("the candidate-length bound applies to targets of length >= 2")
+        raise PreconditionError("the candidate-length bound applies to targets of length >= 2")
     return -(-target_len // norms(sigma)[0]), required_input_depth(sigma, target_len)

@@ -29,7 +29,7 @@ from .morphism import (
     subdivision_morphism,
 )
 from .morphism import DepthError, required_input_depth  # noqa: F401  still importable from here
-from .words import Word, _require_count, _require_over, _require_word
+from .words import PreconditionError, Word, _require_count, _require_over, _require_word
 
 
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
@@ -108,7 +108,7 @@ def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTab
     weights of its preimage words.
     """
     if not _require_over(alpha, Morphism, None, "morphism").is_letter_to_letter:
-        raise ValueError("push-forward requires a letter-to-letter morphism")
+        raise PreconditionError("push-forward requires a letter-to-letter morphism")
     _require_over(m, MeasureTable, alpha.domain, "table")
     letter = [img[0] for img in alpha._images]
     weights: dict[tuple[int, ...], Fraction] = {}

@@ -12,7 +12,13 @@ its exponent and the least rotation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
+
+TABLE_BUDGET = 10**7  # work budget: the most letters a table's keys or a language's words may hold
+
+
+class PreconditionError(ValueError):
+    """A deliberate refusal: an argument out of range, an input too shallow, or work over a budget."""
 
 
 class _Record:
@@ -62,12 +68,12 @@ class Alphabet(_Record):
     def __init__(self, symbols: tuple[str, ...]) -> None:
         symbols = tuple(symbols)
         if not symbols:
-            raise ValueError("alphabet must not be empty")
+            raise PreconditionError("alphabet must not be empty")
         indices: dict[str, int] = {}
         for token in symbols:
             _check_token(token)
             if token in indices:
-                raise ValueError(f"duplicate symbol token: {token!r}")
+                raise PreconditionError(f"duplicate symbol token: {token!r}")
             indices[token] = len(indices)
         self.__dict__.update(symbols=symbols, _indices=indices)
 
@@ -75,7 +81,7 @@ class Alphabet(_Record):
         try:
             return self._indices[token]
         except KeyError:
-            raise ValueError(f"symbol {token!r} not in alphabet [{self}]") from None
+            raise PreconditionError(f"symbol {token!r} not in alphabet [{self}]") from None
 
     def word(self, tokens: Iterable[str]) -> "Word":
         """Build a word from symbol tokens."""
@@ -107,11 +113,10 @@ def _check_token(token: str) -> None:
     if not isinstance(token, str):
         raise TypeError(f"symbol token must be a str, not {type(token).__name__}")
     if token.split() != [token]:  # empty, or holding whitespace
-        raise ValueError(f"invalid symbol token: {token!r}")
+        raise PreconditionError(f"invalid symbol token: {token!r}")
     if token.startswith(("#", "!")) or token == "->":
-        raise ValueError(
-            f"invalid symbol token: {token!r} (a token may not start with '#' or '!', or be '->')"
-        )
+        raise PreconditionError(
+            f"invalid symbol token: {token!r} (a token may not start with '#' or '!', or be '->')")
 
 
 class Word(_Record):
@@ -124,7 +129,7 @@ class Word(_Record):
         size = len(_require_over(alphabet, Alphabet, None, "alphabet"))
         for i in letters:
             if not 0 <= i < size:
-                raise ValueError(f"letter index {i} out of range for alphabet [{alphabet}]")
+                raise PreconditionError(f"letter index {i} out of range for alphabet [{alphabet}]")
         self.__dict__.update(alphabet=alphabet, letters=letters)
 
     @property
@@ -150,9 +155,9 @@ def _require_count(n: object, what: str, least: int = 1, most: int | None = None
     if type(n) is not int:
         raise TypeError(f"{what} must be an int, not {type(n).__name__}")
     if n < least:
-        raise ValueError(f"{what} must be >= {least}")
+        raise PreconditionError(f"{what} must be >= {least}")
     if most is not None and n > most:
-        raise ValueError(f"{what} must be <= {most}")
+        raise PreconditionError(f"{what} must be <= {most}")
     return n
 
 
@@ -161,7 +166,7 @@ def _require_word(w: object, alphabet: Alphabet | None, what: str) -> Word:
     if type(w) is not Word:
         raise TypeError(f"{what} must be a Word, not {type(w).__name__}")
     if alphabet is not None and w.alphabet != alphabet:
-        raise ValueError(f"{what} '{w}' is not over [{alphabet}]")
+        raise PreconditionError(f"{what} '{w}' is not over [{alphabet}]")
     return w
 
 
@@ -171,8 +176,26 @@ def _require_over(x: object, kind: type, alphabet: Alphabet | None, what: str):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise TypeError(f"{what} must be {article} {kind.__name__}, not {type(x).__name__}")
     if alphabet is not None and x.alphabet != alphabet:
-        raise ValueError(f"{what} over [{x.alphabet}] is not over [{alphabet}]")
+        raise PreconditionError(f"{what} over [{x.alphabet}] is not over [{alphabet}]")
     return x
+
+
+def _require_keys(mapping: object, alphabet: Alphabet, what: str, outside: str) -> None:
+    """mapping, a Mapping whose keys are exactly alphabet's tokens; outside heads the extra-key message."""
+    if not isinstance(mapping, Mapping):
+        raise TypeError(f"{what} must be a Mapping, not {type(mapping).__name__}")
+    if missing := [t for t in alphabet.symbols if t not in mapping]:
+        raise PreconditionError(f"missing {what} for letters: {missing}")
+    if extra := [t for t in mapping if t not in alphabet]:
+        raise PreconditionError(f"{outside}: {extra}")
+
+
+def _require_letters(letters: int, what: str, holder: str) -> int:
+    """letters, the count that holder would hold for the argument what, unless over TABLE_BUDGET."""
+    if letters > TABLE_BUDGET:
+        raise PreconditionError(f"{what} is over the table budget: {holder} {letters} letters, "
+                                f"more than {TABLE_BUDGET}")
+    return letters
 
 
 def _canonical(keys: Iterable[tuple]) -> list[tuple]:
@@ -187,7 +210,7 @@ def count_occurrences(w: Word, u: Word) -> int:
     _require_word(w, None, "word")
     _require_word(u, w.alphabet, "pattern")
     if len(u) == 0:
-        raise ValueError("occurrence counting is undefined for the empty word")
+        raise PreconditionError("occurrence counting is undefined for the empty word")
     target = u.letters
     m = len(target)
     return sum(1 for i in range(len(w) - m + 1) if w.letters[i : i + m] == target)
@@ -200,7 +223,7 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     exponent is 1.
     """
     if len(w) == 0:
-        raise ValueError("the empty word has no primitive root")
+        raise PreconditionError("the empty word has no primitive root")
     exponent = _root_rotation(w.letters)[1]
     return Word(w.alphabet, w.letters[: len(w) // exponent]), exponent
 
@@ -261,12 +284,9 @@ def factors(w: Word, n: int) -> set[Word]:
 
 def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of exactly the given length, in lexicographic order.  A length over
-    measure.TABLE_BUDGET letters is refused at the call, before any word is built."""
-    from .measure import TABLE_BUDGET  # read at call time; measure imports this module
+    TABLE_BUDGET letters is refused at the call, before any word is built."""
     size = len(_require_over(alphabet, Alphabet, None, "alphabet"))
-    if _require_count(length, "length", 0) > TABLE_BUDGET:
-        raise ValueError(f"length {length} is over the table budget: each word holds "
-                         f"{length} letters, more than {TABLE_BUDGET}")
+    _require_letters(_require_count(length, "length", 0), f"length {length}", "each word holds")
     return (Word._trusted(alphabet, combo) for combo in itertools.product(range(size), repeat=length))
 
 

@@ -1,19 +1,23 @@
-"""The argument contract of the count, Word, table, language, alphabet, text and
-morphism arguments: a value of the right type that breaks a rule is a ValueError,
-a value of the wrong type a TypeError, and nothing else escapes."""
+"""The argument contract of the count, Word, table, language, alphabet, text, morphism
+and letter-map arguments: a value of the right type that breaks a rule is a
+PreconditionError, a value of the wrong type a TypeError, and nothing else escapes."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftmeasure
 from shiftmeasure import (
     Alphabet,
     FactorLanguage,
     IncidenceMatrix,
     MeasureTable,
     Morphism,
+    PreconditionError,
     SubdivisionData,
     ViolationReport,
     Word,
@@ -103,7 +107,12 @@ WORDS = {
     "ViolationReport period certificate": lambda x: ViolationReport("period-preservation", 3, (x,)),
     "ViolationReport orbit item": lambda x: ViolationReport("orbit-injectivity", 3, ((AB.word("a"), x),)),
 }
-CALLS = {**COUNTS, **WORDS}
+MAPPINGS = {
+    "Morphism.from_images images": lambda x: Morphism.from_images(AB, CD, x),
+    "subdivision_morphism lengths": lambda x: subdivision_morphism(AB, x),
+    "subdivision_measure lengths": lambda x: subdivision_measure(x, TABLE, 2),
+}
+CALLS = {**COUNTS, **WORDS, **MAPPINGS}
 # Each table or language argument: (its type, the alphabet it must be over or None for any, the call).
 RECORDS = {
     "transfer_eval table": (MeasureTable, AB, lambda x: transfer_eval(SIGMA, x, CD.word("c"))),
@@ -183,6 +192,8 @@ MIXED = st.one_of(
     st.lists(st.one_of(st.integers(min_value=-1, max_value=2), st.sampled_from("ab"), SMALL_WORDS),
              max_size=3).map(tuple),
     SMALL_WORDS,
+    st.dictionaries(st.sampled_from("abc"), st.one_of(st.integers(min_value=-1, max_value=3),
+                                                       st.text(alphabet="cd", max_size=2)), max_size=3),
 )
 
 
@@ -192,7 +203,7 @@ MIXED = st.one_of(
 def test_a_count_or_word_argument_raises_only_value_or_type_errors(name, x):
     try:
         CALLS[name](x)
-    except (ValueError, TypeError):
+    except (PreconditionError, TypeError):
         pass
 
 
@@ -202,7 +213,7 @@ def test_a_count_or_word_argument_raises_only_value_or_type_errors(name, x):
 def test_a_table_or_language_argument_raises_only_value_or_type_errors(name, x):
     try:
         RECORDS[name][2](x)
-    except (ValueError, TypeError):
+    except (PreconditionError, TypeError):
         pass
 
 
@@ -212,7 +223,7 @@ def test_a_table_or_language_argument_raises_only_value_or_type_errors(name, x):
 def test_an_alphabet_argument_raises_only_value_or_type_errors(name, x):
     try:
         ALPHABETS[name](x)
-    except (ValueError, TypeError):
+    except (PreconditionError, TypeError):
         pass
 
 
@@ -222,7 +233,7 @@ def test_an_alphabet_argument_raises_only_value_or_type_errors(name, x):
 def test_a_morphism_argument_raises_only_value_or_type_errors(name, x):
     try:
         MORPHISMS[name][1](x)
-    except (ValueError, TypeError):
+    except (PreconditionError, TypeError):
         pass
 
 
@@ -258,7 +269,7 @@ def test_a_table_or_language_argument_is_refused_by_type_and_by_alphabet(name):
     if alphabet is None:
         call(foreign)
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             call(foreign)
 
 
@@ -271,30 +282,31 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: MeasureTable(AB, 2.5, {}, 1), TypeError, "depth must be an int, not float"),
-    (lambda: MeasureTable(AB, 0, {}, 1), ValueError, "depth must be >= 1"),
+    (lambda: MeasureTable(AB, 0, {}, 1), PreconditionError, "depth must be >= 1"),
     (lambda: required_input_depth(SIGMA, 2.5), TypeError, "output length must be an int, not float"),
-    (lambda: required_input_depth(SIGMA, -1), ValueError, "output length must be >= 0"),
+    (lambda: required_input_depth(SIGMA, -1), PreconditionError, "output length must be >= 0"),
     (lambda: full_shift_language(AB, True), TypeError, "maxlen must be an int, not bool"),
     (lambda: transfer_table(SIGMA, TABLE, Fraction(2)), TypeError,
      "output depth must be an int, not Fraction"),
-    (lambda: check_period_preservation(SIGMA, None, 0), ValueError, "bound must be >= 1"),
+    (lambda: check_period_preservation(SIGMA, None, 0), PreconditionError, "bound must be >= 1"),
     (lambda: MeasureTable(AB, 2, {"a": 1}, 1), TypeError, "word must be a Word, not str"),
     (lambda: essential_occurrences(SIGMA, "a", CD.word("c")), TypeError, "word must be a Word, not str"),
     (lambda: apply(SIGMA, "ab"), TypeError, "word must be a Word, not str"),
-    (lambda: apply(SIGMA, CD.word("cd")), ValueError, "word 'c d' is not over [a b]"),
+    (lambda: apply(SIGMA, CD.word("cd")), PreconditionError, "word 'c d' is not over [a b]"),
     (lambda: apply("ab", AB.word("a")), TypeError, "morphism must be a Morphism, not str"),
     (lambda: compose(SIGMA, None), TypeError, "inner morphism must be a Morphism, not NoneType"),
-    (lambda: Morphism(AB, CD, (CD.word("c"), AB.word("a"))), ValueError, "image of 'b' 'a' is not over [c d]"),
+    (lambda: Morphism(AB, CD, (CD.word("c"), AB.word("a"))), PreconditionError,
+     "image of 'b' 'a' is not over [c d]"),
     (lambda: ViolationReport("period-preservation", 3, (5,)), TypeError, "'int' object is not iterable"),
     (lambda: transfer_table(SIGMA, "t", 2), TypeError, "table must be a MeasureTable, not str"),
-    (lambda: transfer_table(SIGMA, CD_TABLE, 2), ValueError, "table over [c d] is not over [a b]"),
-    (lambda: transfer_via_decomposition(SIGMA, CD_TABLE, 2), ValueError,
+    (lambda: transfer_table(SIGMA, CD_TABLE, 2), PreconditionError, "table over [c d] is not over [a b]"),
+    (lambda: transfer_via_decomposition(SIGMA, CD_TABLE, 2), PreconditionError,
      "table over [c d] is not over [a b]"),
-    (lambda: union(LANGUAGE, CD_LANGUAGE), ValueError, "language over [c d] is not over [a b]"),
+    (lambda: union(LANGUAGE, CD_LANGUAGE), PreconditionError, "language over [c d] is not over [a b]"),
     (lambda: complexity(LANGUAGE, 2.0), TypeError, "length must be an int, not float"),
-    (lambda: complexity(LANGUAGE, 4), ValueError, "length must be <= 3"),
-    (lambda: check_period_preservation(SIGMA, LANGUAGE, 0), ValueError, "bound must be >= 1"),
-    (lambda: check_period_preservation(SIGMA, LANGUAGE, 9), ValueError, "bound must be <= 3"),
+    (lambda: complexity(LANGUAGE, 4), PreconditionError, "length must be <= 3"),
+    (lambda: check_period_preservation(SIGMA, LANGUAGE, 0), PreconditionError, "bound must be >= 1"),
+    (lambda: check_period_preservation(SIGMA, LANGUAGE, 9), PreconditionError, "bound must be <= 3"),
     (lambda: FactorLanguage(AB, 2, {"a"}), TypeError, "word must be a Word, not str"),
     (lambda: linear_combination([(1, 5)]), TypeError, "term must be a MeasureTable, not int"),
     (lambda: Word("ab", (0,)), TypeError, "alphabet must be an Alphabet, not str"),
@@ -314,14 +326,28 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: parse_word("ab", "a"), TypeError, "alphabet must be an Alphabet, not str"),
     (lambda: SubdivisionData(1, 2, 3), TypeError, "subdivision alphabet must be an Alphabet, not int"),
     (lambda: SubdivisionData(AB, PI, 3), TypeError, "alpha must be a Morphism, not int"),
-    (lambda: SubdivisionData(CD, PI, ALPHA), ValueError,
+    (lambda: SubdivisionData(CD, PI, ALPHA), PreconditionError,
      "pi's codomain and alpha's domain must be the subdivision alphabet"),
     (lambda: parse_word(AB, None), TypeError, "text must be a str, not NoneType"),
     (lambda: parse_measure(None), TypeError, "text must be a str, not NoneType"),
     (lambda: parse_morphism(b"a -> a"), TypeError, "text must be a str, not bytes"),
     (lambda: parse_language(["!alphabet a"]), TypeError, "text must be a str, not list"),
-    (lambda: iter_words(AB, 10**30), ValueError, "length 1000000000000000000000000000000 is over the "
+    (lambda: iter_words(AB, 10**30), PreconditionError, "length 1000000000000000000000000000000 is over the "
      "table budget: each word holds 1000000000000000000000000000000 letters, more than 10000000"),
+    (lambda: Morphism.from_images(AB, AB, 5), TypeError, "images must be a Mapping, not int"),
+    (lambda: Morphism.from_images(AB, CD, {"a": "c"}), PreconditionError,
+     "missing images for letters: ['b']"),
+    (lambda: Morphism.from_images(AB, CD, {"a": "c", "b": "d", "e": "c"}), PreconditionError,
+     "images given for letters outside the domain: ['e']"),
+    (lambda: subdivision_morphism(AB, [1, 2]), TypeError, "subdivision lengths must be a Mapping, not list"),
+    (lambda: subdivision_morphism(AB, {"b": 1}), PreconditionError,
+     "missing subdivision lengths for letters: ['a']"),
+    (lambda: subdivision_measure({"a": 1, "b": 1, "c": 2}, TABLE, 2), PreconditionError,
+     "subdivision lengths for letters outside the alphabet: ['c']"),
+    (lambda: MeasureTable(AB, 1, {AB.word("a"): "x"}, 1), PreconditionError,
+     "value of 'a' is not a rational: 'x'"),
+    (lambda: MeasureTable(AB, 1, {}, "1/0"), PreconditionError, "total mass is not a rational: '1/0'"),
+    (lambda: linear_combination([("x", TABLE)]), PreconditionError, "coefficient is not a rational: 'x'"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply",
         "str-morphism", "none-inner-morphism", "foreign-image",
@@ -331,8 +357,34 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
         "str-full-shift-alphabet", "none-iter-words-alphabet", "str-domain", "str-codomain",
         "str-subdivision-alphabet", "int-row-alphabet", "str-column-alphabet", "str-parse-word-alphabet",
         "int-subdivision-data", "int-subdivision-alpha", "foreign-subdivision-alphabet",
-        "none-word-text", "none-measure-text", "bytes-morphism-text", "list-language-text", "huge-iter-words"])
+        "none-word-text", "none-measure-text", "bytes-morphism-text", "list-language-text", "huge-iter-words",
+        "int-images", "missing-image", "extra-image", "list-lengths", "missing-length", "extra-length",
+        "str-value", "zero-denominator-mass", "str-coefficient"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+def test_a_rational_text_that_fraction_reads_is_still_a_value():
+    table = MeasureTable(AB, 1, {AB.word("a"): "1/2", AB.word("b"): " 3/2 "}, "2")
+    assert (table.value(AB.word("a")), table.value(AB.word("b")), table.total_mass) == (
+        Fraction(1, 2), Fraction(3, 2), 2)
+    assert linear_combination([("1/2", TABLE)]).total_mass == TABLE.total_mass / 2
+
+
+def test_src_refuses_only_through_precondition_error():
+    """Outside textio, whose readers' errors become ParseErrors, no module raises a bare
+    ValueError, and the table budget is assigned in words alone."""
+    raised, budgets = {}, []
+    for path in sorted(Path(shiftmeasure.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.setdefault(exc.id, []).append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Name) and node.id == "TABLE_BUDGET" and isinstance(node.ctx, ast.Store):
+                budgets.append(path.name)
+    assert [site for site in raised["ValueError"] if not site.startswith("textio.py:")] == []
+    assert len(raised["PreconditionError"]) >= 40
+    assert budgets == ["words.py"]

@@ -3,6 +3,7 @@ channel.  All invocations go through main(argv) with captured streams; one
 subprocess test covers the installed entry point."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -428,26 +429,67 @@ def test_kirchhoff_streams_a_deep_table_in_bounded_memory(files, tmp_path):
     assert int(proc.stderr) / 1024 < 24, proc.stderr
 
 
-def test_the_cli_imports_no_code_introspection(tmp_path):
+def test_the_cli_imports_no_code_introspection():
     """Start-up cost: neither importing the CLI nor running --help loads
-    dataclasses or the inspect, ast, dis and tokenize modules it pulls in."""
+    dataclasses or the inspect, ast, dis and tokenize modules it pulls in.
+    Those that a bare child of the same interpreter and environment already
+    has (a site .pth may import inspect) are the interpreter's, not the CLI's."""
+    print_heavy = "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
     script = (
         "import runpy, sys\n"
         "import shiftmeasure.cli\n"
-        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
-        "print(sorted(heavy & set(sys.modules)))\n"
+        f"{print_heavy}"
         "sys.argv = ['shiftmeasure', '--help']\n"
         "try:\n"
         "    runpy.run_module('shiftmeasure', run_name='__main__', alter_sys=True)\n"
         "except SystemExit:\n"
         "    pass\n"
-        "print(sorted(heavy & set(sys.modules)))\n"
+        f"{print_heavy}"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_subprocess_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "usage: shiftmeasure" in proc.stdout
-    assert proc.stdout.splitlines()[0] == proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+    def run(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_subprocess_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    preloaded = set(ast.literal_eval(run("import sys\n" + print_heavy)[0]))
+    lines = run(script)
+    assert lines[1].startswith("usage: shiftmeasure"), lines
+    for line in (lines[0], lines[-1]):
+        assert set(ast.literal_eval(line)) - preloaded == set(), (lines, preloaded)
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("boom"), TypeError("boom"), MemoryError("boom")],
+                         ids=["runtime", "type", "memory"])
+def test_a_fault_exits_four_with_its_traceback(files, capsys, monkeypatch, fault):
+    """Only a PreconditionError is a refusal (exit 3, one error line); any other
+    exception in a handler is a fault: exit 4, its traceback on stderr."""
+    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
+    measure = files("orbit.measure", MEASURE_AB)
+
+    def fail(*args):
+        raise fault
+
+    monkeypatch.setattr(cli, "transfer_table", fail)
+    assert main(["transfer", sigma, measure, "--depth", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in fail\n" in err
+    assert err.endswith(f"{type(fault).__name__}: boom\n")
+
+
+def test_a_precondition_error_exits_three_with_one_line(files, capsys, monkeypatch):
+    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
+    measure = files("orbit.measure", MEASURE_AB)
+
+    def refuse(*args):
+        raise shiftmeasure.PreconditionError("refused")
+
+    monkeypatch.setattr(cli, "transfer_table", refuse)
+    assert main(["transfer", sigma, measure, "--depth", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: refused\n")
 
 
 def test_check_prints_its_certificates_without_words(files, capsys, monkeypatch):

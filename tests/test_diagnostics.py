@@ -14,6 +14,7 @@ from shiftmeasure import (
     Alphabet,
     DepthError,
     Morphism,
+    PreconditionError,
     Word,
     apply,
     check_period_preservation,
@@ -237,9 +238,9 @@ def test_full_shift_budget(monkeypatch):
     # Lyndon words up to length 1..7 over two letters: 2, 3, 5, 8, 14, 23, 41.
     monkeypatch.setattr(diagnostics, "FULL_SHIFT_BUDGET", 23)
     assert check_periodic_orbit_injectivity(THUE_MORSE, None, 6).bound == 6
-    with pytest.raises(ValueError, match="41 primitive orbits of period <= 7"):
+    with pytest.raises(PreconditionError, match="41 primitive orbits of period <= 7"):
         check_period_preservation(THUE_MORSE, None, 7)
-    with pytest.raises(ValueError, match="41 primitive orbits of period <= 7"):
+    with pytest.raises(PreconditionError, match="41 primitive orbits of period <= 7"):
         check_period_preservation(THUE_MORSE, None, 10**9)
     # One letter has a single primitive orbit whatever the bound.
     assert check_period_preservation(SQUARING, None, 10**9).certificates == (
@@ -262,7 +263,7 @@ def test_certificate_budget(monkeypatch):
         monkeypatch.setattr(diagnostics, "CERTIFICATE_BUDGET", total - 1)
         message = f"period <= 4 give at least {total} certificates, more than {total - 1}"
         for check in (check_period_preservation, check_periodic_orbit_injectivity):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(PreconditionError, match=message):
                 check(COLLAPSE, language, 4)
         monkeypatch.undo()
 

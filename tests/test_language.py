@@ -11,12 +11,12 @@ import pytest
 
 import gen
 import shiftmeasure
-from shiftmeasure import measure
 from shiftmeasure import (
     Alphabet,
     DepthError,
     FactorLanguage,
     Morphism,
+    PreconditionError,
     Word,
     apply,
     complexity,
@@ -93,7 +93,7 @@ def test_periodic_orbit_language_frozen():
 
 def test_periodic_orbit_language_has_its_tables_budget():
     """The language is a characteristic table's support, refused past the same budget."""
-    with pytest.raises(ValueError, match="^depth 1000000000 is over the table budget: "):
+    with pytest.raises(PreconditionError, match="^depth 1000000000 is over the table budget: "):
         periodic_orbit_language(AB.word("ab"), 10**9)
 
 
@@ -108,15 +108,15 @@ def test_full_shift_language_counts():
 def test_full_shift_language_is_refused_past_the_table_budget(monkeypatch):
     """The words' letters, the sum of k * |A|^k, are counted against the budget
     read at call time, and counting stops at the first length past it."""
-    monkeypatch.setattr(measure, "TABLE_BUDGET", 34)
+    monkeypatch.setattr("shiftmeasure.words.TABLE_BUDGET", 34)
     assert len(full_shift_language(AB, 3)) == 14  # 2 + 8 + 24 = 34 letters
-    with pytest.raises(ValueError, match="^maxlen 4 is over the table budget: its words of length <= 4 "
+    with pytest.raises(PreconditionError, match="^maxlen 4 is over the table budget: its words of length <= 4 "
                                          "hold 98 letters, more than 34$"):
         full_shift_language(AB, 4)
 
 
 def test_full_shift_language_refuses_a_huge_maxlen_before_building_anything():
-    with pytest.raises(ValueError, match="^maxlen 10{30} is over the table budget: its words of length "
+    with pytest.raises(PreconditionError, match="^maxlen 10{30} is over the table budget: its words of length "
                                          "<= 19 hold 18874370 letters, more than 10000000$"):
         full_shift_language(AB, 10**30)
 

@@ -13,6 +13,7 @@ import gen
 from shiftmeasure import (
     Alphabet,
     MeasureTable,
+    PreconditionError,
     Violation,
     Word,
     characteristic_measure,
@@ -24,7 +25,7 @@ from shiftmeasure import (
     support_words,
     validate,
 )
-from shiftmeasure import measure
+from shiftmeasure import words
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -204,27 +205,27 @@ def test_characteristic_table_budget_edge(monkeypatch):
     """The keys hold period * depth * (depth + 1) / 2 letters: as many as the
     budget is admitted, one more is refused.  The period is the primitive
     root's, not the word's."""
-    monkeypatch.setattr(measure, "TABLE_BUDGET", 6)
+    monkeypatch.setattr(words, "TABLE_BUDGET", 6)
     for text, depth in (("aaaaab", 1), ("aaaaabaaaaab", 1), ("ab", 2), ("a", 3)):
         assert validate(characteristic_measure(AB.word(text), depth)) == []
-    with pytest.raises(ValueError) as refused:
+    with pytest.raises(PreconditionError) as refused:
         characteristic_measure(AB.word("aaaaaab"), 1)
     assert str(refused.value) == (
         "depth 1 is over the table budget: its keys for an orbit of period 7 hold 7 letters, "
         "more than 6"
     )
-    with pytest.raises(ValueError, match="period 1 hold 10 letters, more than 6$"):
+    with pytest.raises(PreconditionError, match="period 1 hold 10 letters, more than 6$"):
         characteristic_measure(AB.word("aa"), 4)
 
 
 def test_characteristic_refuses_huge_depths_before_building_anything():
     """2^62 once ended in a MemoryError and 10^9 would allocate gigabytes;
     both are refused from their arguments, in well under a mebibyte."""
-    assert measure.TABLE_BUDGET == 10**7
+    assert words.TABLE_BUDGET == 10**7
     tracemalloc.start()
     try:
         for depth in (2**62, 10**9):
-            with pytest.raises(ValueError) as refused:
+            with pytest.raises(PreconditionError) as refused:
                 characteristic_measure(AB.word("ab"), depth)
             assert str(refused.value) == (
                 f"depth {depth} is over the table budget: its keys for an orbit of period 2 "

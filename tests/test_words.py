@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shiftmeasure import (
     Alphabet,
+    PreconditionError,
     Word,
     count_occurrences,
     factors,
@@ -20,7 +21,7 @@ from shiftmeasure import (
     primitive_root,
     rotations,
 )
-from shiftmeasure import measure
+from shiftmeasure import words
 from shiftmeasure.words import _canonical, _lyndon_counts, _lyndon_words, _root_rotation
 
 AB = Alphabet(("a", "b"))
@@ -304,11 +305,11 @@ def test_iter_words_order_and_count():
 
 
 def test_iter_words_refuses_a_length_over_the_table_budget_at_the_call(monkeypatch):
-    """A length over measure.TABLE_BUDGET letters, read at call time, is refused
+    """A length over words.TABLE_BUDGET letters, read at call time, is refused
     when iter_words is called, before any word is built."""
-    monkeypatch.setattr(measure, "TABLE_BUDGET", 3)
+    monkeypatch.setattr(words, "TABLE_BUDGET", 3)
     assert len(list(iter_words(AB, 3))) == 8
-    with pytest.raises(ValueError, match="^length 4 is over the table budget: each word holds "
+    with pytest.raises(PreconditionError, match="^length 4 is over the table budget: each word holds "
                                          "4 letters, more than 3$"):
         iter_words(AB, 4)
 
