@@ -15,7 +15,7 @@ from typing import Iterator
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
 from .words import (PreconditionError, Word, _canonical, _lyndon_counts, _lyndon_words, _Record,
-                    _require_count, _require_over, _require_word, _root_rotation)
+                    _require_count, _require_over, _root_rotation)
 
 # The number of words in a certificate of each kind.
 _WORDS = {"period-preservation": 1, "orbit-injectivity": 2}
@@ -50,7 +50,7 @@ class ViolationReport(_Record):
                 raise PreconditionError(f"certificate {index} has {len(part)} words: "
                                         f"a {kind} certificate has {_WORDS[kind]}")
             for w in part:  # the first word fixes the alphabet of the others
-                domain = _require_word(w, domain, f"certificate {index}").alphabet
+                domain = _require_over(w, Word, domain, f"certificate {index}").alphabet
         # Each certificate is a group of its own.
         self.__dict__.update(kind=kind, bound=bound, _domain=domain,
                              _groups=tuple(tuple(w.letters for w in p) for p in parts),

@@ -14,8 +14,7 @@ from typing import Iterable
 
 from . import measure
 from .morphism import Morphism, _essential_sweep, _window
-from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_letters,
-                    _require_over, _require_word)
+from .words import Alphabet, PreconditionError, Word, _Record, _require_count, _require_letters, _require_over
 
 
 class FactorLanguage(_Record):
@@ -26,12 +25,12 @@ class FactorLanguage(_Record):
 
     def __init__(self, alphabet: Alphabet, maxlen: int, words: frozenset[Word]) -> None:
         _require_over(alphabet, Alphabet, None, "alphabet")
-        words = frozenset([_require_word(w, None, "word") for w in words])
+        words = frozenset([_require_over(w, Word, None, "word") for w in words])
         _require_count(maxlen, "maxlen")
         bad = [w for w in words if w.alphabet != alphabet or not 1 <= len(w) <= maxlen]
         if bad:
             w = min(bad, key=lambda w: (len(w), w.letters, w.tokens, w.alphabet != alphabet))
-            _require_word(w, alphabet, "word")
+            _require_over(w, Word, alphabet, "word")
             raise PreconditionError(f"word '{w}' has length outside 1..{maxlen}")
         letters = frozenset([w.letters for w in words])
         # Factor closure is equivalent to closure under dropping one outer letter.
@@ -62,7 +61,7 @@ def factorial_closure(alphabet: Alphabet, words: Iterable[Word], n: int) -> Fact
     _require_count(n, "maxlen")
     closed: set[tuple[int, ...]] = set()
     for w in words:
-        x = _require_word(w, alphabet, "word").letters
+        x = _require_over(w, Word, alphabet, "word").letters
         todo = [x[i : i + n] for i in range(max(len(x) - n, 0) + 1)]
         while todo:
             if (x := todo.pop()) and x not in closed:
@@ -85,7 +84,7 @@ def full_shift_language(alphabet: Alphabet, n: int) -> FactorLanguage:
     _require_count(n, "maxlen")
     size, letters = len(_require_over(alphabet, Alphabet, None, "alphabet")), 0
     for k in range(1, n + 1):
-        letters = _require_letters(letters + k * size**k, f"maxlen {n}", f"its words of length <= {k} hold")
+        letters = _require_letters(letters + k * size**k, "maxlen", n, "its words of length <= {} hold", k)
     ws = (itertools.product(range(size), repeat=k) for k in range(1, n + 1))
     return FactorLanguage._trusted(alphabet, n, frozenset(itertools.chain(*ws)))
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .words import (Alphabet, PreconditionError, Word, _canonical, _Record, _require_count, _require_letters,
-                    _require_over, _require_word, primitive_root)
+                    _require_over, primitive_root)
 
 Rational = Union[Fraction, int]
 
@@ -48,7 +48,7 @@ class MeasureTable(_Record):
             raise PreconditionError("total mass must be nonnegative")
         weights: dict[tuple[int, ...], Fraction] = {}
         for word, raw in values.items():
-            _require_word(word, alphabet, "word")
+            _require_over(word, Word, alphabet, "word")
             if not 1 <= len(word) <= depth:
                 raise PreconditionError(f"word '{word}' has length outside 1..{depth}")
             value = raw if type(raw) is Fraction else _as_fraction(raw, f"value of '{word}'")
@@ -73,7 +73,7 @@ class MeasureTable(_Record):
 
     def value(self, w: Word) -> Fraction:
         """Weight of the cylinder of w; the empty word gives the total mass."""
-        _require_word(w, self.alphabet, "word")
+        _require_over(w, Word, self.alphabet, "word")
         if len(w) == 0:
             return self.total_mass
         if len(w) > self.depth:
@@ -182,8 +182,8 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
     _require_count(depth, "depth")
     root, exponent = primitive_root(w)
     period = len(root)
-    _require_letters(period * depth * (depth + 1) // 2, f"depth {depth}",
-                     f"its keys for an orbit of period {period} hold")
+    _require_letters(period * depth * (depth + 1) // 2, "depth", depth,
+                     "its keys for an orbit of period {} hold", period)
     stream = root.letters * (-(-depth // period) + 1)
     counts: dict[tuple[int, ...], int] = {}
     for offset in range(period):
@@ -201,7 +201,13 @@ def linear_combination(terms: Iterable[tuple[Rational, MeasureTable]]) -> Measur
     The result is truncated to the smallest depth among the terms; masses
     combine with the same coefficients.
     """
-    term_list = [(c, t) for c, t in terms]
+    term_list = []
+    for index, term in enumerate(terms):
+        try:
+            coefficient, table = term
+        except (TypeError, ValueError):  # not iterable, or not of two items
+            raise TypeError(f"term {index} is not a (coefficient, table) pair") from None
+        term_list.append((coefficient, table))
     if not term_list:
         raise PreconditionError("at least one term is required")
     alphabet = _require_over(term_list[0][1], MeasureTable, None, "term").alphabet

@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
-from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys,
-                    _require_over, _require_word)
+from .words import Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys, _require_over
 
 
 class Morphism(_Record):
@@ -36,7 +35,7 @@ class Morphism(_Record):
         if len(images) != len(_require_over(domain, Alphabet, None, "domain")):
             raise PreconditionError("need exactly one image per domain letter")
         for token, image in zip(domain.symbols, images):
-            _require_word(image, codomain, f"image of {token!r}")
+            _require_over(image, Word, codomain, f"image of {token!r}")
             if len(image) == 0:
                 raise PreconditionError(f"erasing morphism: image of {token!r} is empty")
         self.__dict__.update(domain=domain, codomain=codomain, images=images)
@@ -76,7 +75,7 @@ class Morphism(_Record):
 
 def apply(sigma: Morphism, w: Word) -> Word:
     """The image word sigma(x_1)...sigma(x_n); the empty word maps to itself."""
-    letters = _require_word(w, _require_over(sigma, Morphism, None, "morphism").domain, "word").letters
+    letters = _require_over(w, Word, _require_over(sigma, Morphism, None, "morphism").domain, "word").letters
     return Word(sigma.codomain, _image_letters(sigma._images, letters))
 
 
@@ -188,16 +187,9 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
                   "subdivision lengths for letters outside the alphabet")
     for token in alphabet.symbols:
         _require_count(lengths[token], f"subdivision length of {token!r}")
-    sub_tokens = tuple(
-        f"{token}.{k}" for token in alphabet.symbols for k in range(1, lengths[token] + 1)
-    )
-    sub_alphabet = Alphabet(sub_tokens)
-    images = []
-    position = 0
-    for token in alphabet.symbols:
-        images.append(Word(sub_alphabet, tuple(range(position, position + lengths[token]))))
-        position += lengths[token]
-    return Morphism(alphabet, sub_alphabet, tuple(images))
+    images = [[f"{token}.{k}" for k in range(1, lengths[token] + 1)] for token in alphabet.symbols]
+    sub_alphabet = Alphabet(tuple(t for image in images for t in image))
+    return Morphism(alphabet, sub_alphabet, tuple(sub_alphabet.word(image) for image in images))
 
 
 class SubdivisionData(_Record):
@@ -240,8 +232,8 @@ def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:
     inside the first letter block and ends inside the last.  For |w| = 1 this
     is every occurrence.
     """
-    _require_word(w, _require_over(sigma, Morphism, None, "morphism").domain, "word")
-    _require_word(target, sigma.codomain, "target")
+    _require_over(w, Word, _require_over(sigma, Morphism, None, "morphism").domain, "word")
+    _require_over(target, Word, sigma.codomain, "target")
     if len(w) == 0 or len(target) == 0:
         raise PreconditionError("essential occurrences are undefined for empty words")
     images, letters, pattern = sigma._images, w.letters, target.letters

@@ -29,7 +29,7 @@ from .morphism import (
     subdivision_morphism,
 )
 from .morphism import DepthError, required_input_depth  # noqa: F401  still importable from here
-from .words import PreconditionError, Word, _require_count, _require_over, _require_word
+from .words import PreconditionError, Word, _require_count, _require_over
 
 
 def _transferred_mass(sigma: Morphism, m: MeasureTable) -> Fraction:
@@ -46,7 +46,7 @@ def transfer_eval(sigma: Morphism, m: MeasureTable, target: Word) -> Fraction:
     are summed as Fractions.  The empty target yields the total transferred mass.
     """
     _require_over(m, MeasureTable, _require_over(sigma, Morphism, None, "morphism").domain, "table")
-    _require_word(target, sigma.codomain, "target")
+    _require_over(target, Word, sigma.codomain, "target")
     if len(target) == 0:
         return _transferred_mass(sigma, m)
     weights = m._weights

@@ -144,39 +144,30 @@ class Word(_Record):
         return len(self.letters)
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.alphabet, self.letters + _require_word(other, self.alphabet, "word").letters)
+        return Word(self.alphabet, self.letters + _require_over(other, Word, self.alphabet, "word").letters)
 
     def __str__(self) -> str:
         return " ".join(self.tokens)
 
 
 def _require_count(n: object, what: str, least: int = 1, most: int | None = None) -> int:
-    """n, an int from least to most (no top when None): the one check of every depth, length and bound."""
-    if type(n) is not int:
-        raise TypeError(f"{what} must be an int, not {type(n).__name__}")
-    if n < least:
+    """Every depth, maxlen, length and bound: n, an int (by _require_over) from least to most (None: no top)."""
+    if _require_over(n, int, None, what) < least:
         raise PreconditionError(f"{what} must be >= {least}")
     if most is not None and n > most:
-        raise PreconditionError(f"{what} must be <= {most}")
+        raise PreconditionError(f"{what} must be <= {_shown(most)}")
     return n
 
 
-def _require_word(w: object, alphabet: Alphabet | None, what: str) -> Word:
-    """w, a Word over alphabet (over any one when alphabet is None): the one Word argument check."""
-    if type(w) is not Word:
-        raise TypeError(f"{what} must be a Word, not {type(w).__name__}")
-    if alphabet is not None and w.alphabet != alphabet:
-        raise PreconditionError(f"{what} '{w}' is not over [{alphabet}]")
-    return w
-
-
 def _require_over(x: object, kind: type, alphabet: Alphabet | None, what: str):
-    """x, a kind (a table, language, alphabet or text) over alphabet (any when None): the one check."""
+    """x, a kind (a Word, count, table, language, alphabet, morphism or text) over alphabet
+    (any when None): the one type check of every typed argument.  A Word is quoted when refused."""
     if type(x) is not kind:
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
         raise TypeError(f"{what} must be {article} {kind.__name__}, not {type(x).__name__}")
     if alphabet is not None and x.alphabet != alphabet:
-        raise PreconditionError(f"{what} over [{x.alphabet}] is not over [{alphabet}]")
+        shown = f"'{x}'" if kind is Word else f"over [{x.alphabet}]"
+        raise PreconditionError(f"{what} {shown} is not over [{alphabet}]")
     return x
 
 
@@ -190,12 +181,23 @@ def _require_keys(mapping: object, alphabet: Alphabet, what: str, outside: str) 
         raise PreconditionError(f"{outside}: {extra}")
 
 
-def _require_letters(letters: int, what: str, holder: str) -> int:
-    """letters, the count that holder would hold for the argument what, unless over TABLE_BUDGET."""
+def _require_letters(letters: int, what: str, count: int, holder: str, *held: int) -> int:
+    """letters, held by holder (a format of held) for the argument what = count, unless over TABLE_BUDGET."""
     if letters > TABLE_BUDGET:
-        raise PreconditionError(f"{what} is over the table budget: {holder} {letters} letters, "
-                                f"more than {TABLE_BUDGET}")
+        raise PreconditionError(f"{what} {_shown(count)} is over the table budget: {holder.format(*held)} "
+                                f"{_shown(letters)} letters, more than {TABLE_BUDGET}")
     return letters
+
+
+def _shown(n: int) -> str:
+    """n in decimal, or by its digit count where the interpreter's int-to-str digit limit refuses that."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = (n.bit_length() - 1) * 30102999 // 10**8  # <= log10(n), as 0.30102999 < log10(2)
+        while n >= 10**digits:
+            digits += 1
+        return f"<{digits}-digit number>"
 
 
 def _canonical(keys: Iterable[tuple]) -> list[tuple]:
@@ -207,8 +209,7 @@ def _canonical(keys: Iterable[tuple]) -> list[tuple]:
 
 def count_occurrences(w: Word, u: Word) -> int:
     """Number of (possibly overlapping) start positions of u inside w."""
-    _require_word(w, None, "word")
-    _require_word(u, w.alphabet, "pattern")
+    _require_over(u, Word, _require_over(w, Word, None, "word").alphabet, "pattern")
     if len(u) == 0:
         raise PreconditionError("occurrence counting is undefined for the empty word")
     target = u.letters
@@ -286,7 +287,7 @@ def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of exactly the given length, in lexicographic order.  A length over
     TABLE_BUDGET letters is refused at the call, before any word is built."""
     size = len(_require_over(alphabet, Alphabet, None, "alphabet"))
-    _require_letters(_require_count(length, "length", 0), f"length {length}", "each word holds")
+    _require_letters(_require_count(length, "length", 0), "length", length, "each word holds")
     return (Word._trusted(alphabet, combo) for combo in itertools.product(range(size), repeat=length))
 
 

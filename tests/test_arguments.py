@@ -274,10 +274,14 @@ def test_a_table_or_language_argument_is_refused_by_type_and_by_alphabet(name):
 
 
 def test_linear_combination_refuses_a_term_that_is_not_a_pair():
-    for terms, error in [([()], ValueError), ([(1,)], ValueError), ([(1, TABLE, 2)], ValueError),
+    for terms, error in [([()], TypeError), ([(1,)], TypeError), ([(1, TABLE, 2)], TypeError),
                          ([5], TypeError), ([(1, 5)], TypeError), ([(1, TABLE), (1, LANGUAGE)], TypeError)]:
         with pytest.raises(error):
             linear_combination(terms)
+    for index, term in [(0, ()), (1, (1,)), (1, (1, TABLE, 2)), (1, 5)]:
+        with pytest.raises(TypeError, match=rf"^term {index} is not a \(coefficient, table\) pair$"):
+            linear_combination([(1, TABLE)] * index + [term])
+    assert linear_combination([[1, TABLE]]) == TABLE
 
 
 @pytest.mark.parametrize("call, error, message", [

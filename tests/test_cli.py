@@ -173,6 +173,18 @@ def test_characteristic_depth_over_the_table_budget_is_a_precondition_failure(ca
     assert f" hold {depth * (depth + 1)} letters, more than 10000000\n" in captured.err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_characteristic_letter_count_past_the_int_digit_limit_is_refused_in_one_line(capsys):
+    """A depth of 2,501 digits puts the letter count past the interpreter's
+    int-to-str limit: the refusal shows that count by its digits, exit 3."""
+    depth = 10**2500
+    assert main(["characteristic", "--word", "a b", "--depth", str(depth)]) == 3
+    assert capsys.readouterr() == ("", f"error: depth {depth} is over the table budget: its keys for an orbit "
+                                       "of period 2 hold <5001-digit number> letters, more than 10000000\n")
+
+
 def test_characteristic_empty_alphabet_messages(capsys):
     """Only an alphabet inferred from the word blames the word."""
     assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", ""]) == 2

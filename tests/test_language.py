@@ -121,6 +121,18 @@ def test_full_shift_language_refuses_a_huge_maxlen_before_building_anything():
         full_shift_language(AB, 10**30)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_counts_past_the_int_digit_limit_are_refused_by_their_digits():
+    """A maxlen or a length bound that str() cannot write is shown by its digit count."""
+    with pytest.raises(PreconditionError, match="^maxlen <5001-digit number> is over the table budget: its words "
+                                         "of length <= 4472 hold 10001628 letters, more than 10000000$"):
+        full_shift_language(Alphabet(("a",)), 10**5000)
+    with pytest.raises(PreconditionError, match="^length must be <= <5001-digit number>$"):
+        complexity(FactorLanguage(AB, 10**5000, frozenset()), 10**5000 + 1)
+
+
 def test_union_truncates_to_common_cap():
     u = union(periodic_orbit_language(AB.word("a"), 3), periodic_orbit_language(AB.word("b"), 2))
     assert u.maxlen == 2

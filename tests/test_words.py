@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,29 @@ def test_iter_words_refuses_a_length_over_the_table_budget_at_the_call(monkeypat
     with pytest.raises(PreconditionError, match="^length 4 is over the table budget: each word holds "
                                          "4 letters, more than 3$"):
         iter_words(AB, 4)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_iter_words_refuses_a_length_past_the_int_digit_limit():
+    """A length that str() cannot write is shown by its digits in the refusal."""
+    with pytest.raises(PreconditionError, match="^length <5001-digit number> is over the table budget: each word "
+                                         "holds <5001-digit number> letters, more than 10000000$"):
+        iter_words(AB, 10**5000)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_shown_writes_a_count_in_full_or_by_its_exact_digit_count():
+    limit = sys.get_int_max_str_digits()
+    assert words._shown(10**(limit - 1)) == "1" + "0" * (limit - 1)
+    assert words._shown(10**limit - 1) == "9" * limit
+    assert words._shown(10**limit) == f"<{limit + 1}-digit number>"
+    for digits in range(limit + 1, limit + 40):
+        for n in (10**(digits - 1), 2 * 10**(digits - 1) + 7, 10**digits - 1):
+            assert words._shown(n) == f"<{digits}-digit number>"
 
 
 def test_canonical_is_the_length_then_letters_order():
