@@ -15,7 +15,7 @@ from typing import Iterator
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters
 from .words import (PreconditionError, Word, _canonical, _lyndon_counts, _lyndon_words, _Record,
-                    _require_count, _require_over, _root_rotation)
+                    _require_count, _require_over, _root_rotation, _shown)
 
 # The number of words in a certificate of each kind.
 _WORDS = {"period-preservation": 1, "orbit-injectivity": 2}
@@ -118,7 +118,7 @@ def _primitive_representatives(
             count += lyndon
             if count > FULL_SHIFT_BUDGET:
                 raise PreconditionError(
-                    f"bound {bound} is over the work budget: the full shift over {size} "
+                    f"bound {_shown(bound)} is over the work budget: the full shift over {size} "
                     f"letters has {count} primitive orbits of period <= {k}, "
                     f"more than {FULL_SHIFT_BUDGET}")
         return _lyndon_words(size, bound)
@@ -149,7 +149,7 @@ def _reports(
         count += len(group)
         if count > CERTIFICATE_BUDGET:
             raise PreconditionError(
-                f"bound {bound} is over the certificate budget: the primitive orbits of period"
+                f"bound {_shown(bound)} is over the certificate budget: the primitive orbits of period"
                 f" <= {len(rep)} give at least {count} certificates, more than {CERTIFICATE_BUDGET}")
         placed.append((group, len(group)))
         group.append(rep)
@@ -212,14 +212,13 @@ def prolongation_split(
         raise DepthError(total_len, language.maxlen)
     if w not in language:
         raise PreconditionError(f"word '{w}' is not in the language")
-    letter = [img[0] for img in sigma._images]
     middles: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     prolongations: dict[Word, tuple[int, ...]] = {}
     for x in language._words:
         if len(x) == total_len:
-            image = tuple([letter[i] for i in x])
+            image = _image_letters(sigma._images, x)
             middles.setdefault(image, set()).add(x[n : total_len - n])
             if x[n : total_len - n] == w.letters:
-                prolongations[Word(w.alphabet, x)] = image
+                prolongations[Word._trusted(w.alphabet, x)] = image
     ambiguous = {x for x, image in prolongations.items() if len(middles[image]) > 1}
     return set(prolongations), set(prolongations) - ambiguous, ambiguous

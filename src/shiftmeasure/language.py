@@ -14,7 +14,8 @@ from typing import Iterable
 
 from . import measure
 from .morphism import Morphism, _essential_sweep, _window
-from .words import Alphabet, PreconditionError, Word, _Record, _require_count, _require_letters, _require_over
+from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_letters, _require_over,
+                    _shown)
 
 
 class FactorLanguage(_Record):
@@ -31,7 +32,7 @@ class FactorLanguage(_Record):
         if bad:
             w = min(bad, key=lambda w: (len(w), w.letters, w.tokens, w.alphabet != alphabet))
             _require_over(w, Word, alphabet, "word")
-            raise PreconditionError(f"word '{w}' has length outside 1..{maxlen}")
+            raise PreconditionError(f"word '{w}' has length outside 1..{_shown(maxlen)}")
         letters = frozenset([w.letters for w in words])
         # Factor closure is equivalent to closure under dropping one outer letter.
         bad = [x for x in letters if len(x) >= 2 and not letters.issuperset((x[1:], x[:-1]))]
@@ -42,10 +43,10 @@ class FactorLanguage(_Record):
 
     @cached_property
     def words(self) -> frozenset[Word]:
-        return frozenset([Word(self.alphabet, x) for x in self._words])
+        return frozenset([Word._trusted(self.alphabet, x) for x in self._words])
 
     def of_length(self, k: int) -> set[Word]:
-        return {Word(self.alphabet, x) for x in self._words if len(x) == k}
+        return {Word._trusted(self.alphabet, x) for x in self._words if len(x) == k}
 
     def __contains__(self, w: object) -> bool:
         return type(w) is Word and w.alphabet == self.alphabet and w.letters in self._words

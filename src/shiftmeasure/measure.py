@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .words import (Alphabet, PreconditionError, Word, _canonical, _Record, _require_count, _require_letters,
-                    _require_over, primitive_root)
+                    _require_over, _shown, primitive_root)
 
 Rational = Union[Fraction, int]
 
@@ -50,7 +50,7 @@ class MeasureTable(_Record):
         for word, raw in values.items():
             _require_over(word, Word, alphabet, "word")
             if not 1 <= len(word) <= depth:
-                raise PreconditionError(f"word '{word}' has length outside 1..{depth}")
+                raise PreconditionError(f"word '{word}' has length outside 1..{_shown(depth)}")
             value = raw if type(raw) is Fraction else _as_fraction(raw, f"value of '{word}'")
             if value < 0:
                 raise PreconditionError(f"negative value for '{word}'")
@@ -60,7 +60,7 @@ class MeasureTable(_Record):
 
     @cached_property
     def values(self) -> dict[Word, Fraction]:
-        return {Word(self.alphabet, u): v for u, v in self._weights.items()}
+        return {Word._trusted(self.alphabet, u): v for u, v in self._weights.items()}
 
     @cached_property
     def _prefixes(self) -> Mapping | set:
@@ -160,7 +160,7 @@ def _violations(m: MeasureTable) -> Iterator[Violation]:
         expected = weights.get(u, zero)
         for kind, balance in (("left-extension", left.get(u)), ("right-extension", right.get(u))):
             if balance:
-                yield Violation(kind, Word(m.alphabet, u), None,
+                yield Violation(kind, Word._trusted(m.alphabet, u), None,
                                 _unscaled(expected, den), _unscaled(expected - balance, den))
     mass = m.total_mass * den
     # Mass 0: only the support's levels can break; else each level broken is a line.

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
-from .words import Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys, _require_over
+from .words import Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys, _require_over, _shown
 
 
 class Morphism(_Record):
@@ -76,7 +76,7 @@ class Morphism(_Record):
 def apply(sigma: Morphism, w: Word) -> Word:
     """The image word sigma(x_1)...sigma(x_n); the empty word maps to itself."""
     letters = _require_over(w, Word, _require_over(sigma, Morphism, None, "morphism").domain, "word").letters
-    return Word(sigma.codomain, _image_letters(sigma._images, letters))
+    return Word._trusted(sigma.codomain, _image_letters(sigma._images, letters))
 
 
 def _image_letters(images: Sequence[tuple[int, ...]], letters: Iterable[int]) -> tuple[int, ...]:
@@ -156,7 +156,7 @@ class DepthError(PreconditionError):
     """An input table or language is too shallow for the requested output."""
 
     def __init__(self, required: int, actual: int):
-        super().__init__(f"input depth {actual} is insufficient: depth >= {required} is required")
+        super().__init__(f"input depth {_shown(actual)} is insufficient: depth >= {_shown(required)} is required")
         self.required = required
         self.actual = actual
 

@@ -18,7 +18,7 @@ from .morphism import Morphism
 from .words import Alphabet, Word, _canonical, _check_token, _require_over
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Input text that does not conform to one of the file formats."""
 
     def __init__(self, line: int, message: str):
@@ -175,13 +175,13 @@ def parse_measure(text: str) -> MeasureTable:
     word text of an earlier entry, spelled the same way, takes that entry's
     letters and maps only its last token.  Every table render_measure writes
     from a consistent measure lists each such prefix first, as mu(u) <=
-    mu(u[:-1]); any other entry maps all of its tokens, after one
-    rpartition and one lookup.  Only those others' prefixes are looked up
-    again to store the table's _prefixes, when it has no zero entry.
+    mu(u[:-1]); any other entry maps all of its tokens through Alphabet.word,
+    after one rpartition and one lookup.  Only those others' prefixes are
+    looked up again to store the table's _prefixes, when it has no zero entry.
     """
     weights: dict[tuple[int, ...], Fraction] = {}
     parsed: dict[str, Fraction] = {}  # by raw value text: a table repeats few distinct values
-    known: dict[str, tuple[int, ...]] = {}  # by word text: always tuple(map(index, text.split()))
+    known: dict[str, tuple[int, ...]] = {}  # by word text: always alphabet.word(text.split()).letters
     unmatched: list[tuple[int, ...]] = []  # entries of 2 or more letters not read off a known prefix
 
     def entries(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
@@ -189,7 +189,6 @@ def parse_measure(text: str) -> MeasureTable:
         if alphabet is None or depth is None:
             raise ParseError(run[0][0], "!alphabet and !depth headers must precede entries")
         indices = alphabet._indices
-        index = indices.__getitem__
         try:
             for number, line in run:
                 left, tab, right = line.partition("\t")
@@ -200,10 +199,7 @@ def parse_measure(text: str) -> MeasureTable:
                 if prefix is not None and last in indices:
                     letters = prefix + (indices[last],)
                 else:
-                    try:
-                        letters = tuple([*map(index, left.split())])
-                    except KeyError:
-                        alphabet.word(left.split())  # raises the error for the first unknown token
+                    letters = alphabet.word(left.split()).letters
                     if len(letters) > 1:
                         unmatched.append(letters)
                 if len(letters) > depth:

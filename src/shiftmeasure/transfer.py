@@ -110,10 +110,9 @@ def pushforward_letter_to_letter(alpha: Morphism, m: MeasureTable) -> MeasureTab
     if not _require_over(alpha, Morphism, None, "morphism").is_letter_to_letter:
         raise PreconditionError("push-forward requires a letter-to-letter morphism")
     _require_over(m, MeasureTable, alpha.domain, "table")
-    letter = [img[0] for img in alpha._images]
     weights: dict[tuple[int, ...], Fraction] = {}
     for u, weight in m._weights.items():
-        image = tuple([letter[i] for i in u])
+        image = _image_letters(alpha._images, u)
         weights[image] = weights.get(image, Fraction(0)) + weight
     return MeasureTable._trusted(alpha.codomain, m.depth, weights, m.total_mass)
 

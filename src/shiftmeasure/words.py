@@ -84,8 +84,12 @@ class Alphabet(_Record):
             raise PreconditionError(f"symbol {token!r} not in alphabet [{self}]") from None
 
     def word(self, tokens: Iterable[str]) -> "Word":
-        """Build a word from symbol tokens."""
-        return Word(self, tuple(self.index(t) for t in tokens))
+        """Build a word from symbol tokens: the one place tokens become letters."""
+        try:
+            return Word._trusted(self, tuple(map(self._indices.__getitem__, tokens)))
+        except KeyError as missing:
+            self.index(missing.args[0])  # the first unknown token: its refusal
+            raise
 
     def epsilon(self) -> "Word":
         return Word(self, ())
@@ -128,8 +132,8 @@ class Word(_Record):
         letters = tuple(letters)
         size = len(_require_over(alphabet, Alphabet, None, "alphabet"))
         for i in letters:
-            if not 0 <= i < size:
-                raise PreconditionError(f"letter index {i} out of range for alphabet [{alphabet}]")
+            if not 0 <= _require_over(i, int, None, "letter index") < size:
+                raise PreconditionError(f"letter index {_shown(i)} out of range for alphabet [{alphabet}]")
         self.__dict__.update(alphabet=alphabet, letters=letters)
 
     @property

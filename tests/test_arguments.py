@@ -1,4 +1,4 @@
-"""The argument contract of the count, Word, table, language, alphabet, text, morphism
+"""The argument contract of the count, Word, letter index, table, language, alphabet, text, morphism
 and letter-map arguments: a value of the right type that breaks a rule is a
 PreconditionError, a value of the wrong type a TypeError, and nothing else escapes."""
 
@@ -112,7 +112,12 @@ MAPPINGS = {
     "subdivision_morphism lengths": lambda x: subdivision_morphism(AB, x),
     "subdivision_measure lengths": lambda x: subdivision_measure(x, TABLE, 2),
 }
-CALLS = {**COUNTS, **WORDS, **MAPPINGS}
+# Word's letter indices: one index, and the whole letters argument.
+LETTERS = {
+    "Word letter": lambda x: Word(AB, (x,)),
+    "Word letters": lambda x: Word(AB, x),
+}
+CALLS = {**COUNTS, **WORDS, **MAPPINGS, **LETTERS}
 # Each table or language argument: (its type, the alphabet it must be over or None for any, the call).
 RECORDS = {
     "transfer_eval table": (MeasureTable, AB, lambda x: transfer_eval(SIGMA, x, CD.word("c"))),
@@ -352,6 +357,10 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
      "value of 'a' is not a rational: 'x'"),
     (lambda: MeasureTable(AB, 1, {}, "1/0"), PreconditionError, "total mass is not a rational: '1/0'"),
     (lambda: linear_combination([("x", TABLE)]), PreconditionError, "coefficient is not a rational: 'x'"),
+    (lambda: Word(AB, (1.0,)), TypeError, "letter index must be an int, not float"),
+    (lambda: Word(AB, (0, True)), TypeError, "letter index must be an int, not bool"),
+    (lambda: Word(AB, ("x",)), TypeError, "letter index must be an int, not str"),
+    (lambda: Word(AB, (0, 2)), PreconditionError, "letter index 2 out of range for alphabet [a b]"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply",
         "str-morphism", "none-inner-morphism", "foreign-image",
@@ -363,7 +372,8 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
         "int-subdivision-data", "int-subdivision-alpha", "foreign-subdivision-alphabet",
         "none-word-text", "none-measure-text", "bytes-morphism-text", "list-language-text", "huge-iter-words",
         "int-images", "missing-image", "extra-image", "list-lengths", "missing-length", "extra-length",
-        "str-value", "zero-denominator-mass", "str-coefficient"])
+        "str-value", "zero-denominator-mass", "str-coefficient", "float-letter", "bool-letter", "str-letter",
+        "out-of-range-letter"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:
         call()

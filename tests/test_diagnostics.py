@@ -4,6 +4,7 @@ prolongation split."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from shiftmeasure import diagnostics
 from shiftmeasure import (
     Alphabet,
     DepthError,
+    FactorLanguage,
     Morphism,
     PreconditionError,
     Word,
@@ -266,6 +268,27 @@ def test_certificate_budget(monkeypatch):
             with pytest.raises(PreconditionError, match=message):
                 check(COLLAPSE, language, 4)
         monkeypatch.undo()
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_a_bound_past_the_int_digit_limit_is_shown_by_its_digits_in_the_full_shift_budget(monkeypatch):
+    monkeypatch.setattr(diagnostics, "FULL_SHIFT_BUDGET", 23)
+    with pytest.raises(PreconditionError, match="^bound <5001-digit number> is over the work budget: the full "
+                                         "shift over 2 letters has 41 primitive orbits of period <= 7, more than 23$"):
+        check_period_preservation(COLLAPSE, None, 10**5000)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_a_bound_past_the_int_digit_limit_is_shown_by_its_digits_in_the_certificate_budget(monkeypatch):
+    language = FactorLanguage(AB, 10**5000, full_shift_language(AB, 4).words)
+    monkeypatch.setattr(diagnostics, "CERTIFICATE_BUDGET", 33)
+    with pytest.raises(PreconditionError, match="^bound <5001-digit number> is over the certificate budget: the "
+                                         "primitive orbits of period <= 4 give at least 34 certificates, more than 33$"):
+        check_periodic_orbit_injectivity(COLLAPSE, language, 10**5000)
 
 
 def test_bound_validation():

@@ -133,6 +133,14 @@ def test_counts_past_the_int_digit_limit_are_refused_by_their_digits():
         complexity(FactorLanguage(AB, 10**5000, frozenset()), 10**5000 + 1)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_a_maxlen_past_the_int_digit_limit_is_shown_by_its_digits_in_a_length_refusal():
+    with pytest.raises(PreconditionError, match="^word '' has length outside 1..<5001-digit number>$"):
+        FactorLanguage(AB, 10**5000, {AB.epsilon()})
+
+
 def test_union_truncates_to_common_cap():
     u = union(periodic_orbit_language(AB.word("a"), 3), periodic_orbit_language(AB.word("b"), 2))
     assert u.maxlen == 2

@@ -2,6 +2,7 @@
 measures against a string-counting oracle, combinations and projections."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -75,6 +76,14 @@ def test_public_constructor_keeps_its_checks_and_messages(depth, values, mass, e
     with pytest.raises(error) as err:
         MeasureTable(AB, depth, values, mass)
     assert str(err.value) == message
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_a_depth_past_the_int_digit_limit_is_shown_by_its_digits():
+    with pytest.raises(PreconditionError, match="^word '' has length outside 1..<5001-digit number>$"):
+        MeasureTable(AB, 10**5000, {AB.epsilon(): 1}, 1)
 
 
 def test_values_is_the_word_keyed_view_of_the_table():

@@ -55,6 +55,8 @@ def _read_format_per_line(text, readers, body, required=False):
                 raise ParseError(number, f"duplicate {name} header")
             headers[name] = readers[name](name, fields)
             lines[name] = number
+        except ParseError:  # a ValueError too: raised as it is, not wrapped a second time
+            raise
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None
     if required:

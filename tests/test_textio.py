@@ -16,6 +16,7 @@ from shiftmeasure import (
     MeasureTable,
     Morphism,
     ParseError,
+    PreconditionError,
     Word,
     characteristic_measure,
     full_shift_language,
@@ -187,6 +188,11 @@ def test_measure_entry_errors_keep_their_messages():
     head = "!alphabet a b\n!depth 2\n!mass 1\n"
     cases = [
         (head + "a  c b\t1\n", 4, "symbol 'c' not in alphabet [a b]"),
+        # An unknown token is the same error on each path: a one-letter entry and one whose prefix
+        # is not an earlier entry map every token, one whose prefix is known maps only its last.
+        (head + "c\t1\n", 4, "symbol 'c' not in alphabet [a b]"),
+        (head + "a\t1\nb c\t1\n", 5, "symbol 'c' not in alphabet [a b]"),
+        (head + "a\t1\na c\t1\n", 5, "symbol 'c' not in alphabet [a b]"),
         (head + "a   b a\t1\n", 4, "word 'a b a' is longer than the declared depth 2"),
         (head + "a b\t1\na  b\t2\n", 5, "duplicate entry for 'a b'"),
         # A zero entry is dropped from the table, but a second entry for its word is still caught.
@@ -209,9 +215,13 @@ def test_measure_entry_errors_keep_their_messages():
                                                         "a b": Fraction(1, 2)}
 
 
+def test_a_parse_error_is_a_value_error_and_no_refusal():
+    assert issubclass(ParseError, ValueError) and not issubclass(ParseError, PreconditionError)
+
+
 def test_parse_measure_checks_each_entry_once_without_words(monkeypatch):
-    """Entries are checked on letter tuples: no Word is built and no word is
-    formatted for an error message that is not raised."""
+    """Entries are checked on letter tuples: no Word goes through its checking
+    constructor and no word is formatted for an error message that is not raised."""
     alph = Alphabet(("a", "b", "c"))
     words = [w for n in range(1, 6) for w in itertools.product(alph.symbols, repeat=n)]
     entries = "".join(f"{' '.join(w)}\t{i % 9 + 1}/{i % 4 + 1}\n" for i, w in enumerate(words))

@@ -5,6 +5,7 @@ import ast
 import itertools
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from shiftmeasure import (
     FactorLanguage,
     MeasureTable,
     Morphism,
+    PreconditionError,
     Word,
     apply,
     candidate_lengths,
@@ -74,6 +76,20 @@ def test_required_input_depth_frozen():
         assert required_input_depth(identity, n) == n
     with pytest.raises(ValueError):
         required_input_depth(SIGMA4, -1)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_depth_error_shows_depths_past_the_int_digit_limit_by_their_digits():
+    """Both depths of a DepthError are written through words._shown: a refusal, not the
+    interpreter's digit-limit error."""
+    message = "^input depth <5001-digit number> is insufficient: depth >= <5001-digit number> is required$"
+    with pytest.raises(PreconditionError, match=message) as err:
+        transfer_table(SIGMA4, MeasureTable(AB, 10**5000, {}, 1), 10**5001)
+    assert type(err.value) is DepthError and err.value.actual == 10**5000
+    with pytest.raises(DepthError, match="^input depth 1 is insufficient: depth >= <5000-digit number> is "):
+        transfer_table(SIGMA4, MeasureTable(AB, 1, {}, 1), 10**5000)
 
 
 def test_depth_shortfall_raises_with_the_required_depth():

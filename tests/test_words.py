@@ -100,6 +100,40 @@ def test_composite_tokens_are_first_class():
     assert str(w) == "a.2 b.1"
 
 
+# Tokens of AB, tokens it does not hold, and unhashable items.
+TOKEN_LISTS = st.lists(st.one_of(st.sampled_from(["a", "b"]), st.sampled_from(["c", "A", "", "a b"]),
+                                 st.lists(st.just("a"), max_size=1), st.dictionaries(st.just("a"), st.just(1))),
+                       max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_LISTS)
+def test_alphabet_word_is_the_checked_word_of_each_token_index(tokens):
+    """Alphabet.word, the one place tokens become letters, builds through _trusted the word
+    that Word builds from each token's index: the same fields, equality and hash.  A list it
+    refuses, index refuses with the same error, naming the first unknown token."""
+    try:
+        expected = Word(AB, tuple(AB.index(t) for t in tokens))
+    except (PreconditionError, TypeError) as exc:
+        with pytest.raises(type(exc)) as err:
+            AB.word(tokens)
+        assert str(err.value) == str(exc)
+        if isinstance(exc, PreconditionError):
+            first = next(t for t in tokens if t not in AB)
+            assert str(exc) == f"symbol {first!r} not in alphabet [a b]"
+        return
+    w = AB.word(tokens)
+    assert (w.alphabet, w.letters, type(w.letters)) == (expected.alphabet, expected.letters, tuple)
+    assert w == expected and hash(w) == hash(expected)
+
+
+def test_alphabet_word_reads_its_tokens_once():
+    """An iterator of tokens is read once, also when an unknown token is refused."""
+    assert AB.word(iter(["b", "a"])) == Word(AB, (1, 0))
+    with pytest.raises(PreconditionError, match=r"^symbol 'z' not in alphabet \[a b\]$"):
+        AB.word(iter(["a", "z", "y"]))
+
+
 def test_word_construction_and_concat():
     w = AB.word("ab")
     assert len(w) == 2 and str(w) == "a b"
@@ -109,6 +143,14 @@ def test_word_construction_and_concat():
     with pytest.raises(ValueError):
         w + ABC.word("c")
     assert len(AB.epsilon()) == 0
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_a_letter_index_past_the_int_digit_limit_is_shown_by_its_digits():
+    with pytest.raises(PreconditionError, match=r"^letter index <5001-digit number> out of range for alphabet \[a b\]$"):
+        Word(AB, (0, 10**5000))
 
 
 # ---------------------------------------------------------------- occurrences
