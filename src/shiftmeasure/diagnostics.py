@@ -27,7 +27,7 @@ class ViolationReport(_Record):
     kind is "period-preservation" (each certificate a single primitive word
     whose image is a proper power) or "orbit-injectivity" (each certificate a
     pair of primitive non-conjugate words whose image orbits coincide); any
-    other kind, or a certificate of the wrong number of words, is refused.
+    other kind, a certificate of the wrong number of words or a bound below 1, is refused.
     Certificates always re-verify against the defining condition.  They are
     kept as letter tuples over _domain, the first word's alphabet, which every
     word must share.  The words sit in
@@ -52,7 +52,7 @@ class ViolationReport(_Record):
             for w in part:  # the first word fixes the alphabet of the others
                 domain = _require_over(w, Word, domain, f"certificate {index}").alphabet
         # Each certificate is a group of its own.
-        self.__dict__.update(kind=kind, bound=bound, _domain=domain,
+        self.__dict__.update(kind=kind, bound=_require_count(bound, "bound"), _domain=domain,
                              _groups=tuple(tuple(w.letters for w in p) for p in parts),
                              _placed=tuple((g, 0) for g in range(len(parts))))
 
@@ -65,7 +65,7 @@ class ViolationReport(_Record):
 
     @cached_property
     def certificates(self) -> tuple:
-        words = (tuple(Word(self._domain, part) for part in c) for c in self._letters)
+        words = (tuple(Word._trusted(self._domain, part) for part in c) for c in self._letters)
         return tuple(w[0] if len(w) == 1 else w for w in words)
 
     def __bool__(self) -> bool:

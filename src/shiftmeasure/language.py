@@ -38,7 +38,7 @@ class FactorLanguage(_Record):
         bad = [x for x in letters if len(x) >= 2 and not letters.issuperset((x[1:], x[:-1]))]
         if bad:
             x = min(bad, key=lambda x: (len(x), x))
-            raise PreconditionError(f"language is not factor-closed at '{Word(alphabet, x)}'")
+            raise PreconditionError(f"language is not factor-closed at '{Word._trusted(alphabet, x)}'")
         self.__dict__.update(alphabet=alphabet, maxlen=maxlen, _words=letters)
 
     @cached_property

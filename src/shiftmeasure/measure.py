@@ -160,13 +160,13 @@ def _violations(m: MeasureTable) -> Iterator[Violation]:
         expected = weights.get(u, zero)
         for kind, balance in (("left-extension", left.get(u)), ("right-extension", right.get(u))):
             if balance:
-                yield Violation(kind, Word._trusted(m.alphabet, u), None,
-                                _unscaled(expected, den), _unscaled(expected - balance, den))
+                yield Violation._trusted(kind, Word._trusted(m.alphabet, u), None,
+                                         _unscaled(expected, den), _unscaled(expected - balance, den))
     mass = m.total_mass * den
     # Mass 0: only the support's levels can break; else each level broken is a line.
     for length in range(1, m.depth + 1) if mass else sorted(level):
         if (total := level.get(length, zero)) != mass:
-            yield Violation("level-sum", None, length, m.total_mass, _unscaled(total, den))
+            yield Violation._trusted("level-sum", None, length, m.total_mass, _unscaled(total, den))
 
 
 def characteristic_measure(w: Word, depth: int) -> MeasureTable:
@@ -236,7 +236,7 @@ class FrequencyVector(_Record):
 
 def frequency_vector(m: MeasureTable) -> FrequencyVector:
     letters = range(len(_require_over(m, MeasureTable, None, "table").alphabet))
-    return FrequencyVector(m.alphabet, tuple(m._weights.get((i,), Fraction(0)) for i in letters))
+    return FrequencyVector._trusted(m.alphabet, tuple(m._weights.get((i,), Fraction(0)) for i in letters))
 
 
 def support_words(m: MeasureTable) -> set[Word]:

@@ -63,7 +63,8 @@ class Morphism(_Record):
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Morphism":
-        return cls(alphabet, alphabet, tuple(Word(alphabet, (i,)) for i in range(len(alphabet))))
+        letters = range(len(_require_over(alphabet, Alphabet, None, "alphabet")))
+        return cls._trusted(alphabet, alphabet, tuple(Word._trusted(alphabet, (i,)) for i in letters))
 
     @property
     def is_letter_to_letter(self) -> bool:
@@ -97,7 +98,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     if _require_over(inner, Morphism, None, "inner morphism").codomain != outer.domain:
         raise PreconditionError(
             "cannot compose: codomain of the inner morphism differs from the domain of the outer one")
-    return Morphism(inner.domain, outer.codomain, tuple(apply(outer, img) for img in inner.images))
+    return Morphism._trusted(inner.domain, outer.codomain, tuple(apply(outer, img) for img in inner.images))
 
 
 class IncidenceMatrix(_Record):
@@ -126,11 +127,11 @@ class IncidenceMatrix(_Record):
         return tuple(sum(row[j] for row in self.entries) for j in range(len(self.col_alphabet)))
 
     def __matmul__(self, other: "IncidenceMatrix") -> "IncidenceMatrix":
-        if self.col_alphabet != other.row_alphabet:
+        if self.col_alphabet != _require_over(other, IncidenceMatrix, None, "matrix").row_alphabet:
             raise PreconditionError("matrix alphabets do not chain")
         columns = list(zip(*other.entries))
         rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in self.entries)
-        return IncidenceMatrix(self.row_alphabet, other.col_alphabet, rows)
+        return IncidenceMatrix._trusted(self.row_alphabet, other.col_alphabet, rows)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; entries may be any exact numeric type."""
@@ -143,7 +144,7 @@ def incidence_matrix(sigma: Morphism) -> IncidenceMatrix:
     """Count every codomain letter in every image."""
     _require_over(sigma, Morphism, None, "morphism")
     counts = tuple(tuple(img.count(b) for img in sigma._images) for b in range(len(sigma.codomain)))
-    return IncidenceMatrix(sigma.codomain, sigma.domain, counts)
+    return IncidenceMatrix._trusted(sigma.codomain, sigma.domain, counts)
 
 
 def norms(sigma: Morphism) -> tuple[int, int]:
@@ -189,7 +190,7 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
         _require_count(lengths[token], f"subdivision length of {token!r}")
     images = [[f"{token}.{k}" for k in range(1, lengths[token] + 1)] for token in alphabet.symbols]
     sub_alphabet = Alphabet(tuple(t for image in images for t in image))
-    return Morphism(alphabet, sub_alphabet, tuple(sub_alphabet.word(image) for image in images))
+    return Morphism._trusted(alphabet, sub_alphabet, tuple(sub_alphabet.word(image) for image in images))
 
 
 class SubdivisionData(_Record):
@@ -219,9 +220,8 @@ def canonical_decomposition(sigma: Morphism) -> SubdivisionData:
     _require_over(sigma, Morphism, None, "morphism")
     lengths = {t: len(img) for t, img in zip(sigma.domain.symbols, sigma._images)}
     pi = subdivision_morphism(sigma.domain, lengths)
-    alpha_images = tuple(Word(sigma.codomain, (b,)) for img in sigma._images for b in img)
-    alpha = Morphism(pi.codomain, sigma.codomain, alpha_images)
-    return SubdivisionData(pi.codomain, pi, alpha)
+    alpha_images = tuple(Word._trusted(sigma.codomain, (b,)) for img in sigma._images for b in img)
+    return SubdivisionData._trusted(pi.codomain, pi, Morphism._trusted(pi.codomain, sigma.codomain, alpha_images))
 
 
 def essential_occurrences(sigma: Morphism, w: Word, target: Word) -> int:

@@ -155,7 +155,7 @@ def parse_morphism(text: str) -> Morphism:
             images[lhs] = codomain.word(rhs)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None
-    return Morphism(domain, codomain, tuple(images[t] for t in domain.symbols))
+    return Morphism._trusted(domain, codomain, tuple(images[t] for t in domain.symbols))
 
 
 def render_morphism(sigma: Morphism) -> str:

@@ -92,7 +92,7 @@ class Alphabet(_Record):
             raise
 
     def epsilon(self) -> "Word":
-        return Word(self, ())
+        return Word._trusted(self, ())
 
     def __contains__(self, token: object) -> bool:
         return token in self._indices
@@ -148,7 +148,8 @@ class Word(_Record):
         return len(self.letters)
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.alphabet, self.letters + _require_over(other, Word, self.alphabet, "word").letters)
+        letters = _require_over(other, Word, self.alphabet, "word").letters
+        return Word._trusted(self.alphabet, self.letters + letters)
 
     def __str__(self) -> str:
         return " ".join(self.tokens)
@@ -227,10 +228,10 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     The root is primitive and unique; a word is primitive exactly when its
     exponent is 1.
     """
-    if len(w) == 0:
+    if len(_require_over(w, Word, None, "word")) == 0:
         raise PreconditionError("the empty word has no primitive root")
     exponent = _root_rotation(w.letters)[1]
-    return Word(w.alphabet, w.letters[: len(w) // exponent]), exponent
+    return Word._trusted(w.alphabet, w.letters[: len(w) // exponent]), exponent
 
 
 def is_proper_power(w: Word) -> bool:
@@ -239,16 +240,15 @@ def is_proper_power(w: Word) -> bool:
 
 
 def rotations(w: Word) -> Iterator[Word]:
-    """All cyclic shifts of w, starting with w itself; the empty word is its own one."""
-    doubled = w.letters + w.letters
-    for i in range(max(len(w), 1)):
-        yield Word(w.alphabet, doubled[i : i + len(w)])
+    """All cyclic shifts of w, starting with w itself (the empty word has one); w is checked at the call."""
+    n, doubled = len(_require_over(w, Word, None, "word")), w.letters + w.letters
+    return (Word._trusted(w.alphabet, doubled[i : i + n]) for i in range(max(n, 1)))
 
 
 def min_rotation(w: Word) -> Word:
     """Lexicographically least rotation, by letter index order."""
-    key, exponent = _root_rotation(w.letters)
-    return Word(w.alphabet, key * exponent)
+    key, exponent = _root_rotation(_require_over(w, Word, None, "word").letters)
+    return Word._trusted(w.alphabet, key * exponent)
 
 
 def _root_rotation(letters: tuple) -> tuple[tuple, int]:
@@ -281,9 +281,9 @@ def factors(w: Word, n: int) -> set[Word]:
     """All distinct non-empty factors of w of length at most n."""
     _require_count(n, "factor length bound", 0)
     out: set[Word] = set()
-    for length in range(1, min(n, len(w)) + 1):
+    for length in range(1, min(n, len(_require_over(w, Word, None, "word"))) + 1):
         for i in range(len(w) - length + 1):
-            out.add(Word(w.alphabet, w.letters[i : i + length]))
+            out.add(Word._trusted(w.alphabet, w.letters[i : i + length]))
     return out
 
 

@@ -1,5 +1,5 @@
-"""The argument contract of the count, Word, letter index, table, language, alphabet, text, morphism
-and letter-map arguments: a value of the right type that breaks a rule is a
+"""The argument contract of the count, Word, letter index, table, language, alphabet, text, morphism,
+letter-map and matrix operand arguments: a value of the right type that breaks a rule is a
 PreconditionError, a value of the wrong type a TypeError, and nothing else escapes."""
 
 import ast
@@ -37,20 +37,24 @@ from shiftmeasure import (
     full_shift_language,
     image_language,
     incidence_matrix,
+    is_proper_power,
     iter_words,
     linear_combination,
+    min_rotation,
     norms,
     parse_language,
     parse_measure,
     parse_morphism,
     parse_word,
     periodic_orbit_language,
+    primitive_root,
     prolongation_split,
     pushforward_letter_to_letter,
     render_language,
     render_measure,
     render_morphism,
     required_input_depth,
+    rotations,
     subdivision_measure,
     subdivision_morphism,
     support_words,
@@ -71,6 +75,7 @@ CD_TABLE = characteristic_measure(CD.word("cd"), 3)
 CD_LANGUAGE = full_shift_language(CD, 3)
 # A decomposition whose subdivision alphabet is AB: SIGMA's would not be over AB.
 PI, ALPHA = Morphism.identity(AB), Morphism.from_images(AB, CD, {"a": "c", "b": "d"})
+MATRIX = incidence_matrix(SIGMA)
 
 # Each callable takes the one drawn argument; its other arguments are valid and small.
 COUNTS = {
@@ -91,6 +96,7 @@ COUNTS = {
     "prolongation_split length": lambda x: prolongation_split(COLLAPSE, LANGUAGE, AB.word("a"), x),
     "factors bound": lambda x: factors(AB.word("abb"), x),
     "iter_words length": lambda x: list(iter_words(AB, x)),
+    "ViolationReport bound": lambda x: ViolationReport("period-preservation", x, ()),
 }
 WORDS = {
     "Word.__add__": lambda x: AB.word("a") + x,
@@ -106,6 +112,11 @@ WORDS = {
     "factorial_closure word": lambda x: factorial_closure(AB, [AB.word("a"), x], 2),
     "ViolationReport period certificate": lambda x: ViolationReport("period-preservation", 3, (x,)),
     "ViolationReport orbit item": lambda x: ViolationReport("orbit-injectivity", 3, ((AB.word("a"), x),)),
+    "primitive_root": primitive_root,
+    "is_proper_power": is_proper_power,
+    "rotations": rotations,  # not consumed: a wrong word is refused at the call
+    "min_rotation": min_rotation,
+    "factors word": lambda x: factors(x, 2),
 }
 MAPPINGS = {
     "Morphism.from_images images": lambda x: Morphism.from_images(AB, CD, x),
@@ -117,7 +128,11 @@ LETTERS = {
     "Word letter": lambda x: Word(AB, (x,)),
     "Word letters": lambda x: Word(AB, x),
 }
-CALLS = {**COUNTS, **WORDS, **MAPPINGS, **LETTERS}
+# The operand of IncidenceMatrix's @.
+OPERANDS = {
+    "IncidenceMatrix @": lambda x: MATRIX @ x,
+}
+CALLS = {**COUNTS, **WORDS, **MAPPINGS, **LETTERS, **OPERANDS}
 # Each table or language argument: (its type, the alphabet it must be over or None for any, the call).
 RECORDS = {
     "transfer_eval table": (MeasureTable, AB, lambda x: transfer_eval(SIGMA, x, CD.word("c"))),
@@ -159,6 +174,7 @@ ALPHABETS = {
     "IncidenceMatrix column alphabet": lambda x: IncidenceMatrix(AB, x, ((1, 0), (0, 1))),
     "parse_word alphabet": lambda x: parse_word(x, "a b"),
     "SubdivisionData subdivision alphabet": lambda x: SubdivisionData(x, PI, ALPHA),
+    "Morphism.identity alphabet": Morphism.identity,
 }
 # Each Morphism argument: (a morphism the call accepts, the call); the other arguments are valid and small.
 MORPHISMS = {
@@ -361,6 +377,15 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: Word(AB, (0, True)), TypeError, "letter index must be an int, not bool"),
     (lambda: Word(AB, ("x",)), TypeError, "letter index must be an int, not str"),
     (lambda: Word(AB, (0, 2)), PreconditionError, "letter index 2 out of range for alphabet [a b]"),
+    (lambda: primitive_root("ab"), TypeError, "word must be a Word, not str"),
+    (lambda: rotations("ab"), TypeError, "word must be a Word, not str"),
+    (lambda: min_rotation("ab"), TypeError, "word must be a Word, not str"),
+    (lambda: factors("ab", 2), TypeError, "word must be a Word, not str"),
+    (lambda: is_proper_power(None), TypeError, "word must be a Word, not NoneType"),
+    (lambda: Morphism.identity(5), TypeError, "alphabet must be an Alphabet, not int"),
+    (lambda: MATRIX @ 5, TypeError, "matrix must be an IncidenceMatrix, not int"),
+    (lambda: ViolationReport("period-preservation", "x", ()), TypeError, "bound must be an int, not str"),
+    (lambda: ViolationReport("period-preservation", 0, ()), PreconditionError, "bound must be >= 1"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply",
         "str-morphism", "none-inner-morphism", "foreign-image",
@@ -373,7 +398,9 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
         "none-word-text", "none-measure-text", "bytes-morphism-text", "list-language-text", "huge-iter-words",
         "int-images", "missing-image", "extra-image", "list-lengths", "missing-length", "extra-length",
         "str-value", "zero-denominator-mass", "str-coefficient", "float-letter", "bool-letter", "str-letter",
-        "out-of-range-letter"])
+        "out-of-range-letter", "str-primitive-root", "str-rotations", "str-min-rotation", "str-factors",
+        "none-proper-power", "int-identity-alphabet", "int-matrix-operand", "str-report-bound",
+        "zero-report-bound"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:
         call()

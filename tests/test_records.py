@@ -2,15 +2,19 @@
 
 Each record is checked against a frozen-dataclass twin with the same name and
 fields: construction, equality, hashing, immutability, repr, __match_args__,
-pickling and deep copies."""
+pickling and deep copies.  Every record that the package builds through
+_trusted equals the one its checking constructor builds from the same fields."""
 
 import copy
 import inspect
+import itertools
 import pickle
 from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftmeasure import (
     Alphabet,
@@ -24,6 +28,19 @@ from shiftmeasure import (
     ViolationReport,
     Word,
     canonical_decomposition,
+    check_periodic_orbit_injectivity,
+    check_period_preservation,
+    compose,
+    factors,
+    frequency_vector,
+    incidence_matrix,
+    min_rotation,
+    parse_morphism,
+    primitive_root,
+    render_morphism,
+    rotations,
+    subdivision_morphism,
+    validate,
 )
 
 AB = Alphabet(("a", "b"))
@@ -127,3 +144,79 @@ def test_equal_records_over_distinct_equal_objects_compare_and_hash_by_fields():
     assert w.alphabet is not same.alphabet and w == same and not w != same
     assert hash(w) == hash(same) == hash((AB, (0, 1)))
     assert w != Word(copy_ab, (1, 0)) and w != Word(AC, (0, 1))
+
+
+# The records that a _trusted build may hand out in place of a checked one.
+CHECKED = (Word, Morphism, IncidenceMatrix, SubdivisionData, Violation, FrequencyVector)
+ALPHABETS = st.lists(st.sampled_from(["a", "b", "c", "x.1", "y2"]), min_size=1, max_size=3,
+                     unique=True).map(lambda tokens: Alphabet(tuple(tokens)))
+
+
+def _words(alphabet, min_size=0, max_size=6):
+    return st.lists(st.integers(0, len(alphabet) - 1), min_size=min_size, max_size=max_size).map(
+        lambda letters: Word(alphabet, tuple(letters)))
+
+
+def _morphisms(domain, codomain):
+    return st.lists(_words(codomain, 1, 3), min_size=len(domain), max_size=len(domain)).map(
+        lambda images: Morphism(domain, codomain, tuple(images)))
+
+
+def _words_upto(alphabet, n):
+    return [Word(alphabet, letters) for k in range(1, n + 1)
+            for letters in itertools.product(range(len(alphabet)), repeat=k)]
+
+
+def _fields(value):
+    return value._fields() if type(value) in CHECKED else value
+
+
+def _checked(value):
+    """value as the checking constructors build it: each record of the CHECKED kinds, in
+    it or in a tuple, rebuilt from its fields, its inner records first."""
+    if type(value) is tuple:
+        return tuple(_checked(x) for x in value)
+    if type(value) in CHECKED:
+        return type(value)(*[_checked(x) for x in value._fields()])
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_trusted_build_equals_the_checked_build_of_its_fields(data):
+    a, b = data.draw(ALPHABETS), data.draw(ALPHABETS)
+    sigma, tau = data.draw(_morphisms(a, b)), data.draw(_morphisms(b, a))
+    w, v = data.draw(_words(a, 1)), data.draw(_words(a))
+    lengths = {t: data.draw(st.integers(1, 3)) for t in a.symbols}
+    weights = {u: data.draw(st.fractions(0, 2, max_denominator=3)) for u in _words_upto(a, 2)}
+    table = MeasureTable(a, 2, weights, data.draw(st.fractions(0, 2, max_denominator=3)))
+    bound = data.draw(st.integers(1, 4))
+    report = ViolationReport("orbit-injectivity", bound, ((w, v),))
+    built = {
+        "primitive_root": [primitive_root(w)[0]],
+        "rotations": list(rotations(w)),
+        "min_rotation": [min_rotation(w)],
+        "factors": list(factors(w, data.draw(st.integers(0, 7)))),
+        "epsilon": [a.epsilon()],
+        "+": [w + v],
+        "identity": [Morphism.identity(a)],
+        "compose": [compose(sigma, tau), compose(tau, sigma)],
+        "incidence_matrix": [incidence_matrix(sigma)],
+        "@": [incidence_matrix(sigma) @ incidence_matrix(tau)],
+        "subdivision_morphism": [subdivision_morphism(a, lengths)],
+        "canonical_decomposition": [canonical_decomposition(sigma)],
+        "parse_morphism": [parse_morphism(render_morphism(sigma))],
+        "certificates": [report.certificates, check_period_preservation(sigma, None, bound).certificates,
+                         check_periodic_orbit_injectivity(sigma, None, bound).certificates],
+        "validate": validate(table),
+        "frequency_vector": [frequency_vector(table)],
+    }
+    for site, records in built.items():
+        for record in records:
+            checked = _checked(record)
+            assert type(checked) is type(record), site
+            assert [type(x) for x in _fields(checked)] == [type(x) for x in _fields(record)], site
+            assert _fields(checked) == _fields(record), site
+            assert checked == record and hash(checked) == hash(record), site
+            assert repr(checked) == repr(record), site
+
