@@ -73,7 +73,7 @@ def factorial_closure(alphabet: Alphabet, words: Iterable[Word], n: int) -> Fact
 
 def periodic_orbit_language(w: Word, n: int) -> FactorLanguage:
     """All factors up to length n of the biinfinite periodic word over w: its measure's support."""
-    if len(w) == 0:
+    if len(_require_over(w, Word, None, "word")) == 0:
         raise PreconditionError("the empty word generates no periodic orbit")
     _require_count(n, "maxlen")
     return FactorLanguage._trusted(w.alphabet, n, frozenset(measure.characteristic_measure(w, n)._weights))

@@ -13,9 +13,10 @@ reported by validate(), not construction errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from .words import (Alphabet, PreconditionError, Word, _canonical, _Record, _require_count, _require_letters,
                     _require_over, _shown, primitive_root)
@@ -47,7 +48,7 @@ class MeasureTable(_Record):
         if mass < 0:
             raise PreconditionError("total mass must be nonnegative")
         weights: dict[tuple[int, ...], Fraction] = {}
-        for word, raw in values.items():
+        for word, raw in _require_over(values, Mapping, None, "values").items():
             _require_over(word, Word, alphabet, "word")
             if not 1 <= len(word) <= depth:
                 raise PreconditionError(f"word '{word}' has length outside 1..{_shown(depth)}")

@@ -119,7 +119,7 @@ class IncidenceMatrix(_Record):
         for row in entries:
             if len(row) != len(col_alphabet):
                 raise PreconditionError("need one column per domain letter")
-            if any(entry < 0 for entry in row):
+            if any(_require_over(entry, int, None, "entry") < 0 for entry in row):
                 raise PreconditionError("entries must be nonnegative")
         self.__dict__.update(row_alphabet=row_alphabet, col_alphabet=col_alphabet, entries=entries)
 

@@ -165,9 +165,9 @@ def _require_count(n: object, what: str, least: int = 1, most: int | None = None
 
 
 def _require_over(x: object, kind: type, alphabet: Alphabet | None, what: str):
-    """x, a kind (a Word, count, table, language, alphabet, morphism or text) over alphabet
-    (any when None): the one type check of every typed argument.  A Word is quoted when refused."""
-    if type(x) is not kind:
+    """x, a kind (a Word, count, table, language, alphabet, morphism, text or any Mapping) over
+    alphabet (any when None): the one type check of every typed argument.  A Word is quoted when refused."""
+    if type(x) is not kind and not (kind is Mapping and isinstance(x, Mapping)):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
         raise TypeError(f"{what} must be {article} {kind.__name__}, not {type(x).__name__}")
     if alphabet is not None and x.alphabet != alphabet:
@@ -178,8 +178,7 @@ def _require_over(x: object, kind: type, alphabet: Alphabet | None, what: str):
 
 def _require_keys(mapping: object, alphabet: Alphabet, what: str, outside: str) -> None:
     """mapping, a Mapping whose keys are exactly alphabet's tokens; outside heads the extra-key message."""
-    if not isinstance(mapping, Mapping):
-        raise TypeError(f"{what} must be a Mapping, not {type(mapping).__name__}")
+    _require_over(mapping, Mapping, None, what)
     if missing := [t for t in alphabet.symbols if t not in mapping]:
         raise PreconditionError(f"missing {what} for letters: {missing}")
     if extra := [t for t in mapping if t not in alphabet]:
@@ -274,7 +273,8 @@ def _root_rotation(letters: tuple) -> tuple[tuple, int]:
 def is_rotation(w1: Word, w2: Word) -> bool:
     """True iff the token sequences are cyclic shifts of each other: they have one
     length and one least rotation."""
-    return len(w1) == len(w2) and _root_rotation(w1.tokens) == _root_rotation(w2.tokens)
+    return (len(_require_over(w1, Word, None, "word")) == len(_require_over(w2, Word, None, "word"))
+            and _root_rotation(w1.tokens) == _root_rotation(w2.tokens))
 
 
 def factors(w: Word, n: int) -> set[Word]:

@@ -38,6 +38,7 @@ from shiftmeasure import (
     image_language,
     incidence_matrix,
     is_proper_power,
+    is_rotation,
     iter_words,
     linear_combination,
     min_rotation,
@@ -117,6 +118,8 @@ WORDS = {
     "rotations": rotations,  # not consumed: a wrong word is refused at the call
     "min_rotation": min_rotation,
     "factors word": lambda x: factors(x, 2),
+    "is_rotation": lambda x: is_rotation(x, AB.word("ab")),
+    "periodic_orbit_language word": lambda x: periodic_orbit_language(x, 2),
 }
 MAPPINGS = {
     "Morphism.from_images images": lambda x: Morphism.from_images(AB, CD, x),
@@ -386,6 +389,8 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: MATRIX @ 5, TypeError, "matrix must be an IncidenceMatrix, not int"),
     (lambda: ViolationReport("period-preservation", "x", ()), TypeError, "bound must be an int, not str"),
     (lambda: ViolationReport("period-preservation", 0, ()), PreconditionError, "bound must be >= 1"),
+    (lambda: IncidenceMatrix(AB, AB, ((1.5, 0), (0, 1))), TypeError, "entry must be an int, not float"),
+    (lambda: MeasureTable(AB, 1, [1], 1), TypeError, "values must be a Mapping, not list"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply",
         "str-morphism", "none-inner-morphism", "foreign-image",
@@ -400,7 +405,7 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
         "str-value", "zero-denominator-mass", "str-coefficient", "float-letter", "bool-letter", "str-letter",
         "out-of-range-letter", "str-primitive-root", "str-rotations", "str-min-rotation", "str-factors",
         "none-proper-power", "int-identity-alphabet", "int-matrix-operand", "str-report-bound",
-        "zero-report-bound"])
+        "zero-report-bound", "float-matrix-entry", "list-table-values"])
 def test_argument_checks_raise_one_error_form(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -274,62 +274,46 @@ def test_check_images_each_representative_once(files, capsys, monkeypatch):
     assert calls == {"_image_letters": 71, "_root_rotation": 71}
 
 
+def _peak_run(argv, out, timeout):
+    """main(argv) in a child whose stdout is the file out: the finished process,
+    whose stderr is the child's peak RSS in KiB.  The child reads its peak from
+    VmHWM, which starts afresh at exec; ru_maxrss can carry over this process's
+    larger peak."""
+    script = (
+        "import sys\n"
+        "from shiftmeasure.cli import main\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    with open(out, "wb") as handle:
+        return subprocess.run([sys.executable, "-c", script], stdout=handle,
+                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=timeout)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
 def test_check_writes_a_report_at_the_budget_in_bounded_memory(files, tmp_path):
-    """The collapse a -> c, b -> c at bound 13 owes 948,752 lines; they are
-    written in blocks, so the child's peak RSS stays far below the 273 MiB
-    that joining the whole report took.  The child reads its peak from VmHWM,
-    which starts afresh at exec; ru_maxrss can carry over this process's
-    larger peak."""
+    """The collapse a -> c, b -> c at bound 13 has 1,377 representatives in one
+    collision group and owes 947,376 pairs, 948,752 lines in all.  The report
+    keeps the group, not the pairs, joins each word's text once and writes the
+    lines in blocks, so the child peaks far below the 273 MiB that joining the
+    whole report took and the 84 MiB that one tuple per pair took, and the
+    bytes are the ones they always were.  It takes well under a second, so
+    30 s catches per-pair cost creeping back."""
     sigma = files("collapse.morphism", "a -> c\nb -> c\n")
     out = tmp_path / "collapse.out"
-    script = (
-        "import sys\n"
-        "from shiftmeasure.cli import main\n"
-        f"code = main(['check', {sigma!r}, '--bound', '13'])\n"
-        "sys.stdout.flush()\n"
-        "with open('/proc/self/status') as status:\n"
-        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
-        "          file=sys.stderr)\n"
-        "raise SystemExit(code)\n"
-    )
-    with open(out, "wb") as handle:
-        proc = subprocess.run([sys.executable, "-c", script], stdout=handle,
-                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=300)
+    proc = _peak_run(["check", sigma, "--bound", "13"], out, timeout=30)
     assert proc.returncode == 1, proc.stderr
-    with open(out, "rb") as handle:
-        assert sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 20), b"")) == 948752
-    peak_mib = int(proc.stderr) / 1024
-    assert peak_mib < 128, peak_mib
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
-def test_check_memory_follows_the_representatives(files, tmp_path):
-    """The collapse at bound 13 has 1,377 representatives in one collision
-    group and owes 947,376 pairs: the report keeps the group, not the pairs,
-    and joins each word's text once, so the child peaks far below the 84 MiB
-    that one tuple per pair took, and the bytes are the ones CI pins."""
-    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
-    out = tmp_path / "collapse.out"
-    script = (
-        "import sys\n"
-        "from shiftmeasure.cli import main\n"
-        f"code = main(['check', {sigma!r}, '--bound', '13'])\n"
-        "sys.stdout.flush()\n"
-        "with open('/proc/self/status') as status:\n"
-        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
-        "          file=sys.stderr)\n"
-        "raise SystemExit(code)\n"
-    )
-    with open(out, "wb") as handle:
-        proc = subprocess.run([sys.executable, "-c", script], stdout=handle,
-                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    digest = hashlib.sha256()
+    lines, digest = 0, hashlib.sha256()
     with open(out, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
+            lines += block.count(b"\n")
             digest.update(block)
-    assert digest.hexdigest() == "8fb98d6f73ef0245a92138f3aba562dcd095ae3d87283c36851aa07f98300390"
+    assert (lines, digest.hexdigest()) == (
+        948752, "8fb98d6f73ef0245a92138f3aba562dcd095ae3d87283c36851aa07f98300390")
     peak_mib = int(proc.stderr) / 1024
     assert peak_mib < 40, peak_mib
 
@@ -418,24 +402,10 @@ def test_a_failed_stdout_write_leaves_no_descriptor_open(files, capsys, monkeypa
 def test_kirchhoff_streams_a_deep_table_in_bounded_memory(files, tmp_path):
     """A table of depth 100,000 with mass 1 and no entries breaks every level
     sum: the 100,000 lines are written in blocks as they are found, not listed
-    first (which peaked at 36.5 MiB), and they are the bytes they always were.
-    The child reads its peak from VmHWM, which starts afresh at exec; ru_maxrss
-    can carry over this process's larger peak."""
+    first (which peaked at 36.5 MiB), and they are the bytes they always were."""
     measure = files("deep.measure", "!alphabet a b\n!depth 100000\n!mass 1\n")
     out = tmp_path / "deep.out"
-    script = (
-        "import sys\n"
-        "from shiftmeasure.cli import main\n"
-        f"code = main(['kirchhoff', {measure!r}])\n"
-        "sys.stdout.flush()\n"
-        "with open('/proc/self/status') as status:\n"
-        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
-        "          file=sys.stderr)\n"
-        "raise SystemExit(code)\n"
-    )
-    with open(out, "wb") as handle:
-        proc = subprocess.run([sys.executable, "-c", script], stdout=handle,
-                              stderr=subprocess.PIPE, env=_subprocess_env(), timeout=300)
+    proc = _peak_run(["kirchhoff", measure], out, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "860a6d2593367cac0f1fb3c46d270c9cc128cbb848b57927ba8877143e5f8b4c")
@@ -775,10 +745,17 @@ def test_depth_shortfall_exits_three_and_names_the_required_depth(files, capsys)
     assert "depth >= 3 is required" in err
 
 
-def test_bad_bound_exits_three(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    assert main(["check", sigma, "--bound", "0"]) == 3
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("bound, language, message", [
+    ("0", True, ">= 1"), ("9", True, "<= 8"), ("0", False, ">= 1"),
+], ids=["zero-with-language", "past-maxlen", "zero"])
+def test_bad_bound_exits_three(files, capsys, bound, language, message):
+    """A check bound of 0, or one past the language's maxlen, is refused in
+    the range form of every count argument."""
+    argv = ["check", files("sigma.morphism", MORPHISM_SIGMA4), "--bound", bound]
+    if language:
+        argv += ["--language", files("short.language", "!alphabet a b\n!maxlen 8\na\n")]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: bound must be {message}\n")
 
 
 @pytest.mark.parametrize("argv, code, message", [
