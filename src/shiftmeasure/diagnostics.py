@@ -207,7 +207,7 @@ def prolongation_split(
         raise PreconditionError("the prolongation split requires a letter-to-letter morphism")
     _require_over(language, FactorLanguage, sigma.domain, "language")
     _require_count(n, "prolongation length", 0)
-    total_len = len(w) + 2 * n
+    total_len = len(_require_over(w, Word, sigma.domain, "word")) + 2 * n
     if total_len > language.maxlen:
         raise DepthError(total_len, language.maxlen)
     if w not in language:

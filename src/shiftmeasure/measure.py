@@ -93,7 +93,13 @@ class Violation(_Record):
 
     def __init__(self, kind: str, word: Word | None, level: int | None, expected: Fraction,
                  actual: Fraction) -> None:
-        self.__dict__.update(kind=kind, word=word, level=level, expected=expected, actual=actual)
+        at_level = kind == "level-sum"
+        if not at_level and kind not in ("left-extension", "right-extension"):
+            raise PreconditionError(f"unknown kind {kind!r}: not left-extension, right-extension or level-sum")
+        _require_over(word, type(None) if at_level else Word, None, "word")
+        level = _require_count(level, "level") if at_level else _require_over(level, type(None), None, "level")
+        self.__dict__.update(kind=kind, word=word, level=level, expected=_as_fraction(expected, "expected"),
+                             actual=_as_fraction(actual, "actual"))
 
     def __str__(self) -> str:
         subject = str(self.word) if self.word is not None else f"length-{self.level}"
@@ -178,7 +184,7 @@ def characteristic_measure(w: Word, depth: int) -> MeasureTable:
     over its primitive root.  Total mass is |w|.  More than TABLE_BUDGET letters
     in the keys, period * depth * (depth + 1) / 2, is refused before any is built.
     """
-    if len(w) == 0:
+    if len(_require_over(w, Word, None, "word")) == 0:
         raise PreconditionError("the empty word has no characteristic measure")
     _require_count(depth, "depth")
     root, exponent = primitive_root(w)
@@ -232,6 +238,9 @@ class FrequencyVector(_Record):
     __match_args__ = ("alphabet", "entries")
 
     def __init__(self, alphabet: Alphabet, entries: tuple[Fraction, ...]) -> None:
+        entries = tuple([_as_fraction(entry, "entry") for entry in entries])
+        if len(entries) != len(_require_over(alphabet, Alphabet, None, "alphabet")):
+            raise PreconditionError("need one entry per letter")
         self.__dict__.update(alphabet=alphabet, entries=entries)
 
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
-from .words import Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys, _require_over, _shown
+from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys, _require_letters,
+                    _require_over, _shown)
 
 
 class Morphism(_Record):
@@ -179,15 +180,15 @@ def _require_depth(sigma: Morphism, out_len: int, depth: int) -> int:
 
 
 def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morphism:
-    """The morphism a -> a.1 ... a.k (k = lengths[a]) into fresh letters.
+    """The morphism a -> a.1 ... a.k (k = lengths[a]) into fresh letters, at most TABLE_BUDGET in all.
 
     Image letter sets are pairwise disjoint, so images of distinct words
     overlap only in the forced tiling way.
     """
     _require_keys(lengths, _require_over(alphabet, Alphabet, None, "alphabet"), "subdivision lengths",
                   "subdivision lengths for letters outside the alphabet")
-    for token in alphabet.symbols:
-        _require_count(lengths[token], f"subdivision length of {token!r}")
+    total = sum([_require_count(lengths[token], f"subdivision length of {token!r}") for token in alphabet.symbols])
+    _require_letters(total, "subdivision length sum", total, "the images hold")
     images = [[f"{token}.{k}" for k in range(1, lengths[token] + 1)] for token in alphabet.symbols]
     sub_alphabet = Alphabet(tuple(t for image in images for t in image))
     return Morphism._trusted(alphabet, sub_alphabet, tuple(sub_alphabet.word(image) for image in images))
@@ -310,6 +311,5 @@ def candidate_lengths(sigma: Morphism, target_len: int) -> tuple[int, int]:
     """Closed interval of |w| that can carry an essential occurrence of a
     target of the given length; only defined for target_len >= 2."""
     _require_over(sigma, Morphism, None, "morphism")
-    if target_len < 2:
-        raise PreconditionError("the candidate-length bound applies to targets of length >= 2")
+    _require_count(target_len, "target length", 2)
     return -(-target_len // norms(sigma)[0]), required_input_depth(sigma, target_len)

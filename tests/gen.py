@@ -1,10 +1,13 @@
-"""Deterministic random generators shared across the test suite.
+"""Deterministic random generators shared across the test suite, and a deadline for tests
+whose input declares a huge size.
 
 Kirchhoff-consistent tables are built as positive rational combinations of
 characteristic measures of periodic orbits; such combinations satisfy every
 consistency constraint by construction.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from shiftmeasure import (
@@ -17,6 +20,22 @@ from shiftmeasure import (
 )
 
 POOL = "abcdefgh"
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the main thread once the block, or the test it decorates, has run
+    for seconds: a fault that makes work follow a huge declared size then fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def alphabet(size: int, start: int = 0) -> Alphabet:

@@ -1,8 +1,14 @@
-"""The argument contract of the count, Word, letter index, table, language, alphabet, text, morphism,
-letter-map and matrix operand arguments: a value of the right type that breaks a rule is a
-PreconditionError, a value of the wrong type a TypeError, and nothing else escapes."""
+"""The argument contract of every public name, stated once.  An argument of another kind than the
+one it takes is a TypeError, `<what> must be a(n) <Kind>, not <type>`; one of its kind that breaks a
+rule, or is over another alphabet than the other arguments fix, is a PreconditionError; nothing else
+escapes.  VALID holds one valid call per public callable, and per method the contract covers; each
+test varies one argument of it and keeps the others valid."""
 
 import ast
+import functools
+import inspect
+import itertools
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,291 +16,213 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gen
 import shiftmeasure
 from shiftmeasure import (
-    Alphabet,
-    FactorLanguage,
-    IncidenceMatrix,
-    MeasureTable,
-    Morphism,
-    PreconditionError,
-    SubdivisionData,
-    ViolationReport,
-    Word,
-    apply,
-    candidate_lengths,
-    canonical_decomposition,
-    characteristic_measure,
-    check_period_preservation,
-    check_periodic_orbit_injectivity,
-    complexity,
-    compose,
-    count_occurrences,
-    essential_occurrences,
-    factorial_closure,
-    factors,
-    frequency_vector,
-    full_shift_language,
-    image_language,
-    incidence_matrix,
-    is_proper_power,
-    is_rotation,
-    iter_words,
-    linear_combination,
-    min_rotation,
-    norms,
-    parse_language,
-    parse_measure,
-    parse_morphism,
-    parse_word,
-    periodic_orbit_language,
-    primitive_root,
-    prolongation_split,
-    pushforward_letter_to_letter,
-    render_language,
-    render_measure,
-    render_morphism,
-    required_input_depth,
-    rotations,
-    subdivision_measure,
-    subdivision_morphism,
-    support_words,
-    transfer_eval,
-    transfer_table,
-    transfer_via_decomposition,
-    union,
-    validate,
+    Alphabet, FactorLanguage, FrequencyVector, IncidenceMatrix, MeasureTable, Morphism, ParseError,
+    PreconditionError, SubdivisionData, Violation, ViolationReport, Word, apply, candidate_lengths,
+    characteristic_measure, check_period_preservation, complexity, compose, essential_occurrences,
+    factorial_closure, factors, full_shift_language, incidence_matrix, is_proper_power, iter_words,
+    linear_combination, min_rotation, parse_language, parse_measure, parse_morphism, parse_word,
+    primitive_root, prolongation_split, render_language, render_measure, render_morphism,
+    required_input_depth, rotations, subdivision_measure, subdivision_morphism, transfer_table,
+    transfer_via_decomposition, union,
 )
+from shiftmeasure.words import _Record
 
-AB = Alphabet(("a", "b"))
-CD = Alphabet(("c", "d"))
+AB, CD = Alphabet(("a", "b")), Alphabet(("c", "d"))
+A, B = AB.word("a"), AB.word("b")
 SIGMA = Morphism.from_images(AB, CD, {"a": "cd", "b": "c"})
-COLLAPSE = Morphism.from_images(AB, ("c",), {"a": "c", "b": "c"})
-TABLE = characteristic_measure(AB.word("aab"), 3)
-LANGUAGE = full_shift_language(AB, 3)
-CD_TABLE = characteristic_measure(CD.word("cd"), 3)
-CD_LANGUAGE = full_shift_language(CD, 3)
-# A decomposition whose subdivision alphabet is AB: SIGMA's would not be over AB.
-PI, ALPHA = Morphism.identity(AB), Morphism.from_images(AB, CD, {"a": "c", "b": "d"})
+ALPHA, PI = Morphism.from_images(AB, CD, {"a": "c", "b": "d"}), Morphism.identity(AB)  # letter to letter
+TABLE, CD_TABLE = characteristic_measure(AB.word("aab"), 3), characteristic_measure(CD.word("cd"), 3)
+LANGUAGE, CD_LANGUAGE = full_shift_language(AB, 3), full_shift_language(CD, 3)
 MATRIX = incidence_matrix(SIGMA)
 
-# Each callable takes the one drawn argument; its other arguments are valid and small.
-COUNTS = {
-    "MeasureTable depth": lambda x: MeasureTable(AB, x, {}, 1),
-    "characteristic_measure depth": lambda x: characteristic_measure(AB.word("ab"), x),
-    "FactorLanguage maxlen": lambda x: FactorLanguage(AB, x, frozenset()),
-    "factorial_closure maxlen": lambda x: factorial_closure(AB, [AB.word("ab")], x),
-    "periodic_orbit_language maxlen": lambda x: periodic_orbit_language(AB.word("ab"), x),
-    "full_shift_language maxlen": lambda x: full_shift_language(AB, x),
-    "image_language maxlen": lambda x: image_language(SIGMA, LANGUAGE, x),
-    "transfer_table output depth": lambda x: transfer_table(SIGMA, TABLE, x),
-    "subdivision_measure output depth": lambda x: subdivision_measure({"a": 2, "b": 1}, TABLE, x),
-    "required_input_depth output length": lambda x: required_input_depth(SIGMA, x),
-    "subdivision_morphism length": lambda x: subdivision_morphism(AB, {"a": x, "b": 1}),
-    "check_period_preservation bound": lambda x: check_period_preservation(SIGMA, None, x),
-    "check_period_preservation language bound": lambda x: check_period_preservation(SIGMA, LANGUAGE, x),
-    "complexity length": lambda x: complexity(LANGUAGE, x),
-    "prolongation_split length": lambda x: prolongation_split(COLLAPSE, LANGUAGE, AB.word("a"), x),
-    "factors bound": lambda x: factors(AB.word("abb"), x),
-    "iter_words length": lambda x: list(iter_words(AB, x)),
-    "ViolationReport bound": lambda x: ViolationReport("period-preservation", x, ()),
+# Each public callable, and each method the contract covers: its name and a valid, small call.
+# A method's first argument is its instance, which no test varies.
+VALID = {name: (functools.reduce(getattr, name.split("."), shiftmeasure), args) for name, args in {
+    "Alphabet": (("a", "b"),),
+    "FactorLanguage": (AB, 2, frozenset({A})),
+    "FrequencyVector": (AB, (Fraction(1), Fraction(0))),
+    "IncidenceMatrix": (AB, CD, ((1, 0), (0, 1))),
+    "MeasureTable": (AB, 1, {A: 1}, Fraction(1)),
+    "Morphism": (AB, CD, (CD.word("c"), CD.word("dc"))),
+    "SubdivisionData": (AB, PI, ALPHA),
+    "Violation": ("left-extension", A, None, Fraction(1), Fraction(0)),
+    "ViolationReport": ("period-preservation", 3, (AB.word("ab"),)),
+    "Word": (AB, (0, 1)),
+    "apply": (SIGMA, AB.word("ab")),
+    "candidate_lengths": (SIGMA, 2),
+    "canonical_decomposition": (SIGMA,),
+    "characteristic_measure": (AB.word("ab"), 2),
+    "check_period_preservation": (SIGMA, None, 3),
+    "check_periodic_orbit_injectivity": (SIGMA, LANGUAGE, 2),
+    "complexity": (LANGUAGE, 2),
+    "compose": (SIGMA, PI),
+    "count_occurrences": (AB.word("aba"), A),
+    "essential_occurrences": (SIGMA, AB.word("ab"), CD.word("c")),
+    "factorial_closure": (AB, [AB.word("ab")], 2),
+    "factors": (AB.word("abb"), 2),
+    "frequency_vector": (TABLE,),
+    "full_shift_language": (AB, 2),
+    "image_language": (SIGMA, LANGUAGE, 2),
+    "incidence_matrix": (SIGMA,),
+    "is_proper_power": (AB.word("abab"),),
+    "is_rotation": (AB.word("ab"), AB.word("ba")),
+    "iter_words": (AB, 2),
+    "linear_combination": ([(1, TABLE), (2, TABLE)],),
+    "min_rotation": (AB.word("ba"),),
+    "norms": (SIGMA,),
+    "parse_language": (render_language(LANGUAGE),),
+    "parse_measure": (render_measure(TABLE),),
+    "parse_morphism": (render_morphism(SIGMA),),
+    "parse_word": (AB, "a b", False),
+    "periodic_orbit_language": (AB.word("ab"), 2),
+    "primitive_root": (AB.word("abab"),),
+    "prolongation_split": (ALPHA, LANGUAGE, A, 1),
+    "pushforward_letter_to_letter": (ALPHA, TABLE),
+    "render_language": (LANGUAGE,),
+    "render_measure": (TABLE,),
+    "render_morphism": (SIGMA,),
+    "required_input_depth": (SIGMA, 2),
+    "rotations": (AB.word("ab"),),
+    "subdivision_measure": ({"a": 2, "b": 1}, TABLE, 2),
+    "subdivision_morphism": (AB, {"a": 2, "b": 1}),
+    "support_words": (TABLE,),
+    "transfer_eval": (SIGMA, TABLE, CD.word("dc")),
+    "transfer_table": (SIGMA, TABLE, 2),
+    "transfer_via_decomposition": (SIGMA, TABLE, 2),
+    "union": (LANGUAGE, full_shift_language(AB, 2)),
+    "validate": (TABLE,),
+    "Word.__add__": (A, B),
+    "MeasureTable.value": (TABLE, AB.word("ab")),
+    "IncidenceMatrix.__matmul__": (MATRIX, incidence_matrix(PI)),
+    "Morphism.from_images": (AB, CD, {"a": "cd", "b": "c"}),
+    "Morphism.identity": (AB,),
+}.items()}
+# (row, argument, the kind of value it is given, "foreign" for the same kind over the other alphabet,
+# or "*" for both): where the contract legitimately differs, and why.
+EXEMPT = {
+    ("check_periodic_orbit_injectivity", "language", "NoneType"): "None is the full shift over the domain",
+    ("Morphism.from_images", "domain", "*"): "a token sequence is taken too, as the Alphabet of its tokens",
+    ("Morphism.from_images", "codomain", "*"): "a token sequence is taken too, as the Alphabet of its tokens",
+    ("Violation", "kind", "*"): "a kind is one of three names: any other value is an unknown kind",
+    ("ViolationReport", "kind", "*"): "a kind is one of two names: any other value is an unknown kind",
+    ("is_rotation", "w1", "foreign"): "it compares token sequences: over two alphabets they are not rotations",
+    ("is_rotation", "w2", "foreign"): "it compares token sequences: over two alphabets they are not rotations",
+    ("IncidenceMatrix", "row_alphabet", "foreign"): "a matrix's row and column alphabets are independent",
+    ("IncidenceMatrix", "col_alphabet", "foreign"): "a matrix's row and column alphabets are independent",
+    ("Morphism", "domain", "foreign"): "the images are over the codomain: the domain only fixes their number",
 }
-WORDS = {
-    "Word.__add__": lambda x: AB.word("a") + x,
-    "count_occurrences word": lambda x: count_occurrences(x, AB.word("a")),
-    "count_occurrences pattern": lambda x: count_occurrences(AB.word("ab"), x),
-    "MeasureTable key": lambda x: MeasureTable(AB, 2, {x: 1}, 1),
-    "MeasureTable.value": lambda x: TABLE.value(x),
-    "Morphism image": lambda x: Morphism(AB, CD, (x, CD.word("c"))),
-    "apply": lambda x: apply(SIGMA, x),
-    "essential_occurrences word": lambda x: essential_occurrences(SIGMA, x, CD.word("c")),
-    "essential_occurrences target": lambda x: essential_occurrences(SIGMA, AB.word("ab"), x),
-    "transfer_eval target": lambda x: transfer_eval(SIGMA, TABLE, x),
-    "factorial_closure word": lambda x: factorial_closure(AB, [AB.word("a"), x], 2),
-    "ViolationReport period certificate": lambda x: ViolationReport("period-preservation", 3, (x,)),
-    "ViolationReport orbit item": lambda x: ViolationReport("orbit-injectivity", 3, ((AB.word("a"), x),)),
-    "primitive_root": primitive_root,
-    "is_proper_power": is_proper_power,
-    "rotations": rotations,  # not consumed: a wrong word is refused at the call
-    "min_rotation": min_rotation,
-    "factors word": lambda x: factors(x, 2),
-    "is_rotation": lambda x: is_rotation(x, AB.word("ab")),
-    "periodic_orbit_language word": lambda x: periodic_orbit_language(x, 2),
-}
-MAPPINGS = {
-    "Morphism.from_images images": lambda x: Morphism.from_images(AB, CD, x),
-    "subdivision_morphism lengths": lambda x: subdivision_morphism(AB, x),
-    "subdivision_measure lengths": lambda x: subdivision_measure(x, TABLE, 2),
-}
-# Word's letter indices: one index, and the whole letters argument.
-LETTERS = {
-    "Word letter": lambda x: Word(AB, (x,)),
-    "Word letters": lambda x: Word(AB, x),
-}
-# The operand of IncidenceMatrix's @.
-OPERANDS = {
-    "IncidenceMatrix @": lambda x: MATRIX @ x,
-}
-CALLS = {**COUNTS, **WORDS, **MAPPINGS, **LETTERS, **OPERANDS}
-# Each table or language argument: (its type, the alphabet it must be over or None for any, the call).
-RECORDS = {
-    "transfer_eval table": (MeasureTable, AB, lambda x: transfer_eval(SIGMA, x, CD.word("c"))),
-    "transfer_table table": (MeasureTable, AB, lambda x: transfer_table(SIGMA, x, 2)),
-    "transfer_via_decomposition table": (MeasureTable, AB, lambda x: transfer_via_decomposition(SIGMA, x, 2)),
-    "pushforward_letter_to_letter table": (
-        MeasureTable, AB, lambda x: pushforward_letter_to_letter(COLLAPSE, x)),
-    # The lengths fix the alphabet: a foreign table misses its lengths.
-    "subdivision_measure table": (MeasureTable, AB, lambda x: subdivision_measure({"a": 2, "b": 1}, x, 2)),
-    "linear_combination term": (MeasureTable, AB, lambda x: linear_combination([(1, TABLE), (2, x)])),
-    "validate table": (MeasureTable, None, validate),
-    "frequency_vector table": (MeasureTable, None, frequency_vector),
-    "support_words table": (MeasureTable, None, support_words),
-    "render_measure table": (MeasureTable, None, render_measure),
-    "image_language language": (FactorLanguage, AB, lambda x: image_language(SIGMA, x, 2)),
-    "union first": (FactorLanguage, AB, lambda x: union(x, LANGUAGE)),
-    "union second": (FactorLanguage, AB, lambda x: union(LANGUAGE, x)),
-    "check_period_preservation language": (
-        FactorLanguage, AB, lambda x: check_period_preservation(SIGMA, x, 2)),
-    "check_periodic_orbit_injectivity language": (
-        FactorLanguage, AB, lambda x: check_periodic_orbit_injectivity(SIGMA, x, 2)),
-    "prolongation_split language": (
-        FactorLanguage, AB, lambda x: prolongation_split(COLLAPSE, x, AB.word("a"), 1)),
-    "complexity language": (FactorLanguage, None, lambda x: complexity(x, 2)),
-    "render_language language": (FactorLanguage, None, render_language),
-}
-# Each alphabet argument; the other arguments are valid and small, and over AB where it is.
-ALPHABETS = {
-    "Word alphabet": lambda x: Word(x, (0,)),
-    "MeasureTable alphabet": lambda x: MeasureTable(x, 1, {}, 1),
-    "FactorLanguage alphabet": lambda x: FactorLanguage(x, 1, frozenset()),
-    "factorial_closure alphabet": lambda x: factorial_closure(x, [AB.word("ab")], 2),
-    "full_shift_language alphabet": lambda x: full_shift_language(x, 2),
-    "iter_words alphabet": lambda x: list(iter_words(x, 2)),
-    "Morphism domain": lambda x: Morphism(x, CD, (CD.word("c"), CD.word("dc"))),
-    "Morphism codomain": lambda x: Morphism(AB, x, (AB.word("a"), AB.word("ba"))),
-    "subdivision_morphism alphabet": lambda x: subdivision_morphism(x, {"a": 2, "b": 1}),
-    "IncidenceMatrix row alphabet": lambda x: IncidenceMatrix(x, CD, ((1, 0), (0, 1))),
-    "IncidenceMatrix column alphabet": lambda x: IncidenceMatrix(AB, x, ((1, 0), (0, 1))),
-    "parse_word alphabet": lambda x: parse_word(x, "a b"),
-    "SubdivisionData subdivision alphabet": lambda x: SubdivisionData(x, PI, ALPHA),
-    "Morphism.identity alphabet": Morphism.identity,
-}
-# Each Morphism argument: (a morphism the call accepts, the call); the other arguments are valid and small.
-MORPHISMS = {
-    "apply": (SIGMA, lambda x: apply(x, AB.word("ab"))),
-    "compose outer": (SIGMA, lambda x: compose(x, Morphism.identity(AB))),
-    "compose inner": (SIGMA, lambda x: compose(Morphism.identity(CD), x)),
-    "incidence_matrix": (SIGMA, incidence_matrix),
-    "norms": (SIGMA, norms),
-    "required_input_depth": (SIGMA, lambda x: required_input_depth(x, 1)),
-    "canonical_decomposition": (SIGMA, canonical_decomposition),
-    "essential_occurrences": (SIGMA, lambda x: essential_occurrences(x, AB.word("ab"), CD.word("c"))),
-    "candidate_lengths": (SIGMA, lambda x: candidate_lengths(x, 2)),
-    "transfer_eval": (SIGMA, lambda x: transfer_eval(x, TABLE, CD.word("dc"))),
-    "transfer_table": (SIGMA, lambda x: transfer_table(x, TABLE, 2)),
-    "transfer_via_decomposition": (SIGMA, lambda x: transfer_via_decomposition(x, TABLE, 2)),
-    "pushforward_letter_to_letter": (COLLAPSE, lambda x: pushforward_letter_to_letter(x, TABLE)),
-    "image_language": (SIGMA, lambda x: image_language(x, LANGUAGE, 2)),
-    "check_period_preservation": (SIGMA, lambda x: check_period_preservation(x, None, 3)),
-    "check_periodic_orbit_injectivity": (SIGMA, lambda x: check_periodic_orbit_injectivity(x, LANGUAGE, 2)),
-    "prolongation_split": (COLLAPSE, lambda x: prolongation_split(x, LANGUAGE, AB.word("a"), 1)),
-    "render_morphism": (SIGMA, render_morphism),
-    "SubdivisionData pi": (PI, lambda x: SubdivisionData(AB, x, ALPHA)),
-    "SubdivisionData alpha": (ALPHA, lambda x: SubdivisionData(AB, PI, x)),
-}
+# The kinds whose arguments the type-and-alphabet test varies, and the values of other kinds it gives them.
+TYPED = (Alphabet, Word, Morphism, MeasureTable, FactorLanguage, IncidenceMatrix, int, str)
+OTHER_KINDS = ("t", None, 5, 2.5, True, AB, A, TABLE, LANGUAGE, SIGMA, MATRIX)
 
-SMALL_WORDS = st.sampled_from([AB, CD]).flatmap(
-    lambda alphabet: st.lists(st.sampled_from(alphabet.symbols), max_size=3).map(alphabet.word))
+
+def _params(name):
+    return list(inspect.signature(VALID[name][0]).parameters)
+
+
+# Every (row, argument position) but a method's instance.
+POSITIONS = [(name, i) for name in VALID for i, param in enumerate(_params(name)[:len(VALID[name][1])])
+             if param != "self"]
+TYPED_POSITIONS = [(name, i) for name, i in POSITIONS if type(VALID[name][1][i]) in TYPED]
+
+
+def _ids(positions):
+    return [f"{name}-{_params(name)[i]}" for name, i in positions]
+
+
+def _call(name, i, x):
+    """The valid call of name with its argument i replaced by x; an iterator it returns is run out."""
+    call, args = VALID[name]
+    result = call(*args[:i], x, *args[i + 1:])
+    if isinstance(result, Iterator):
+        list(result)
+
+
+def _swapped(x):
+    """x over the other alphabet: a b and c d exchanged letter for letter in records, containers and texts."""
+    if isinstance(x, Alphabet):
+        return Alphabet(tuple(map(_swapped, x.symbols)))
+    if isinstance(x, str):
+        return x.translate(str.maketrans("abcd", "cdab"))
+    if isinstance(x, (tuple, list, frozenset)):
+        return type(x)(map(_swapped, x))
+    if isinstance(x, dict):
+        return {_swapped(k): _swapped(v) for k, v in x.items()}
+    return type(x)._trusted(*map(_swapped, x._fields())) if isinstance(x, _Record) else x
+
+
+def _huge(x):
+    """x with each int in it made 10**30: the same shape, declaring a huge size."""
+    if type(x) is int:
+        return 10**30
+    if isinstance(x, (tuple, list)):
+        return type(x)(map(_huge, x))
+    return {k: _huge(v) for k, v in x.items()} if isinstance(x, dict) else x
+
+
+INTS = st.one_of(st.integers(min_value=-3, max_value=4), st.sampled_from([10**30, -10**30]))
+WORDS = st.sampled_from([alphabet.word(tokens) for alphabet in (AB, CD)
+                         for n in range(4) for tokens in itertools.product(alphabet.symbols, repeat=n)])
+VALUES = [x for _, args in VALID.values() for x in args]
+LEAVES = st.one_of(
+    INTS, st.booleans(), st.floats(min_value=-3, max_value=5), st.sampled_from([float("nan"), float("inf")]),
+    st.fractions(min_value=-3, max_value=5, max_denominator=4), st.text(alphabet="ab ", max_size=3),
+    st.none(), WORDS, st.sampled_from(VALUES + [_swapped(x) for x in VALUES]),
+)
 MIXED = st.one_of(
-    st.integers(min_value=-3, max_value=4),
-    st.booleans(),
-    st.floats(min_value=-3, max_value=5),
-    st.sampled_from([float("nan"), float("inf")]),
-    st.fractions(min_value=-3, max_value=5, max_denominator=4),
-    st.text(alphabet="ab ", max_size=3),
-    st.none(),
-    st.lists(st.one_of(st.integers(min_value=-1, max_value=2), st.sampled_from("ab"), SMALL_WORDS),
-             max_size=3).map(tuple),
-    SMALL_WORDS,
-    st.dictionaries(st.sampled_from("abc"), st.one_of(st.integers(min_value=-1, max_value=3),
-                                                       st.text(alphabet="cd", max_size=2)), max_size=3),
+    LEAVES,
+    st.lists(st.one_of(LEAVES, st.lists(LEAVES, max_size=2).map(tuple)), max_size=3).map(tuple),
+    st.dictionaries(st.one_of(st.sampled_from("abc"), WORDS), st.one_of(INTS, st.text(alphabet="cd", max_size=2)),
+                    max_size=3),
 )
 
 
-@pytest.mark.parametrize("name", CALLS)
-@settings(max_examples=40, deadline=None)
-@given(MIXED)
-def test_a_count_or_word_argument_raises_only_value_or_type_errors(name, x):
-    try:
-        CALLS[name](x)
-    except (PreconditionError, TypeError):
-        pass
+def test_every_public_callable_has_a_valid_call():
+    public = {name for name in shiftmeasure.__all__
+              if not (isinstance(obj := getattr(shiftmeasure, name), type) and issubclass(obj, Exception))}
+    assert sorted(public - VALID.keys()) == []
+    for call, args in VALID.values():
+        call(*args)
 
 
-@pytest.mark.parametrize("name", RECORDS)
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(MIXED, st.sampled_from([TABLE, CD_TABLE, LANGUAGE, CD_LANGUAGE])))
-def test_a_table_or_language_argument_raises_only_value_or_type_errors(name, x):
-    try:
-        RECORDS[name][2](x)
-    except (PreconditionError, TypeError):
-        pass
+@pytest.mark.parametrize("name, i", POSITIONS, ids=_ids(POSITIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_drawn_argument_raises_only_precondition_or_type_errors(name, i, data):
+    """x is drawn from MIXED, or is the valid argument itself, over the other alphabet or declaring a huge size."""
+    valid = VALID[name][1][i]
+    variants = st.sampled_from([valid, _swapped(valid), _huge(valid)])
+    x = data.draw(variants if data.draw(st.booleans()) else MIXED, label="x")
+    with gen.deadline(2):
+        try:
+            _call(name, i, x)
+        except (PreconditionError, TypeError):
+            pass
+        except ParseError:
+            assert name in ("parse_language", "parse_measure", "parse_morphism")
 
 
-@pytest.mark.parametrize("name", ALPHABETS)
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(MIXED, st.sampled_from([AB, CD, TABLE, LANGUAGE])))
-def test_an_alphabet_argument_raises_only_value_or_type_errors(name, x):
-    try:
-        ALPHABETS[name](x)
-    except (PreconditionError, TypeError):
-        pass
+@pytest.mark.parametrize("name, i", TYPED_POSITIONS, ids=_ids(TYPED_POSITIONS))
+def test_another_kind_is_a_type_error_and_another_alphabet_a_precondition_error(name, i):
+    args, param = VALID[name][1], _params(name)[i]
+    kind = type(args[i])
 
+    def exempt(label):
+        return (name, param, label) in EXEMPT or (name, param, "*") in EXEMPT
 
-@pytest.mark.parametrize("name", MORPHISMS)
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(MIXED, st.sampled_from([SIGMA, COLLAPSE, AB, TABLE, LANGUAGE])))
-def test_a_morphism_argument_raises_only_value_or_type_errors(name, x):
-    try:
-        MORPHISMS[name][1](x)
-    except (PreconditionError, TypeError):
-        pass
-
-
-@pytest.mark.parametrize("name", MORPHISMS)
-def test_a_morphism_argument_is_refused_by_type(name):
-    right, call = MORPHISMS[name]
-    call(right)
-    for x in ("t", None, 5, AB, AB.word("a"), TABLE, LANGUAGE):
-        with pytest.raises(TypeError, match=" must be a Morphism, not "):
-            call(x)
-
-
-@pytest.mark.parametrize("name", ALPHABETS)
-def test_an_alphabet_argument_is_refused_by_type(name):
-    call = ALPHABETS[name]
-    call(AB)
-    for x in ("t", None, 5, AB.word("a"), TABLE):
-        with pytest.raises(TypeError, match=" must be an Alphabet, not "):
-            call(x)
-
-
-@pytest.mark.parametrize("name", RECORDS)
-def test_a_table_or_language_argument_is_refused_by_type_and_by_alphabet(name):
-    kind, alphabet, call = RECORDS[name]
-    right, wrong = (TABLE, LANGUAGE) if kind is MeasureTable else (LANGUAGE, TABLE)
-    call(right)
-    for x in ("t", None, 5, AB.word("a"), wrong):
-        if x is None and "check" in name:
-            continue  # no language is the full shift
-        with pytest.raises(TypeError):
-            call(x)
-    foreign = CD_TABLE if kind is MeasureTable else CD_LANGUAGE
-    if alphabet is None:
-        call(foreign)
-    else:
+    for x in OTHER_KINDS:
+        if type(x) is not kind and not exempt(type(x).__name__):
+            form = rf"^[\w' ]+ must be an? {kind.__name__}, not {type(x).__name__}$"
+            with pytest.raises(TypeError, match=form):
+                _call(name, i, x)
+    foreign = _swapped(args[i])
+    # Only where another argument is over an alphabet can one over the other alphabet be refused.
+    if foreign != args[i] and any(_swapped(a) != a for a in args[:i] + args[i + 1:]) and not exempt("foreign"):
         with pytest.raises(PreconditionError):
-            call(foreign)
+            _call(name, i, foreign)
 
 
 def test_linear_combination_refuses_a_term_that_is_not_a_pair():
@@ -391,6 +319,17 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
     (lambda: ViolationReport("period-preservation", 0, ()), PreconditionError, "bound must be >= 1"),
     (lambda: IncidenceMatrix(AB, AB, ((1.5, 0), (0, 1))), TypeError, "entry must be an int, not float"),
     (lambda: MeasureTable(AB, 1, [1], 1), TypeError, "values must be a Mapping, not list"),
+    (lambda: Violation(1, 2, 3, 4, 5), PreconditionError,
+     "unknown kind 1: not left-extension, right-extension or level-sum"),
+    (lambda: FrequencyVector(AB, (1,)), PreconditionError, "need one entry per letter"),
+    (lambda: subdivision_morphism(AB, {"a": 10**30, "b": 1}), PreconditionError,
+     "subdivision length sum 1000000000000000000000000000001 is over the table budget: the images hold "
+     "1000000000000000000000000000001 letters, more than 10000000"),
+    (lambda: characteristic_measure(None, 2), TypeError, "word must be a Word, not NoneType"),
+    (lambda: candidate_lengths(SIGMA, "x"), TypeError, "target length must be an int, not str"),
+    (lambda: prolongation_split(ALPHA, LANGUAGE, "a", 1), TypeError, "word must be a Word, not str"),
+    (lambda: linear_combination([(1, TABLE), (1, CD_TABLE)]), PreconditionError,
+     "term over [c d] is not over [a b]"),
 ], ids=["float-depth", "zero-depth", "float-length", "negative-length", "bool-maxlen", "fraction-depth",
         "zero-bound", "str-key", "str-word", "str-apply", "foreign-apply",
         "str-morphism", "none-inner-morphism", "foreign-image",
@@ -405,9 +344,11 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
         "str-value", "zero-denominator-mass", "str-coefficient", "float-letter", "bool-letter", "str-letter",
         "out-of-range-letter", "str-primitive-root", "str-rotations", "str-min-rotation", "str-factors",
         "none-proper-power", "int-identity-alphabet", "int-matrix-operand", "str-report-bound",
-        "zero-report-bound", "float-matrix-entry", "list-table-values"])
+        "zero-report-bound", "float-matrix-entry", "list-table-values", "int-violation-kind",
+        "short-frequency-entries", "huge-subdivision-length", "none-characteristic-word", "str-target-length",
+        "str-prolongation-word", "foreign-term"])
 def test_argument_checks_raise_one_error_form(call, error, message):
-    with pytest.raises(error) as err:
+    with pytest.raises(error) as err, gen.deadline(2):
         call()
     assert str(err.value) == message
 

@@ -149,6 +149,7 @@ def test_characteristic_explicit_alphabet(capsys):
     assert capsys.readouterr().out == "!alphabet b a\n!depth 1\n!mass 1\na\t1\n"
 
 
+@gen.deadline(5)
 def test_characteristic_depth_past_any_index_is_a_precondition_failure(capsys):
     """A depth no index can hold is refused by the table budget before the
     orbit is repeated."""
@@ -163,6 +164,7 @@ def test_characteristic_depth_past_any_index_is_a_precondition_failure(capsys):
 
 
 @pytest.mark.parametrize("depth", [2**62, 10**9])
+@gen.deadline(5)
 def test_characteristic_depth_over_the_table_budget_is_a_precondition_failure(capsys, depth):
     """2^62 fits an index (it once ended in a MemoryError traceback and exit 1),
     and 10^9 would allocate gigabytes: both exit 3 with the letter count."""
@@ -177,6 +179,7 @@ def test_characteristic_depth_over_the_table_budget_is_a_precondition_failure(ca
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_characteristic_letter_count_past_the_int_digit_limit_is_refused_in_one_line(capsys):
     """A depth of 2,501 digits puts the letter count past the interpreter's
     int-to-str limit: the refusal shows that count by its digits, exit 3."""

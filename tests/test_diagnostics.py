@@ -236,6 +236,7 @@ def test_default_full_shift_matches_the_materialised_one():
             assert check(sigma, None, bound) == check(sigma, language, bound)
 
 
+@gen.deadline(5)
 def test_full_shift_budget(monkeypatch):
     # Lyndon words up to length 1..7 over two letters: 2, 3, 5, 8, 14, 23, 41.
     monkeypatch.setattr(diagnostics, "FULL_SHIFT_BUDGET", 23)
@@ -273,6 +274,7 @@ def test_certificate_budget(monkeypatch):
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_a_bound_past_the_int_digit_limit_is_shown_by_its_digits_in_the_full_shift_budget(monkeypatch):
     monkeypatch.setattr(diagnostics, "FULL_SHIFT_BUDGET", 23)
     with pytest.raises(PreconditionError, match="^bound <5001-digit number> is over the work budget: the full "
@@ -283,6 +285,7 @@ def test_a_bound_past_the_int_digit_limit_is_shown_by_its_digits_in_the_full_shi
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_a_bound_past_the_int_digit_limit_is_shown_by_its_digits_in_the_certificate_budget(monkeypatch):
     language = FactorLanguage(AB, 10**5000, full_shift_language(AB, 4).words)
     monkeypatch.setattr(diagnostics, "CERTIFICATE_BUDGET", 33)

@@ -91,6 +91,7 @@ def test_periodic_orbit_language_frozen():
         periodic_orbit_language(AB.word("ab"), 0)
 
 
+@gen.deadline(5)
 def test_periodic_orbit_language_has_its_tables_budget():
     """The language is a characteristic table's support, refused past the same budget."""
     with pytest.raises(PreconditionError, match="^depth 1000000000 is over the table budget: "):
@@ -115,6 +116,7 @@ def test_full_shift_language_is_refused_past_the_table_budget(monkeypatch):
         full_shift_language(AB, 4)
 
 
+@gen.deadline(5)
 def test_full_shift_language_refuses_a_huge_maxlen_before_building_anything():
     with pytest.raises(PreconditionError, match="^maxlen 10{30} is over the table budget: its words of length "
                                          "<= 19 hold 18874370 letters, more than 10000000$"):
@@ -124,6 +126,7 @@ def test_full_shift_language_refuses_a_huge_maxlen_before_building_anything():
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_counts_past_the_int_digit_limit_are_refused_by_their_digits():
     """A maxlen or a length bound that str() cannot write is shown by its digit count."""
     with pytest.raises(PreconditionError, match="^maxlen <5001-digit number> is over the table budget: its words "
@@ -136,6 +139,7 @@ def test_counts_past_the_int_digit_limit_are_refused_by_their_digits():
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_a_maxlen_past_the_int_digit_limit_is_shown_by_its_digits_in_a_length_refusal():
     with pytest.raises(PreconditionError, match="^word '' has length outside 1..<5001-digit number>$"):
         FactorLanguage(AB, 10**5000, {AB.epsilon()})
@@ -243,6 +247,14 @@ def _closure_oracle(alphabet, words, n):
     for w in words:
         closed |= factors(w, n)
     return FactorLanguage(alphabet, n, frozenset(closed))
+
+
+@gen.deadline(5)
+def test_factorial_closure_splits_each_factor_once():
+    """A factor already kept is not split again: without that stop, one word of length 40
+    at maxlen 40 costs about 2**40 pops."""
+    w = gen.random_word(random.Random(40), AB, 40)
+    assert factorial_closure(AB, [w], 40) == _closure_oracle(AB, [w], 40)
 
 
 def _checked(language):

@@ -81,6 +81,7 @@ def test_public_constructor_keeps_its_checks_and_messages(depth, values, mass, e
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_a_depth_past_the_int_digit_limit_is_shown_by_its_digits():
     with pytest.raises(PreconditionError, match="^word '' has length outside 1..<5001-digit number>$"):
         MeasureTable(AB, 10**5000, {AB.epsilon(): 1}, 1)
@@ -227,6 +228,7 @@ def test_characteristic_table_budget_edge(monkeypatch):
         characteristic_measure(AB.word("aa"), 4)
 
 
+@gen.deadline(5)
 def test_characteristic_refuses_huge_depths_before_building_anything():
     """2^62 once ended in a MemoryError and 10^9 would allocate gigabytes;
     both are refused from their arguments, in well under a mebibyte."""

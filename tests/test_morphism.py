@@ -14,10 +14,12 @@ from shiftmeasure import (
     DepthError,
     IncidenceMatrix,
     Morphism,
+    PreconditionError,
     Word,
     apply,
     candidate_lengths,
     canonical_decomposition,
+    characteristic_measure,
     compose,
     count_occurrences,
     essential_occurrences,
@@ -25,7 +27,9 @@ from shiftmeasure import (
     iter_words,
     norms,
     required_input_depth,
+    subdivision_measure,
     subdivision_morphism,
+    words,
 )
 from shiftmeasure.morphism import _essential_sweep, _parses, _window
 
@@ -176,6 +180,23 @@ def test_subdivision_morphism_frozen():
         subdivision_morphism(AB, {"a": 1})
     with pytest.raises(ValueError):
         subdivision_morphism(AB, {"a": 1, "b": 1, "c": 1})
+
+
+@gen.deadline(5)
+def test_subdivision_lengths_have_the_table_budget(monkeypatch):
+    """A length sum over words.TABLE_BUDGET is refused before any token is built, also through
+    subdivision_measure and canonical_decomposition."""
+    table = characteristic_measure(AB.word("ab"), 2)
+    monkeypatch.setattr(words, "TABLE_BUDGET", 5)
+    assert len(subdivision_morphism(AB, {"a": 3, "b": 2}).codomain) == 5
+    assert subdivision_measure({"a": 3, "b": 2}, table, 2).total_mass == 5
+    for call in (lambda: subdivision_morphism(AB, {"a": 3, "b": 3}),
+                 lambda: subdivision_measure({"a": 3, "b": 3}, table, 2),
+                 lambda: canonical_decomposition(Morphism.from_images(AB, AB, {"a": "aaa", "b": "bbb"}))):
+        with pytest.raises(PreconditionError) as refused:
+            call()
+        assert str(refused.value) == (
+            "subdivision length sum 6 is over the table budget: the images hold 6 letters, more than 5")
 
 
 def test_subdivision_images_are_disjoint():

@@ -161,6 +161,7 @@ def test_validate_matches_the_fraction_sums():
     assert scaled >= 200 and fallback >= 100 and broken >= 150
 
 
+@gen.deadline(5)
 def test_validate_does_no_work_sized_by_the_declared_depth():
     ab = gen.alphabet(2)
     assert validate(MeasureTable(ab, 10**12, {}, 0)) == []

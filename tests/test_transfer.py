@@ -81,6 +81,7 @@ def test_required_input_depth_frozen():
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_depth_error_shows_depths_past_the_int_digit_limit_by_their_digits():
     """Both depths of a DepthError are written through words._shown: a refusal, not the
     interpreter's digit-limit error."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gen
 from shiftmeasure import (
     Alphabet,
     PreconditionError,
@@ -148,6 +149,7 @@ def test_word_construction_and_concat():
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_a_letter_index_past_the_int_digit_limit_is_shown_by_its_digits():
     with pytest.raises(PreconditionError, match=r"^letter index <5001-digit number> out of range for alphabet \[a b\]$"):
         Word(AB, (0, 10**5000))
@@ -360,6 +362,7 @@ def test_iter_words_refuses_a_length_over_the_table_budget_at_the_call(monkeypat
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
 )
+@gen.deadline(5)
 def test_iter_words_refuses_a_length_past_the_int_digit_limit():
     """A length that str() cannot write is shown by its digits in the refusal."""
     with pytest.raises(PreconditionError, match="^length <5001-digit number> is over the table budget: each word "
@@ -410,6 +413,7 @@ def test_lyndon_words_are_the_least_rotations_of_primitive_words(size, n):
     assert _lyndon_words(size, n) == [w.letters for w in expected]
 
 
+@gen.deadline(5)
 def test_lyndon_counts_follow_moreau():
     # OEIS A001037 and A027376: Lyndon words of length 1, 2, ... over 2 and 3 letters.
     known = {
