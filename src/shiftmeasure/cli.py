@@ -16,10 +16,9 @@ import contextlib
 import itertools
 import os
 import sys
-from typing import Callable, Iterator, Sequence, TypeVar
+from collections.abc import Callable, Iterator, Sequence
 
-from .diagnostics import _reports
-from .language import image_language
+from . import diagnostics, language, transfer  # lazy modules: each runs in the commands that use it
 from .measure import _violations, characteristic_measure
 from .morphism import canonical_decomposition, compose, incidence_matrix
 from .textio import (
@@ -33,10 +32,8 @@ from .textio import (
     render_measure,
     render_morphism,
 )
-from .transfer import transfer_eval, transfer_table
 from .words import Alphabet, PreconditionError
 
-_T = TypeVar("_T")
 _BLOCK_LINES = 4096  # reports are written in blocks: memory follows the block, not the report
 
 
@@ -52,7 +49,7 @@ def _write(path: str, text: str) -> None:
         raise _Failure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load(parse: Callable[[str], _T], path: str) -> _T:
+def _load(parse: Callable[[str], object], path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -98,7 +95,7 @@ def _parse_cli_word(alphabet: Alphabet, text: str, compact: bool):
 def _cmd_transfer(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     table = _load(parse_measure, args.measure)
-    out = transfer_table(sigma, table, args.depth)
+    out = transfer.transfer_table(sigma, table, args.depth)
     with _any_digits():
         sys.stdout.write(render_measure(out))
     return 0
@@ -108,7 +105,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
     table = _load(parse_measure, args.measure)
     target = _parse_cli_word(sigma.codomain, args.word, args.compact)
-    value = transfer_eval(sigma, table, target)
+    value = transfer.transfer_eval(sigma, table, target)
     with _any_digits():
         print(value)
     return 0
@@ -153,15 +150,15 @@ def _cmd_characteristic(args: argparse.Namespace) -> int:
 
 def _cmd_image_language(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
-    language = _load(parse_language, args.language)
-    sys.stdout.write(render_language(image_language(sigma, language, args.maxlen)))
+    lang = _load(parse_language, args.language)
+    sys.stdout.write(render_language(language.image_language(sigma, lang, args.maxlen)))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     sigma = _load(parse_morphism, args.morphism)
-    language = None if args.language is None else _load(parse_language, args.language)
-    period, orbit = _reports(sigma, language, args.bound)
+    lang = None if args.language is None else _load(parse_language, args.language)
+    period, orbit = diagnostics._reports(sigma, lang, args.bound)
     _write_lines(itertools.chain([f"BOUND {args.bound}"], period._lines(), orbit._lines()))
     return 1 if period or orbit else 0
 

@@ -9,8 +9,8 @@ its primitive root.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
 from .language import FactorLanguage
 from .morphism import DepthError, Morphism, _image_letters

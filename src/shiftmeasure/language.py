@@ -9,8 +9,8 @@ occurs essentially over an input of bounded length.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from . import measure
 from .morphism import Morphism, _essential_sweep, _window

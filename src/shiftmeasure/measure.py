@@ -16,12 +16,11 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
 
 from .words import (Alphabet, PreconditionError, Word, _canonical, _Record, _require_count, _require_letters,
                     _require_over, _shown, primitive_root)
 
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 
 
 def _as_fraction(value, what: str) -> Fraction:

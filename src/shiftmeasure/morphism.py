@@ -12,9 +12,9 @@ language and candidate_lengths share.
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Sequence
 
 from .words import (Alphabet, PreconditionError, Word, _Record, _require_count, _require_keys, _require_letters,
                     _require_over, _shown)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Callable
+from collections.abc import Callable
 
-from .language import FactorLanguage, factorial_closure
+from . import language as _language  # a lazy module: it runs when a language is first read or written
 from .measure import MeasureTable
 from .morphism import Morphism
 from .words import Alphabet, Word, _canonical, _check_token, _require_over
@@ -27,13 +27,13 @@ class ParseError(ValueError):
         self.message = message
 
 
-_HeaderReader = Callable[[str, list[str]], Any]
-_BodyHandler = Callable[[list[tuple[int, str]], dict[str, Any]], None]
+_HeaderReader = Callable[[str, list[str]], object]
+_BodyHandler = Callable[[list[tuple[int, str]], dict[str, object]], None]
 
 
 def _read_format(
     text: str, readers: dict[str, _HeaderReader], body: _BodyHandler, required: bool = False
-) -> tuple[dict[str, Any], dict[str, int], int]:
+) -> tuple[dict[str, object], dict[str, int], int]:
     """Walk the content lines (not blank, not ``#`` comments) of one format.
 
     A ``!name`` line is read by ``readers[name]``; an unknown or duplicate
@@ -45,7 +45,7 @@ def _read_format(
     by name, and the last content line.
     """
     _require_over(text, str, None, "text")
-    headers: dict[str, Any] = {}
+    headers: dict[str, object] = {}
     lines: dict[str, int] = {}
     run: list[tuple[int, str]] = []
     last_line = 1
@@ -113,7 +113,7 @@ def parse_morphism(text: str) -> Morphism:
     """
     rules: list[tuple[int, str, list[str]]] = []
 
-    def rule_lines(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
+    def rule_lines(run: list[tuple[int, str]], headers: dict[str, object]) -> None:
         try:
             for number, line in run:
                 fields = line.split()
@@ -184,7 +184,7 @@ def parse_measure(text: str) -> MeasureTable:
     known: dict[str, tuple[int, ...]] = {}  # by word text: always alphabet.word(text.split()).letters
     unmatched: list[tuple[int, ...]] = []  # entries of 2 or more letters not read off a known prefix
 
-    def entries(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
+    def entries(run: list[tuple[int, str]], headers: dict[str, object]) -> None:
         alphabet, depth = headers.get("!alphabet"), headers.get("!depth")
         if alphabet is None or depth is None:
             raise ParseError(run[0][0], "!alphabet and !depth headers must precede entries")
@@ -284,12 +284,12 @@ def render_measure(m: MeasureTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_language(text: str) -> FactorLanguage:
+def parse_language(text: str) -> _language.FactorLanguage:
     """Read the one-word-per-line format; factor closure is applied on load,
     so words longer than the cap contribute their factors."""
     words: list[Word] = []
 
-    def word_lines(run: list[tuple[int, str]], headers: dict[str, Any]) -> None:
+    def word_lines(run: list[tuple[int, str]], headers: dict[str, object]) -> None:
         if "!alphabet" not in headers:
             raise ParseError(run[0][0], "!alphabet header must precede words")
         try:
@@ -301,11 +301,11 @@ def parse_language(text: str) -> FactorLanguage:
     headers, _, _ = _read_format(
         text, {"!alphabet": _alphabet_header, "!maxlen": _count_header}, word_lines, required=True
     )
-    return factorial_closure(headers["!alphabet"], words, headers["!maxlen"])
+    return _language.factorial_closure(headers["!alphabet"], words, headers["!maxlen"])
 
 
-def render_language(language: FactorLanguage) -> str:
-    symbols = _require_over(language, FactorLanguage, None, "language").alphabet.symbols
+def render_language(language: _language.FactorLanguage) -> str:
+    symbols = _require_over(language, _language.FactorLanguage, None, "language").alphabet.symbols
     lines = [f"!alphabet {language.alphabet}", f"!maxlen {language.maxlen}"]
     for x in _canonical(language._words):
         lines.append(" ".join([symbols[i] for i in x]))

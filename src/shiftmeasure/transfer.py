@@ -14,8 +14,8 @@ morphism.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .measure import MeasureTable, _scaled, _unscaled
 from .morphism import (

@@ -34,7 +34,7 @@ from shiftmeasure import (
     required_input_depth,
     support_words,
 )
-from shiftmeasure import cli, diagnostics
+from shiftmeasure import cli, diagnostics, language, transfer
 from shiftmeasure.cli import main
 
 MORPHISM_SIGMA4 = "a -> c d c\nb -> d c c\n"
@@ -234,10 +234,13 @@ def test_check_never_materialises_the_full_shift(files, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the full shift was materialised")
 
+    # diagnostics and language are imported above, so this finds them even when run alone.  Only
+    # a module that holds the name is patched: hasattr would make the package resolve the name,
+    # and keep the patched function after the test.
     for name, module in list(sys.modules.items()):
         if name == "shiftmeasure" or name.startswith("shiftmeasure."):
             for attr in ("full_shift_language", "iter_words"):
-                if hasattr(module, attr):
+                if attr in vars(module):
                     monkeypatch.setattr(module, attr, refuse)
     sigma = files("tm.morphism", "a -> c d\nb -> d c\n")
     assert main(["check", sigma, "--bound", "8"]) == 1
@@ -415,35 +418,92 @@ def test_kirchhoff_streams_a_deep_table_in_bounded_memory(files, tmp_path):
     assert int(proc.stderr) / 1024 < 24, proc.stderr
 
 
+# Modules the CLI must not run at start-up: dataclasses and the code introspection
+# it pulls in, typing, and the submodules that only some commands use.
+_LATE = ("shiftmeasure.diagnostics", "shiftmeasure.language", "shiftmeasure.transfer")
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", *_LATE)
+# A child prints those that have run.  A submodule not used yet is in sys.modules
+# as a lazy module, whose type is a subclass of the module type until its code runs.
+_PRINT_RUN = f"print(sorted(n for n in {_HEAVY!r} if type(sys.modules.get(n)) is type(sys)))\n"
+
+
+def _child(code, *flags):
+    """The stdout lines of a child python [flags] -c code that imports the package under test."""
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_the_cli_imports_no_code_introspection():
     """Start-up cost: neither importing the CLI nor running --help loads
-    dataclasses or the inspect, ast, dis and tokenize modules it pulls in.
-    Those that a bare child of the same interpreter and environment already
-    has (a site .pth may import inspect) are the interpreter's, not the CLI's."""
-    print_heavy = "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+    dataclasses, the inspect, ast, dis and tokenize modules it pulls in, or
+    typing, and neither runs diagnostics, language or transfer.  Those that a
+    bare child of the same interpreter and environment already has (a site .pth
+    may import inspect or typing) are the interpreter's, not the CLI's; a child
+    without site (-S) has none of them."""
     script = (
         "import runpy, sys\n"
         "import shiftmeasure.cli\n"
-        f"{print_heavy}"
+        f"{_PRINT_RUN}"
         "sys.argv = ['shiftmeasure', '--help']\n"
         "try:\n"
         "    runpy.run_module('shiftmeasure', run_name='__main__', alter_sys=True)\n"
         "except SystemExit:\n"
         "    pass\n"
-        f"{print_heavy}"
+        f"{_PRINT_RUN}"
     )
+    for flags in [(), ("-S",)]:
+        preloaded = set(ast.literal_eval(_child("import sys\n" + _PRINT_RUN, *flags)[0]))
+        assert not preloaded & set(_LATE), preloaded
+        lines = _child(script, *flags)
+        assert lines[1].startswith("usage: shiftmeasure"), lines
+        for line in (lines[0], lines[-1]):
+            assert set(ast.literal_eval(line)) - preloaded == set(), (flags, lines, preloaded)
 
-    def run(code):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_subprocess_env(), timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()
 
-    preloaded = set(ast.literal_eval(run("import sys\n" + print_heavy)[0]))
-    lines = run(script)
-    assert lines[1].startswith("usage: shiftmeasure"), lines
-    for line in (lines[0], lines[-1]):
-        assert set(ast.literal_eval(line)) - preloaded == set(), (lines, preloaded)
+def test_a_command_runs_only_the_submodules_it_uses(files):
+    """kirchhoff runs none of diagnostics, language and transfer; transfer runs transfer alone of them."""
+    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
+    measure = files("orbit.measure", MEASURE_AB)
+    for argv, late in [(["kirchhoff", measure], []),
+                       (["transfer", sigma, measure, "--depth", "2"], ["shiftmeasure.transfer"])]:
+        script = f"import sys\nfrom shiftmeasure.cli import main\nprint(main({argv!r}))\n{_PRINT_RUN}"
+        lines = _child(script)
+        assert lines[-2] == "0", lines
+        assert sorted(set(ast.literal_eval(lines[-1])) & set(_LATE)) == late, (argv, lines)
+
+
+PUBLIC = """
+    Alphabet DepthError FactorLanguage FrequencyVector IncidenceMatrix MeasureTable Morphism ParseError
+    PreconditionError SubdivisionData Violation ViolationReport Word apply candidate_lengths
+    canonical_decomposition characteristic_measure check_period_preservation check_periodic_orbit_injectivity
+    complexity compose count_occurrences essential_occurrences factorial_closure factors frequency_vector
+    full_shift_language image_language incidence_matrix is_proper_power is_rotation iter_words
+    linear_combination min_rotation norms parse_language parse_measure parse_morphism parse_word
+    periodic_orbit_language primitive_root prolongation_split pushforward_letter_to_letter render_language
+    render_measure render_morphism required_input_depth rotations subdivision_measure subdivision_morphism
+    support_words transfer_eval transfer_table transfer_via_decomposition union validate
+""".split()
+
+
+def test_the_public_names_resolve_on_first_use():
+    """In a fresh child, dir() lists every public name before any is used, a
+    star import binds exactly the public names, and any other name is an
+    AttributeError."""
+    assert shiftmeasure.__all__ == PUBLIC
+    script = (
+        "import shiftmeasure\n"
+        "print(sorted(set(shiftmeasure.__all__) - set(dir(shiftmeasure))))\n"
+        "names = {}\n"
+        "exec('from shiftmeasure import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}))\n"
+        "try:\n"
+        "    shiftmeasure.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _child(script) == ["[]", repr(PUBLIC), "module 'shiftmeasure' has no attribute 'nope'"]
 
 
 @pytest.mark.parametrize("fault", [RuntimeError("boom"), TypeError("boom"), MemoryError("boom")],
@@ -457,7 +517,7 @@ def test_a_fault_exits_four_with_its_traceback(files, capsys, monkeypatch, fault
     def fail(*args):
         raise fault
 
-    monkeypatch.setattr(cli, "transfer_table", fail)
+    monkeypatch.setattr(transfer, "transfer_table", fail)
     assert main(["transfer", sigma, measure, "--depth", "2"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -473,7 +533,7 @@ def test_a_precondition_error_exits_three_with_one_line(files, capsys, monkeypat
     def refuse(*args):
         raise shiftmeasure.PreconditionError("refused")
 
-    monkeypatch.setattr(cli, "transfer_table", refuse)
+    monkeypatch.setattr(transfer, "transfer_table", refuse)
     assert main(["transfer", sigma, measure, "--depth", "2"]) == 3
     assert capsys.readouterr() == ("", "error: refused\n")
 
