@@ -18,9 +18,7 @@ import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
 
-from . import diagnostics, language, transfer  # lazy modules: each runs in the commands that use it
-from .measure import _violations, characteristic_measure
-from .morphism import canonical_decomposition, compose, incidence_matrix
+from . import diagnostics, language, measure, morphism, transfer  # lazy: each runs in the commands that use it
 from .textio import (
     ParseError,
     _tokens,
@@ -112,7 +110,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    decomposition = canonical_decomposition(_load(parse_morphism, args.morphism))
+    decomposition = morphism.canonical_decomposition(_load(parse_morphism, args.morphism))
     _write(args.pi_out, render_morphism(decomposition.pi))
     _write(args.alpha_out, render_morphism(decomposition.alpha))
     return 0
@@ -121,12 +119,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     outer = _load(parse_morphism, args.outer)
     inner = _load(parse_morphism, args.inner)
-    sys.stdout.write(render_morphism(compose(outer, inner)))
+    sys.stdout.write(render_morphism(morphism.compose(outer, inner)))
     return 0
 
 
 def _cmd_incidence(args: argparse.Namespace) -> int:
-    matrix = incidence_matrix(_load(parse_morphism, args.morphism))
+    matrix = morphism.incidence_matrix(_load(parse_morphism, args.morphism))
     for token, row in zip(matrix.row_alphabet.symbols, matrix.entries):
         print(token, *row)
     return 0
@@ -144,7 +142,7 @@ def _cmd_characteristic(args: argparse.Namespace) -> int:
     except PreconditionError as exc:
         raise _Failure(str(exc)) from exc
     word = _parse_cli_word(alphabet, args.word, args.compact)
-    sys.stdout.write(render_measure(characteristic_measure(word, args.depth)))
+    sys.stdout.write(render_measure(measure.characteristic_measure(word, args.depth)))
     return 0
 
 
@@ -164,7 +162,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_kirchhoff(args: argparse.Namespace) -> int:
-    violations = _violations(_load(parse_measure, args.measure))
+    violations = measure._violations(_load(parse_measure, args.measure))
     with _any_digits():
         return 1 if _write_lines(f"VIOLATION {violation}" for violation in violations) else 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cached_property
 
-from .language import FactorLanguage
+from . import language as _language  # a lazy module: only a check on a given language runs it
 from .morphism import DepthError, Morphism, _image_letters
 from .words import (PreconditionError, Word, _canonical, _lyndon_counts, _lyndon_words, _Record,
                     _require_count, _require_over, _root_rotation, _shown)
@@ -98,7 +98,7 @@ CERTIFICATE_BUDGET = 10**6
 
 
 def _primitive_representatives(
-    sigma: Morphism, language: FactorLanguage | None, bound: int
+    sigma: Morphism, language: _language.FactorLanguage | None, bound: int
 ) -> list[tuple[int, ...]]:
     """One canonical representative (least rotation) per rotation class of
     the primitive words up to the bound, as letter tuples in canonical order.
@@ -122,14 +122,15 @@ def _primitive_representatives(
                     f"letters has {count} primitive orbits of period <= {k}, "
                     f"more than {FULL_SHIFT_BUDGET}")
         return _lyndon_words(size, bound)
-    _require_count(bound, "bound", 1, _require_over(language, FactorLanguage, sigma.domain, "language").maxlen)
+    maxlen = _require_over(language, _language.FactorLanguage, sigma.domain, "language").maxlen
+    _require_count(bound, "bound", 1, maxlen)
     scans = (_root_rotation(x) for x in language._words if len(x) <= bound)
     representatives = {key for key, exponent in scans if exponent == 1}
     return _canonical(representatives)
 
 
 def _reports(
-    sigma: Morphism, language: FactorLanguage | None, bound: int
+    sigma: Morphism, language: _language.FactorLanguage | None, bound: int
 ) -> tuple[ViolationReport, ViolationReport]:
     """The period-preservation and orbit-injectivity reports from one pass.
 
@@ -166,7 +167,7 @@ def _reports(
 
 
 def check_period_preservation(
-    sigma: Morphism, language: FactorLanguage | None, bound: int
+    sigma: Morphism, language: _language.FactorLanguage | None, bound: int
 ) -> ViolationReport:
     """Witness primitive words whose image is a proper power.
 
@@ -180,7 +181,7 @@ def check_period_preservation(
 
 
 def check_periodic_orbit_injectivity(
-    sigma: Morphism, language: FactorLanguage | None, bound: int
+    sigma: Morphism, language: _language.FactorLanguage | None, bound: int
 ) -> ViolationReport:
     """Witness pairs of distinct periodic orbits that share an image orbit.
 
@@ -194,7 +195,7 @@ def check_periodic_orbit_injectivity(
 
 
 def prolongation_split(
-    sigma: Morphism, language: FactorLanguage, w: Word, n: int
+    sigma: Morphism, language: _language.FactorLanguage, w: Word, n: int
 ) -> tuple[set[Word], set[Word], set[Word]]:
     """Split the n-step two-sided prolongations of w by preimage ambiguity.
 
@@ -205,7 +206,7 @@ def prolongation_split(
     """
     if not _require_over(sigma, Morphism, None, "morphism").is_letter_to_letter:
         raise PreconditionError("the prolongation split requires a letter-to-letter morphism")
-    _require_over(language, FactorLanguage, sigma.domain, "language")
+    _require_over(language, _language.FactorLanguage, sigma.domain, "language")
     _require_count(n, "prolongation length", 0)
     total_len = len(_require_over(w, Word, sigma.domain, "word")) + 2 * n
     if total_len > language.maxlen:

@@ -180,7 +180,7 @@ def _require_depth(sigma: Morphism, out_len: int, depth: int) -> int:
 
 
 def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morphism:
-    """The morphism a -> a.1 ... a.k (k = lengths[a]) into fresh letters, at most TABLE_BUDGET in all.
+    """The morphism a -> a.1 ... a.k (k = lengths[a]) into fresh letters, at most TOKEN_BUDGET in all.
 
     Image letter sets are pairwise disjoint, so images of distinct words
     overlap only in the forced tiling way.
@@ -188,7 +188,7 @@ def subdivision_morphism(alphabet: Alphabet, lengths: Mapping[str, int]) -> Morp
     _require_keys(lengths, _require_over(alphabet, Alphabet, None, "alphabet"), "subdivision lengths",
                   "subdivision lengths for letters outside the alphabet")
     total = sum([_require_count(lengths[token], f"subdivision length of {token!r}") for token in alphabet.symbols])
-    _require_letters(total, "subdivision length sum", total, "the images hold")
+    _require_letters(total, "subdivision length sum", total, "the images hold", budget="token")
     images = [[f"{token}.{k}" for k in range(1, lengths[token] + 1)] for token in alphabet.symbols]
     sub_alphabet = Alphabet(tuple(t for image in images for t in image))
     return Morphism._trusted(alphabet, sub_alphabet, tuple(sub_alphabet.word(image) for image in images))

@@ -12,9 +12,7 @@ import re
 from fractions import Fraction
 from collections.abc import Callable
 
-from . import language as _language  # a lazy module: it runs when a language is first read or written
-from .measure import MeasureTable
-from .morphism import Morphism
+from . import language as _language, measure as _measure, morphism as _morphism  # lazy: each runs on first use
 from .words import Alphabet, Word, _canonical, _check_token, _require_over
 
 
@@ -104,7 +102,7 @@ def _mass_header(name: str, fields: list[str]) -> Fraction:
     return _parse_rational(fields[0])
 
 
-def parse_morphism(text: str) -> Morphism:
+def parse_morphism(text: str) -> _morphism.Morphism:
     """Read the one-rule-per-line format ``a -> c d c``.
 
     Optional ``!domain``/``!codomain`` headers fix the alphabets and their
@@ -155,18 +153,18 @@ def parse_morphism(text: str) -> Morphism:
             images[lhs] = codomain.word(rhs)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from None
-    return Morphism._trusted(domain, codomain, tuple(images[t] for t in domain.symbols))
+    return _morphism.Morphism._trusted(domain, codomain, tuple(images[t] for t in domain.symbols))
 
 
-def render_morphism(sigma: Morphism) -> str:
-    _require_over(sigma, Morphism, None, "morphism")
+def render_morphism(sigma: _morphism.Morphism) -> str:
+    _require_over(sigma, _morphism.Morphism, None, "morphism")
     lines = [f"!domain {sigma.domain}", f"!codomain {sigma.codomain}"]
     for token, image in zip(sigma.domain.symbols, sigma.images):
         lines.append(f"{token} -> {image}")
     return "\n".join(lines) + "\n"
 
 
-def parse_measure(text: str) -> MeasureTable:
+def parse_measure(text: str) -> _measure.MeasureTable:
     """Read the header-plus-entries format; unlisted words are zero.
 
     Headers ``!alphabet`` and ``!depth`` must precede the entry lines, and
@@ -226,7 +224,8 @@ def parse_measure(text: str) -> MeasureTable:
         weights = {u: v for u, v in weights.items() if v}
     elif all(u[:-1] in weights for u in unmatched):  # prefix-closed: the search's keys, as is
         stored["_prefixes"] = weights
-    return MeasureTable._trusted(headers["!alphabet"], headers["!depth"], weights, headers["!mass"], **stored)
+    return _measure.MeasureTable._trusted(headers["!alphabet"], headers["!depth"], weights, headers["!mass"],
+                                          **stored)
 
 
 # ASCII digits only: p, p/q with q > 0, or the decimal p.q.  Fraction()
@@ -251,7 +250,7 @@ def _parse_rational(text: str) -> Fraction:
     raise ValueError(f"not a rational value: {text!r}")
 
 
-def render_measure(m: MeasureTable) -> str:
+def render_measure(m: _measure.MeasureTable) -> str:
     """The table's text: three headers, then one entry per support word in
     canonical order (length, then letters), as parse_measure reads it.
 
@@ -263,7 +262,7 @@ def render_measure(m: MeasureTable) -> str:
     is formatted once, by id: the table holds every value while this runs,
     so no id is reused, and a table shares few value objects.
     """
-    symbols, weights = _require_over(m, MeasureTable, None, "table").alphabet.symbols, m._weights
+    symbols, weights = _require_over(m, _measure.MeasureTable, None, "table").alphabet.symbols, m._weights
     lines = [f"!alphabet {m.alphabet}", f"!depth {m.depth}", f"!mass {m.total_mass}"]
     order = _canonical(weights)
     values: dict[int, str] = {}

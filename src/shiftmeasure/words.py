@@ -15,6 +15,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 
 TABLE_BUDGET = 10**7  # work budget: the most letters a table's keys or a language's words may hold
+TOKEN_BUDGET = 5 * 10**5  # the most fresh tokens one call may name: at ~140 bytes each, TABLE_BUDGET's memory
 
 
 class PreconditionError(ValueError):
@@ -185,11 +186,12 @@ def _require_keys(mapping: object, alphabet: Alphabet, what: str, outside: str) 
         raise PreconditionError(f"{outside}: {extra}")
 
 
-def _require_letters(letters: int, what: str, count: int, holder: str, *held: int) -> int:
-    """letters, held by holder (a format of held) for the argument what = count, unless over TABLE_BUDGET."""
-    if letters > TABLE_BUDGET:
-        raise PreconditionError(f"{what} {_shown(count)} is over the table budget: {holder.format(*held)} "
-                                f"{_shown(letters)} letters, more than {TABLE_BUDGET}")
+def _require_letters(letters: int, what: str, count: int, holder: str, *held: int, budget: str = "table") -> int:
+    """letters, held by holder (a format of held) for what = count, unless over TABLE_BUDGET or TOKEN_BUDGET."""
+    limit = TOKEN_BUDGET if budget == "token" else TABLE_BUDGET
+    if letters > limit:
+        raise PreconditionError(f"{what} {_shown(count)} is over the {budget} budget: {holder.format(*held)} "
+                                f"{_shown(letters)} letters, more than {limit}")
     return letters
 
 

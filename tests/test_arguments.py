@@ -323,8 +323,8 @@ def test_linear_combination_refuses_a_term_that_is_not_a_pair():
      "unknown kind 1: not left-extension, right-extension or level-sum"),
     (lambda: FrequencyVector(AB, (1,)), PreconditionError, "need one entry per letter"),
     (lambda: subdivision_morphism(AB, {"a": 10**30, "b": 1}), PreconditionError,
-     "subdivision length sum 1000000000000000000000000000001 is over the table budget: the images hold "
-     "1000000000000000000000000000001 letters, more than 10000000"),
+     "subdivision length sum 1000000000000000000000000000001 is over the token budget: the images hold "
+     "1000000000000000000000000000001 letters, more than 500000"),
     (lambda: characteristic_measure(None, 2), TypeError, "word must be a Word, not NoneType"),
     (lambda: candidate_lengths(SIGMA, "x"), TypeError, "target length must be an int, not str"),
     (lambda: prolongation_split(ALPHA, LANGUAGE, "a", 1), TypeError, "word must be a Word, not str"),

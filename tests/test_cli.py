@@ -420,7 +420,7 @@ def test_kirchhoff_streams_a_deep_table_in_bounded_memory(files, tmp_path):
 
 # Modules the CLI must not run at start-up: dataclasses and the code introspection
 # it pulls in, typing, and the submodules that only some commands use.
-_LATE = ("shiftmeasure.diagnostics", "shiftmeasure.language", "shiftmeasure.transfer")
+_LATE = tuple(f"shiftmeasure.{name}" for name in ("diagnostics", "language", "measure", "morphism", "transfer"))
 _HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", *_LATE)
 # A child prints those that have run.  A submodule not used yet is in sys.modules
 # as a lazy module, whose type is a subclass of the module type until its code runs.
@@ -438,7 +438,8 @@ def _child(code, *flags):
 def test_the_cli_imports_no_code_introspection():
     """Start-up cost: neither importing the CLI nor running --help loads
     dataclasses, the inspect, ast, dis and tokenize modules it pulls in, or
-    typing, and neither runs diagnostics, language or transfer.  Those that a
+    typing, and neither runs diagnostics, language, measure, morphism or
+    transfer: of the package, only cli, textio and words run.  Those that a
     bare child of the same interpreter and environment already has (a site .pth
     may import inspect or typing) are the interpreter's, not the CLI's; a child
     without site (-S) has none of them."""
@@ -462,16 +463,39 @@ def test_the_cli_imports_no_code_introspection():
             assert set(ast.literal_eval(line)) - preloaded == set(), (flags, lines, preloaded)
 
 
-def test_a_command_runs_only_the_submodules_it_uses(files):
-    """kirchhoff runs none of diagnostics, language and transfer; transfer runs transfer alone of them."""
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    measure = files("orbit.measure", MEASURE_AB)
-    for argv, late in [(["kirchhoff", measure], []),
-                       (["transfer", sigma, measure, "--depth", "2"], ["shiftmeasure.transfer"])]:
-        script = f"import sys\nfrom shiftmeasure.cli import main\nprint(main({argv!r}))\n{_PRINT_RUN}"
-        lines = _child(script)
-        assert lines[-2] == "0", lines
-        assert sorted(set(ast.literal_eval(lines[-1])) & set(_LATE)) == late, (argv, lines)
+# Each command's argv ({dir} is the directory of the files below; each exits 0) and the late modules it runs.
+_COMMAND_FILES = {"sigma.morphism": MORPHISM_SIGMA4, "fib.morphism": "a -> a b\nb -> a\n",
+                  "ab.measure": MEASURE_AB, "ab.language": "!alphabet a b\n!maxlen 3\na b a\nb b\n"}
+_COMMAND_RUNS = {
+    "kirchhoff": (["kirchhoff", "{dir}/ab.measure"], {"measure"}),
+    "characteristic": (["characteristic", "--word", "a b", "--depth", "2"], {"measure"}),
+    "decompose": (["decompose", "{dir}/sigma.morphism", "--pi-out", "{dir}/pi.out",
+                   "--alpha-out", "{dir}/alpha.out"], {"morphism"}),
+    "compose": (["compose", "{dir}/fib.morphism", "{dir}/fib.morphism"], {"morphism"}),
+    "incidence": (["incidence", "{dir}/sigma.morphism"], {"morphism"}),
+    "check": (["check", "{dir}/fib.morphism", "--bound", "3"], {"morphism", "diagnostics"}),
+    "check-language": (["check", "{dir}/fib.morphism", "--bound", "3", "--language", "{dir}/ab.language"],
+                       {"morphism", "diagnostics", "language"}),
+    "image-language": (["image-language", "{dir}/sigma.morphism", "{dir}/ab.language", "--maxlen", "3"],
+                       {"morphism", "language"}),
+    "transfer": (["transfer", "{dir}/sigma.morphism", "{dir}/ab.measure", "--depth", "2"],
+                 {"measure", "morphism", "transfer"}),
+    "eval": (["eval", "{dir}/sigma.morphism", "{dir}/ab.measure", "--word", "c d"],
+             {"measure", "morphism", "transfer"}),
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_RUNS)
+def test_a_command_runs_only_the_submodules_it_uses(tmp_path, command):
+    """Of diagnostics, language, measure, morphism and transfer, a command runs exactly those it calls."""
+    for name, text in _COMMAND_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv, late = _COMMAND_RUNS[command]
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    script = f"import sys\nfrom shiftmeasure.cli import main\nprint(main({argv!r}))\n{_PRINT_RUN}"
+    lines = _child(script)
+    assert lines[-2] == "0", lines
+    assert set(ast.literal_eval(lines[-1])) & set(_LATE) == {f"shiftmeasure.{name}" for name in late}, lines
 
 
 PUBLIC = """
@@ -641,9 +665,15 @@ def test_kirchhoff_lists_violations_with_exit_one(files, capsys):
 # the one error the top-level parser reports after a command has matched.
 # 3.13 prints the command choices on one usage line and widens the command
 # column of --help, so it has its own file, recorded on 3.13 with the same argvs.
-ARGPARSE_GOLDENS = json.loads(Path(__file__).with_name(
+# A case with a "python" version holds on that release alone, in place of the
+# case of the same argv without one: 3.13.0 quotes each choice in "invalid choice".
+_RELEASE = list(sys.version_info[:3])
+_RECORDED = json.loads(Path(__file__).with_name(
     "argparse_goldens_3.13.json" if sys.version_info >= (3, 13) else "argparse_goldens.json"
 ).read_text(encoding="utf-8"))
+_PINNED = [case["argv"] for case in _RECORDED if case.get("python") == _RELEASE]
+ARGPARSE_GOLDENS = [case for case in _RECORDED
+                    if case.get("python") == _RELEASE or ("python" not in case and case["argv"] not in _PINNED)]
 
 
 @pytest.mark.parametrize(

@@ -183,11 +183,11 @@ def test_subdivision_morphism_frozen():
 
 
 @gen.deadline(5)
-def test_subdivision_lengths_have_the_table_budget(monkeypatch):
-    """A length sum over words.TABLE_BUDGET is refused before any token is built, also through
-    subdivision_measure and canonical_decomposition."""
+def test_subdivision_lengths_have_the_token_budget(monkeypatch):
+    """A length sum over words.TOKEN_BUDGET, read at call time, is refused before any token is built,
+    also through subdivision_measure and canonical_decomposition."""
     table = characteristic_measure(AB.word("ab"), 2)
-    monkeypatch.setattr(words, "TABLE_BUDGET", 5)
+    monkeypatch.setattr(words, "TOKEN_BUDGET", 5)
     assert len(subdivision_morphism(AB, {"a": 3, "b": 2}).codomain) == 5
     assert subdivision_measure({"a": 3, "b": 2}, table, 2).total_mass == 5
     for call in (lambda: subdivision_morphism(AB, {"a": 3, "b": 3}),
@@ -196,7 +196,19 @@ def test_subdivision_lengths_have_the_table_budget(monkeypatch):
         with pytest.raises(PreconditionError) as refused:
             call()
         assert str(refused.value) == (
-            "subdivision length sum 6 is over the table budget: the images hold 6 letters, more than 5")
+            "subdivision length sum 6 is over the token budget: the images hold 6 letters, more than 5")
+
+
+@gen.deadline(5)
+def test_a_subdivision_at_the_token_budget_builds():
+    """A length sum of words.TOKEN_BUDGET builds its tokens, each a str with an index entry (about
+    70 MB in all, as TABLE_BUDGET's letters in tuples); one more is refused."""
+    assert words.TOKEN_BUDGET == 5 * 10**5
+    assert len(subdivision_morphism(AB, {"a": words.TOKEN_BUDGET - 1, "b": 1}).codomain) == words.TOKEN_BUDGET
+    with pytest.raises(PreconditionError) as refused:
+        subdivision_morphism(AB, {"a": words.TOKEN_BUDGET, "b": 1})
+    assert str(refused.value) == (
+        "subdivision length sum 500001 is over the token budget: the images hold 500001 letters, more than 500000")
 
 
 def test_subdivision_images_are_disjoint():
