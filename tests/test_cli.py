@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: golden output bytes, exit codes, and the error
-channel.  All invocations go through main(argv) with captured streams; one
+channel.  CLI_CASES pins each plain argv case byte for byte; the other tests
+patch the package, spawn children, measure memory or run hypothesis.  All
+in-process invocations go through main(argv) with captured streams; one
 subprocess test covers the installed entry point."""
 
 import argparse
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 import gen
 import shiftmeasure
+from conftest import MEASURE_AB, _subprocess_env
 from shiftmeasure import (
     FactorLanguage,
     MeasureTable,
@@ -38,65 +41,164 @@ from shiftmeasure import cli, diagnostics, language, transfer
 from shiftmeasure.cli import main
 
 MORPHISM_SIGMA4 = "a -> c d c\nb -> d c c\n"
-MORPHISM_DDED = "a -> d e d\nb -> d e\nc -> d e d d\n"
-MEASURE_AB = "!alphabet a b\n!depth 2\n!mass 2\na\t1\nb\t1\na b\t1\nb a\t1\n"
-MEASURE_THIRDS = (
-    "!alphabet a b c\n!depth 3\n!mass 1\n"
-    "a\t1/3\nb\t1/3\nc\t1/3\n"
-    "a a\t1/3\nb b\t1/3\nc c\t1/3\n"
-    "a a a\t1/3\nb b b\t1/3\nc c c\t1/3\n"
-)
 TRANSFER_GOLDEN = "!alphabet c d\n!depth 2\n!mass 6\nc\t4\nd\t2\nc c\t2\nc d\t2\nd c\t2\n"
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# Fraction() takes exponents, underscores, signs and non-ASCII digits; the format takes only ASCII p, p/q and p.q.
+_ODD_RATIONALS = ["1e3", "1e99999", "1_000", "+3", "٣"]
+
+# The input files of every CLI case, written into the directory each case runs in.
+FILES = {
+    "sigma.morphism": MORPHISM_SIGMA4,
+    "fib.morphism": "a -> a b\nb -> a\n",
+    "dded.morphism": "a -> d e d\nb -> d e\nc -> d e d d\n",
+    "cd.morphism": "a -> c d\nb -> c\n",
+    "tm.morphism": "a -> c d\nb -> d c\n",
+    "id.morphism": "a -> a\nb -> b\n",
+    "collapse.morphism": "a -> c\nb -> c\n",
+    "bad.morphism": "a -> c\nnonsense\n",
+    "ab.measure": MEASURE_AB,
+    "thirds.measure": (
+        "!alphabet a b c\n!depth 3\n!mass 1\n"
+        "a\t1/3\nb\t1/3\nc\t1/3\n"
+        "a a\t1/3\nb b\t1/3\nc c\t1/3\n"
+        "a a a\t1/3\nb b b\t1/3\nc c c\t1/3\n"
+    ),
+    "broken.measure": "!alphabet a b\n!depth 2\n!mass 1\na\t1\na a\t1\na b\t1\n",
+    # A superscript two passes str.isdigit() but is not a header integer.
+    "super.measure": "!alphabet a b\n!depth ²\n!mass 1\n",
+    **{f"entry{i}.measure": f"!alphabet a b\n!depth 1\n!mass 1\na\t{v}\n" for i, v in enumerate(_ODD_RATIONALS)},
+    **{f"mass{i}.measure": f"!alphabet a b\n!depth 1\n!mass {v}\na\t1\n" for i, v in enumerate(_ODD_RATIONALS)},
+    "ab.language": "!alphabet a b\n!maxlen 3\na b a\nb b\n",
+    "full.language": "!alphabet a b\n!maxlen 2\na a\na b\nb a\nb b\n",
+    "thin.language": "!alphabet a b\n!maxlen 2\na a\n",
+    "short.language": "!alphabet a b\n!maxlen 8\na\n",
+    "super.language": "!alphabet a b\n!maxlen ²\na b\n",
+}
 
 
-def _subprocess_env(**extra):
-    """Environment for a CLI subprocess that imports the package under test."""
-    src = str(Path(shiftmeasure.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    path = src + os.pathsep + inherited if inherited else src
-    return {**os.environ, "PYTHONPATH": path, **extra}
+def _case(id, argv, exit=0, stdout="", stderr="", written=None):
+    """main(argv), run in a directory that holds FILES, returns exit, prints exactly
+    stdout and stderr, and adds exactly the files in written (name: text)."""
+    return {"id": id, "argv": argv, "exit": exit, "stdout": stdout, "stderr": stderr, "written": written or {}}
 
 
-@pytest.fixture
-def files(tmp_path):
-    def put(name, text):
-        path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
-        return str(path)
-
-    return put
+def _over_the_table_budget(depth, letters):
+    return (f"error: depth {depth} is over the table budget: its keys for an orbit of period 2 "
+            f"hold {letters} letters, more than 10000000\n")
 
 
-def test_transfer_golden(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["transfer", sigma, measure, "--depth", "2"]) == 0
-    assert capsys.readouterr().out == TRANSFER_GOLDEN
+CLI_CASES = [
+    _case("transfer", ["transfer", "sigma.morphism", "ab.measure", "--depth", "2"], stdout=TRANSFER_GOLDEN),
+    _case("transfer-depth-zero", ["transfer", "sigma.morphism", "ab.measure", "--depth", "0"], 3,
+          stderr="error: output depth must be >= 1\n"),
+    _case("transfer-depth-shortfall", ["transfer", "sigma.morphism", "ab.measure", "--depth", "5"], 3,
+          stderr="error: input depth 2 is insufficient: depth >= 3 is required\n"),
+    _case("transfer-parse-error", ["transfer", "bad.morphism", "ab.measure", "--depth", "1"], 2,
+          stderr="error: bad.morphism:2: expected a rule of the form '<letter> -> <letter> ...'\n"),
+    _case("transfer-missing-file", ["transfer", "/nonexistent/sigma.morphism", "ab.measure", "--depth", "1"], 2,
+          stderr="error: cannot read /nonexistent/sigma.morphism: No such file or directory\n"),
+    _case("eval", ["eval", "dded.morphism", "thirds.measure", "--word", "d d e d"], stdout="2/3\n"),
+    _case("eval-compact", ["eval", "dded.morphism", "thirds.measure", "--word", "dded", "--compact"],
+          stdout="2/3\n"),
+    _case("eval-empty-word", ["eval", "sigma.morphism", "ab.measure", "--word", ""], stdout="6\n"),
+    _case("eval-foreign-token", ["eval", "sigma.morphism", "ab.measure", "--word", "c x"], 2,
+          stderr="error: bad word 'c x': symbol 'x' not in alphabet [c d]\n"),
+    _case("decompose", ["decompose", "cd.morphism", "--pi-out", "pi.out", "--alpha-out", "alpha.out"],
+          written={"pi.out": "!domain a b\n!codomain a.1 a.2 b.1\na -> a.1 a.2\nb -> b.1\n",
+                   "alpha.out": "!domain a.1 a.2 b.1\n!codomain c d\na.1 -> c\na.2 -> d\nb.1 -> c\n"}),
+    _case("decompose-unwritable", ["decompose", "sigma.morphism", "--pi-out", "/nonexistent/x",
+                                   "--alpha-out", "alpha.out"], 2,
+          stderr="error: cannot write /nonexistent/x: No such file or directory\n"),
+    _case("incidence", ["incidence", "sigma.morphism"], stdout="c 2 2\nd 1 1\n"),
+    _case("characteristic", ["characteristic", "--word", "a b", "--depth", "2"], stdout=MEASURE_AB),
+    _case("characteristic-compact", ["characteristic", "--word", "ab", "--depth", "2", "--compact"],
+          stdout=MEASURE_AB),
+    # "#\t1" would read back as a comment line.
+    _case("characteristic-reserved-token", ["characteristic", "--word", "# a", "--depth", "2"], 2,
+          stderr="error: invalid symbol token: '#' (a token may not start with '#' or '!', or be '->')\n"),
+    _case("characteristic-explicit-alphabet", ["characteristic", "--word", "a", "--depth", "1", "--alphabet", "b a"],
+          stdout="!alphabet b a\n!depth 1\n!mass 1\na\t1\n"),
+    # Only an alphabet inferred from the word blames the word.
+    _case("characteristic-empty-alphabet", ["characteristic", "--word", "a", "--depth", "1", "--alphabet", ""], 2,
+          stderr="error: alphabet must not be empty\n"),
+    _case("characteristic-empty-word", ["characteristic", "--word", "", "--depth", "1"], 2,
+          stderr="error: cannot infer an alphabet from an empty word\n"),
+    # --compact splits an explicit or inferred alphabet into characters, as it does the word.
+    _case("characteristic-compact-alphabet", ["characteristic", "--word", "a", "--depth", "1", "--alphabet", " ba ",
+                                              "--compact"], stdout="!alphabet b a\n!depth 1\n!mass 1\na\t1\n"),
+    _case("characteristic-compact-inferred-alphabet",
+          ["characteristic", "--word", "abba", "--depth", "1", "--compact"],
+          stdout="!alphabet a b\n!depth 1\n!mass 4\na\t2\nb\t2\n"),
+    _case("characteristic-compact-empty-alphabet",
+          ["characteristic", "--word", "a", "--depth", "1", "--alphabet", "  ", "--compact"], 2,
+          stderr="error: alphabet must not be empty\n"),
+    _case("characteristic-compact-empty-word", ["characteristic", "--word", " ", "--depth", "1", "--compact"], 2,
+          stderr="error: cannot infer an alphabet from an empty word\n"),
+    # A depth no index can hold, 2^62 (which fits an index and once ended in a
+    # MemoryError traceback and exit 1) and 10^9 (which would allocate gigabytes)
+    # are refused by the table budget with the letter count, before the orbit is repeated.
+    *(_case(f"characteristic-depth-{name}", ["characteristic", "--word", "a b", "--depth", str(depth)], 3,
+            stderr=_over_the_table_budget(depth, depth * (depth + 1)))
+      for name, depth in [("past-any-index", 99999999999999999999999), ("2^62", 2**62), ("10^9", 10**9)]),
+    # A depth of 2,501 digits puts the letter count past the interpreter's int-to-str
+    # limit: the refusal shows that count by its digits.
+    _case("characteristic-depth-past-the-int-digit-limit", ["characteristic", "--word", "a b", "--depth",
+                                                            str(10**2500)], 3,
+          stderr=_over_the_table_budget(str(10**2500), "<5001-digit number>")),
+    _case("image-language", ["image-language", "sigma.morphism", "full.language", "--maxlen", "2"],
+          stdout="!alphabet c d\n!maxlen 2\nc\nd\nc c\nc d\nd c\n"),
+    _case("image-language-maxlen-zero", ["image-language", "sigma.morphism", "full.language", "--maxlen", "0"], 3,
+          stderr="error: maxlen must be >= 1\n"),
+    _case("image-language-non-ascii-maxlen", ["image-language", "sigma.morphism", "super.language", "--maxlen", "1"],
+          2, stderr="error: super.language:2: !maxlen needs one positive integer\n"),
+    _case("check", ["check", "id.morphism", "--bound", "4"], stdout="BOUND 4\n"),
+    _case("check-violations", ["check", "tm.morphism", "--bound", "1"], 1,
+          stdout="BOUND 1\nVIOLATION orbit-injectivity a b\n"),
+    _case("check-language", ["check", "collapse.morphism", "--language", "thin.language", "--bound", "2"],
+          stdout="BOUND 2\n"),
+    # A bound of 0, or one past the language's maxlen, is refused in the range form of every count argument.
+    _case("check-bound-zero", ["check", "sigma.morphism", "--bound", "0"], 3, stderr="error: bound must be >= 1\n"),
+    _case("check-bound-zero-with-language", ["check", "sigma.morphism", "--bound", "0", "--language", "short.language"],
+          3, stderr="error: bound must be >= 1\n"),
+    _case("check-bound-past-maxlen", ["check", "sigma.morphism", "--bound", "9", "--language", "short.language"], 3,
+          stderr="error: bound must be <= 8\n"),
+    _case("check-over-the-work-budget", ["check", "tm.morphism", "--bound", "1000000000"], 3,
+          stderr="error: bound 1000000000 is over the work budget: the full shift over 2 letters has 1465020 "
+                 "primitive orbits of period <= 24, more than 1000000\n"),
+    # The collapse owes 3.2M pairs at bound 14; it is refused before any certificate is built or printed.
+    *(_case(f"check-over-the-certificate-budget-{bound}", ["check", "collapse.morphism", "--bound", bound], 3,
+            stderr=f"error: bound {bound} is over the certificate budget: the primitive orbits of period <= 14 "
+                   "give at least 1000403 certificates, more than 1000000\n")
+      for bound in ["14", "20"]),
+    _case("kirchhoff", ["kirchhoff", "ab.measure"]),
+    _case("kirchhoff-violations", ["kirchhoff", "broken.measure"], 1,
+          stdout="VIOLATION right-extension at a: expected 1, found 2\n"
+                 "VIOLATION left-extension at b: expected 0, found 1\n"
+                 "VIOLATION level-sum at length-2: expected 1, found 2\n"),
+    _case("kirchhoff-non-ascii-depth", ["kirchhoff", "super.measure"], 2,
+          stderr="error: super.measure:2: !depth needs one positive integer\n"),
+    *(_case(f"kirchhoff-{where}-{value}", ["kirchhoff", f"{where}{i}.measure"], 2,
+            stderr=f"error: {where}{i}.measure:{line}: not a rational value: {value!r}\n")
+      for where, line in [("entry", 4), ("mass", 3)] for i, value in enumerate(_ODD_RATIONALS)),
+]
 
 
-def test_transfer_is_deterministic(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    measure = files("orbit.measure", MEASURE_AB)
-    main(["transfer", sigma, measure, "--depth", "2"])
-    first = capsys.readouterr().out
-    main(["transfer", sigma, measure, "--depth", "2"])
-    assert capsys.readouterr().out == first
-
-
-def test_eval_golden(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_DDED)
-    measure = files("thirds.measure", MEASURE_THIRDS)
-    assert main(["eval", sigma, measure, "--word", "d d e d"]) == 0
-    assert capsys.readouterr().out == "2/3\n"
-    assert main(["eval", sigma, measure, "--word", "dded", "--compact"]) == 0
-    assert capsys.readouterr().out == "2/3\n"
-
-
-def test_eval_empty_word_prints_the_mass(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["eval", sigma, measure, "--word", ""]) == 0
-    assert capsys.readouterr().out == "6\n"
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=case["id"], marks=pytest.mark.skipif(
+        "int-digit-limit" in case["id"] and not _DIGIT_LIMIT, reason="int() has no digit limit"))
+    for case in CLI_CASES])
+@gen.deadline(5)
+def test_cli_case(case, tmp_path, capsys, monkeypatch):
+    """One row, byte for byte.  The deadline turns a fault that makes work
+    follow a huge declared size (a depth or bound of 10^9) into a failure."""
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name not in FILES}
+    assert (code, out, err, written) == (
+        case["exit"], case["stdout"], case["stderr"], {name: text.encode() for name, text in case["written"].items()})
 
 
 def test_decompose_round_trips_through_compose(files, capsys, tmp_path):
@@ -108,126 +210,6 @@ def test_decompose_round_trips_through_compose(files, capsys, tmp_path):
     assert main(["compose", alpha_out, pi_out]) == 0
     composed = capsys.readouterr().out
     assert composed == "!domain a b\n!codomain c d\na -> c d c\nb -> d c c\n"
-
-
-def test_decompose_pi_golden(files, capsys, tmp_path):
-    sigma = files("sigma.morphism", "a -> c d\nb -> c\n")
-    pi_out = tmp_path / "pi.morphism"
-    alpha_out = tmp_path / "alpha.morphism"
-    assert main(["decompose", sigma, "--pi-out", str(pi_out), "--alpha-out", str(alpha_out)]) == 0
-    assert pi_out.read_text(encoding="utf-8") == (
-        "!domain a b\n!codomain a.1 a.2 b.1\na -> a.1 a.2\nb -> b.1\n"
-    )
-    assert alpha_out.read_text(encoding="utf-8") == (
-        "!domain a.1 a.2 b.1\n!codomain c d\na.1 -> c\na.2 -> d\nb.1 -> c\n"
-    )
-
-
-def test_incidence_golden(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    assert main(["incidence", sigma]) == 0
-    assert capsys.readouterr().out == "c 2 2\nd 1 1\n"
-
-
-def test_characteristic_golden(capsys):
-    assert main(["characteristic", "--word", "a b", "--depth", "2"]) == 0
-    assert capsys.readouterr().out == MEASURE_AB
-    assert main(["characteristic", "--word", "ab", "--depth", "2", "--compact"]) == 0
-    assert capsys.readouterr().out == MEASURE_AB
-
-
-def test_characteristic_rejects_reserved_tokens(capsys):
-    # "#\t1" would read back as a comment line.
-    assert main(["characteristic", "--word", "# a", "--depth", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "invalid symbol token: '#'" in captured.err
-
-
-def test_characteristic_explicit_alphabet(capsys):
-    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", "b a"]) == 0
-    assert capsys.readouterr().out == "!alphabet b a\n!depth 1\n!mass 1\na\t1\n"
-
-
-@gen.deadline(5)
-def test_characteristic_depth_past_any_index_is_a_precondition_failure(capsys):
-    """A depth no index can hold is refused by the table budget before the
-    orbit is repeated."""
-    depth = 99999999999999999999999
-    assert main(["characteristic", "--word", "a b", "--depth", str(depth)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: depth {depth} is over the table budget: its keys for an orbit of period 2 "
-        f"hold {depth * (depth + 1)} letters, more than 10000000\n"
-    )
-
-
-@pytest.mark.parametrize("depth", [2**62, 10**9])
-@gen.deadline(5)
-def test_characteristic_depth_over_the_table_budget_is_a_precondition_failure(capsys, depth):
-    """2^62 fits an index (it once ended in a MemoryError traceback and exit 1),
-    and 10^9 would allocate gigabytes: both exit 3 with the letter count."""
-    assert main(["characteristic", "--word", "a b", "--depth", str(depth)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: depth {depth} is over the table budget: ")
-    assert f" hold {depth * (depth + 1)} letters, more than 10000000\n" in captured.err
-
-
-@pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
-)
-@gen.deadline(5)
-def test_characteristic_letter_count_past_the_int_digit_limit_is_refused_in_one_line(capsys):
-    """A depth of 2,501 digits puts the letter count past the interpreter's
-    int-to-str limit: the refusal shows that count by its digits, exit 3."""
-    depth = 10**2500
-    assert main(["characteristic", "--word", "a b", "--depth", str(depth)]) == 3
-    assert capsys.readouterr() == ("", f"error: depth {depth} is over the table budget: its keys for an orbit "
-                                       "of period 2 hold <5001-digit number> letters, more than 10000000\n")
-
-
-def test_characteristic_empty_alphabet_messages(capsys):
-    """Only an alphabet inferred from the word blames the word."""
-    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", ""]) == 2
-    assert capsys.readouterr() == ("", "error: alphabet must not be empty\n")
-    assert main(["characteristic", "--word", "", "--depth", "1"]) == 2
-    assert capsys.readouterr() == ("", "error: cannot infer an alphabet from an empty word\n")
-
-
-def test_characteristic_compact_alphabets(capsys):
-    """--compact splits an explicit or inferred alphabet into characters, as it does the word."""
-    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", " ba ",
-                 "--compact"]) == 0
-    assert capsys.readouterr().out == "!alphabet b a\n!depth 1\n!mass 1\na\t1\n"
-    assert main(["characteristic", "--word", "abba", "--depth", "1", "--compact"]) == 0
-    assert capsys.readouterr().out == "!alphabet a b\n!depth 1\n!mass 4\na\t2\nb\t2\n"
-    assert main(["characteristic", "--word", "a", "--depth", "1", "--alphabet", "  ",
-                 "--compact"]) == 2
-    assert capsys.readouterr() == ("", "error: alphabet must not be empty\n")
-    assert main(["characteristic", "--word", " ", "--depth", "1", "--compact"]) == 2
-    assert capsys.readouterr() == ("", "error: cannot infer an alphabet from an empty word\n")
-
-
-def test_image_language_golden(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    language = files("full.language", "!alphabet a b\n!maxlen 2\na a\na b\nb a\nb b\n")
-    assert main(["image-language", sigma, language, "--maxlen", "2"]) == 0
-    assert capsys.readouterr().out == "!alphabet c d\n!maxlen 2\nc\nd\nc c\nc d\nd c\n"
-
-
-def test_check_reports_violations_with_exit_one(files, capsys):
-    sigma = files("tm.morphism", "a -> c d\nb -> d c\n")
-    assert main(["check", sigma, "--bound", "1"]) == 1
-    assert capsys.readouterr().out == "BOUND 1\nVIOLATION orbit-injectivity a b\n"
-
-
-def test_check_clean_morphism_exits_zero(files, capsys):
-    sigma = files("id.morphism", "a -> a\nb -> b\n")
-    assert main(["check", sigma, "--bound", "4"]) == 0
-    assert capsys.readouterr().out == "BOUND 4\n"
 
 
 def test_check_never_materialises_the_full_shift(files, capsys, monkeypatch):
@@ -246,14 +228,6 @@ def test_check_never_materialises_the_full_shift(files, capsys, monkeypatch):
     assert main(["check", sigma, "--bound", "8"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["BOUND 8", "VIOLATION orbit-injectivity a b"]
-
-
-def test_check_refuses_a_bound_over_the_budget(files, capsys):
-    sigma = files("tm.morphism", "a -> c d\nb -> d c\n")
-    assert main(["check", sigma, "--bound", "1000000000"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "has 1465020 primitive orbits of period <= 24, more than 1000000" in captured.err
 
 
 def test_check_images_each_representative_once(files, capsys, monkeypatch):
@@ -463,9 +437,7 @@ def test_the_cli_imports_no_code_introspection():
             assert set(ast.literal_eval(line)) - preloaded == set(), (flags, lines, preloaded)
 
 
-# Each command's argv ({dir} is the directory of the files below; each exits 0) and the late modules it runs.
-_COMMAND_FILES = {"sigma.morphism": MORPHISM_SIGMA4, "fib.morphism": "a -> a b\nb -> a\n",
-                  "ab.measure": MEASURE_AB, "ab.language": "!alphabet a b\n!maxlen 3\na b a\nb b\n"}
+# Each command's argv ({dir} is a directory that holds FILES; each exits 0) and the late modules it runs.
 _COMMAND_RUNS = {
     "kirchhoff": (["kirchhoff", "{dir}/ab.measure"], {"measure"}),
     "characteristic": (["characteristic", "--word", "a b", "--depth", "2"], {"measure"}),
@@ -488,7 +460,7 @@ _COMMAND_RUNS = {
 @pytest.mark.parametrize("command", _COMMAND_RUNS)
 def test_a_command_runs_only_the_submodules_it_uses(tmp_path, command):
     """Of diagnostics, language, measure, morphism and transfer, a command runs exactly those it calls."""
-    for name, text in _COMMAND_FILES.items():
+    for name, text in FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv, late = _COMMAND_RUNS[command]
     argv = [arg.format(dir=tmp_path) for arg in argv]
@@ -588,9 +560,7 @@ def test_check_prints_its_certificates_without_words(files, capsys, monkeypatch)
         ["period-preservation"] * 21 + ["orbit-injectivity"] * 253, words)]
 
 
-@pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
-)
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() has no digit limit")
 def test_values_beyond_the_int_digit_limit_are_written_in_full(files, capsys):
     """1,500 weights over as many primes sum to a denominator of about 5,400
     digits, over the interpreter's int-to-str limit: transfer, eval and
@@ -627,53 +597,36 @@ def test_values_beyond_the_int_digit_limit_are_written_in_full(files, capsys):
     assert capsys.readouterr().err.startswith(f"error: {deep}:2: ")
 
 
-@pytest.mark.parametrize("bound", ["14", "20"])
-def test_check_refuses_a_report_over_the_certificate_budget(files, capsys, bound):
-    """The collapse owes 3.2M pairs at bound 14; it is refused before any
-    certificate is built or printed."""
-    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
-    assert main(["check", sigma, "--bound", bound]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "give at least 1000403 certificates, more than 1000000" in captured.err
-
-
-def test_check_with_explicit_language(files, capsys):
-    sigma = files("collapse.morphism", "a -> c\nb -> c\n")
-    language = files("thin.language", "!alphabet a b\n!maxlen 2\na a\n")
-    assert main(["check", sigma, "--language", language, "--bound", "2"]) == 0
-    assert capsys.readouterr().out == "BOUND 2\n"
-
-
-def test_kirchhoff_silent_on_consistent_tables(files, capsys):
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["kirchhoff", measure]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_kirchhoff_lists_violations_with_exit_one(files, capsys):
-    measure = files("broken.measure", "!alphabet a b\n!depth 2\n!mass 1\na\t1\na a\t1\na b\t1\n")
-    assert main(["kirchhoff", measure]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("VIOLATION ")
-    assert all(line.startswith("VIOLATION ") for line in out.splitlines())
-
-
 # stdout, stderr and exit code of argparse's own output (help, usage and
 # argument errors), recorded with COLUMNS=80 from the top-level parser and
 # its subparsers.  Cases with an argument left over ("extra", "--bogus") are
 # the one error the top-level parser reports after a command has matched.
-# 3.13 prints the command choices on one usage line and widens the command
-# column of --help, so it has its own file, recorded on 3.13 with the same argvs.
-# A case with a "python" version holds on that release alone, in place of the
-# case of the same argv without one: 3.13.0 quotes each choice in "invalid choice".
-_RELEASE = list(sys.version_info[:3])
-_RECORDED = json.loads(Path(__file__).with_name(
-    "argparse_goldens_3.13.json" if sys.version_info >= (3, 13) else "argparse_goldens.json"
-).read_text(encoding="utf-8"))
-_PINNED = [case["argv"] for case in _RECORDED if case.get("python") == _RELEASE]
-ARGPARSE_GOLDENS = [case for case in _RECORDED
-                    if case.get("python") == _RELEASE or ("python" not in case and case["argv"] not in _PINNED)]
+# A case with a "python" release prefix holds on the releases it prefixes, in
+# place of the case of the same argv with a shorter prefix or none: [3, 13]
+# because 3.13 prints the command choices on one usage line and widens the
+# command column of --help, [3, 13, 0] because 3.13.0 also quotes each choice
+# in "invalid choice".
+_RECORDED = json.loads(Path(__file__).with_name("argparse_goldens.json").read_text(encoding="utf-8"))
+
+
+def _argparse_goldens(release):
+    """For each argv, the case whose "python" is the longest prefix of release (none is the empty prefix)."""
+    by_argv = {}
+    for case in sorted(_RECORDED, key=lambda case: len(case.get("python", []))):
+        pin = case.get("python", [])
+        if pin == list(release[:len(pin)]):
+            by_argv[tuple(case["argv"])] = case
+    return list(by_argv.values())
+
+
+ARGPARSE_GOLDENS = _argparse_goldens(sys.version_info)
+
+
+def test_every_release_selects_a_case_for_each_argparse_argv():
+    argvs = [case["argv"] for case in _argparse_goldens((3, 10, 0))]
+    assert len(argvs) == 22
+    for release in [(3, 13, 0), (3, 13, 13)]:
+        assert [case["argv"] for case in _argparse_goldens(release)] == argvs
 
 
 @pytest.mark.parametrize(
@@ -772,99 +725,6 @@ def test_a_command_parser_parses_as_the_full_parser(argv):
     if isinstance(expected, dict):
         assert expected.pop("command") == argv[0]
     assert _argparse_outcome(cli._parse_args, argv) == expected
-
-
-def test_parse_errors_exit_two_with_file_and_line(files, capsys):
-    bad = files("bad.morphism", "a -> c\nnonsense\n")
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["transfer", bad, measure, "--depth", "1"]) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}:2:" in err
-
-
-@pytest.mark.parametrize(
-    "command, name, text",
-    [
-        ("kirchhoff", "super.measure", "!alphabet a b\n!depth \u00b2\n!mass 1\n"),
-        ("image-language", "super.language", "!alphabet a b\n!maxlen \u00b2\na b\n"),
-    ],
-    ids=["measure", "language"],
-)
-def test_non_ascii_header_digits_exit_two_with_file_and_line(files, capsys, command, name, text):
-    """A superscript two passes str.isdigit() but is not a header integer."""
-    path = files(name, text)
-    argv = [command, path]
-    if command == "image-language":
-        argv = [command, files("sigma.morphism", MORPHISM_SIGMA4), path, "--maxlen", "1"]
-    assert main(argv) == 2
-    assert f"{path}:2:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["1e3", "1e99999", "1_000", "+3", "٣"])
-@pytest.mark.parametrize(
-    "template, line",
-    [
-        ("!alphabet a b\n!depth 1\n!mass 1\na\t{}\n", 4),
-        ("!alphabet a b\n!depth 1\n!mass {}\na\t1\n", 3),
-    ],
-    ids=["entry", "mass"],
-)
-def test_undocumented_rational_forms_exit_two_with_file_and_line(files, capsys, value, template, line):
-    """Fraction() takes exponents, underscores, signs and non-ASCII digits;
-    the format takes only ASCII p, p/q and p.q."""
-    path = files("odd.measure", template.format(value))
-    assert main(["kirchhoff", path]) == 2
-    assert f"{path}:{line}: " in capsys.readouterr().err
-
-
-def test_missing_file_exits_two(files, capsys):
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["transfer", "/nonexistent/sigma.morphism", measure, "--depth", "1"]) == 2
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_foreign_word_token_exits_two(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["eval", sigma, measure, "--word", "c x"]) == 2
-    assert "bad word" in capsys.readouterr().err
-
-
-def test_depth_shortfall_exits_three_and_names_the_required_depth(files, capsys):
-    sigma = files("sigma.morphism", MORPHISM_SIGMA4)
-    measure = files("orbit.measure", MEASURE_AB)
-    assert main(["transfer", sigma, measure, "--depth", "5"]) == 3
-    err = capsys.readouterr().err
-    assert "depth >= 3 is required" in err
-
-
-@pytest.mark.parametrize("bound, language, message", [
-    ("0", True, ">= 1"), ("9", True, "<= 8"), ("0", False, ">= 1"),
-], ids=["zero-with-language", "past-maxlen", "zero"])
-def test_bad_bound_exits_three(files, capsys, bound, language, message):
-    """A check bound of 0, or one past the language's maxlen, is refused in
-    the range form of every count argument."""
-    argv = ["check", files("sigma.morphism", MORPHISM_SIGMA4), "--bound", bound]
-    if language:
-        argv += ["--language", files("short.language", "!alphabet a b\n!maxlen 8\na\n")]
-    assert main(argv) == 3
-    assert capsys.readouterr() == ("", f"error: bound must be {message}\n")
-
-
-@pytest.mark.parametrize("argv, code, message", [
-    (["transfer", "{sigma}", "{measure}", "--depth", "0"], 3, "output depth must be >= 1"),
-    (["image-language", "{sigma}", "{language}", "--maxlen", "0"], 3, "maxlen must be >= 1"),
-    (["decompose", "{sigma}", "--pi-out", "/nonexistent/x", "--alpha-out", "{alpha}"], 2,
-     "cannot write /nonexistent/x: No such file or directory"),
-], ids=["transfer-depth", "image-language-maxlen", "decompose-unwritable"])
-def test_out_of_range_values_and_unwritable_outputs_exit_with_one_line(files, capsys, tmp_path,
-                                                                       argv, code, message):
-    paths = {"sigma": files("sigma.morphism", MORPHISM_SIGMA4),
-             "measure": files("orbit.measure", MEASURE_AB),
-             "language": files("ab.language", "!alphabet a b\n!maxlen 1\na\nb\n"),
-             "alpha": str(tmp_path / "alpha.morphism")}
-    assert main([arg.format(**paths) for arg in argv]) == code
-    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_module_entry_point_smoke(files):

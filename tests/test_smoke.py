@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
+from conftest import MEASURE_AB, _subprocess_env
 from shiftmeasure.cli import main
-from test_cli import MEASURE_AB, _subprocess_env, files  # noqa: F401 (files is a fixture)
 from test_textio import _respaced
 
 AB_MORPHISM = "a -> a b\nb -> a\n"
